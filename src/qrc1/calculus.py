@@ -635,22 +635,38 @@ def derivation_to_dict(d: Derivation, sig: Signature) -> dict:
     return doc
 
 
+def _field(node: dict, key: str, kind: type, default=None):
+    value = node.get(key, default)
+    if not isinstance(value, kind):
+        raise DerivationError(f"malformed derivation document: {key!r} must be a {kind.__name__}")
+    return value
+
+
 def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
+    """Rebuild a derivation; a document of the wrong shape raises DerivationError."""
     from .syntax import parse_sequent
 
-    sig = sig.with_constants(doc.get("extra_constants", ()))
-
     def build(node: dict) -> Derivation:
+        if not isinstance(node, dict):
+            raise DerivationError("malformed derivation document: a node must be an object")
         inst = None
         if "instantiation" in node:
-            raw = node["instantiation"]
-            term: Term = Const(raw["term"]) if raw["kind"] == "const" else Var(raw["term"])
-            inst = Instantiation(raw["var"], term)
+            raw = _field(node, "instantiation", dict)
+            kind = raw.get("kind")
+            if kind not in ("const", "var"):
+                raise DerivationError("malformed derivation document: 'kind' must be 'const' or 'var'")
+            name = _field(raw, "term", str)
+            inst = Instantiation(_field(raw, "var", str), Const(name) if kind == "const" else Var(name))
         return Derivation(
-            rule=node["rule"],
-            conclusion=parse_sequent(node["conclusion"], sig),
-            premises=tuple(build(p) for p in node.get("premises", ())),
+            rule=_field(node, "rule", str),
+            conclusion=parse_sequent(_field(node, "conclusion", str), sig),
+            premises=tuple(build(p) for p in _field(node, "premises", list, [])),
             instantiation=inst,
         )
 
+    if isinstance(doc, dict):
+        extra = _field(doc, "extra_constants", list, [])
+        if not all(isinstance(c, str) for c in extra):
+            raise DerivationError("malformed derivation document: 'extra_constants' must hold names")
+        sig = sig.with_constants(extra)
     return build(doc)

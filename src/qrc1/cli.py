@@ -220,11 +220,13 @@ def _certificate_docs(text: str) -> list[dict]:
 
 
 def _extract(doc: dict, kind: str, key: str) -> Optional[dict]:
+    if not isinstance(doc, dict):
+        return None
     if key in doc:
         return doc[key]
     cert = doc.get("certificate")
     if isinstance(cert, dict) and cert.get("kind") == kind:
-        return cert[key]
+        return cert.get(key)
     return None
 
 
@@ -235,7 +237,7 @@ def cmd_check_derivation(args, out) -> int:
         inner = _extract(doc, "derivation", "derivation")
         if inner is None:
             raise QRCError("document carries no derivation")
-        label = doc.get("sequent", inner.get("conclusion", "?"))
+        label = doc.get("sequent", inner.get("conclusion", "?") if isinstance(inner, dict) else "?")
         try:
             d = derivation_from_dict(inner, sig)
             concluded = check_derivation(d, sig.with_constants(inner.get("extra_constants", ())))

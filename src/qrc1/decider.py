@@ -70,13 +70,16 @@ def verdict_to_dict(v: Verdict, sig: Signature) -> dict:
     return doc
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeciderConfig:
     prove_step: int = 3  # proof-node budget added per dovetail round
     prove_cap: int = 42  # give up on the YES side past this many nodes
     max_rounds: Optional[int] = None  # None: run to the derived ceiling
     max_worlds: Optional[int] = None  # overrides the derived world ceiling
     max_domain: Optional[int] = None
+
+
+_DEFAULT_CONFIG = DeciderConfig()
 
 
 def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signature, list[tuple[str, str]]]:
@@ -128,8 +131,8 @@ def mdepth_precheck(s: Sequent) -> bool:
 
 def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
     """Decide derivability, returning a validated certificate either way."""
-    config = config or DeciderConfig()
-    cache_key = (s, sig.constants, sig.relations, config.max_rounds, config.max_worlds, config.max_domain)
+    config = config or _DEFAULT_CONFIG
+    cache_key = (s, sig.constants, sig.relations, config)
     cached = _DECIDE_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -167,7 +170,15 @@ def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
         prove_rounds = (config.prove_cap + config.prove_step - 1) // config.prove_step
         max_rounds = max(world_ceiling, domain_ceiling, prove_rounds)
 
+    def finish(status: str, **certificate) -> Verdict:
+        stats["frames_examined"] = refute_stats.frames
+        stats["refute_candidates"] = refute_stats.candidates
+        stats["refute_truncated"] = refute_stats.truncated
+        stats["proof_nodes_expanded"] = search.stats.nodes_expanded
+        return Verdict(status, stats=stats, **certificate)
+
     refute_exhausted_at_ceiling = False
+    exhausted = (0, 0)  # the box of frames an earlier round searched in full
     k = 0
     while k < max_rounds:
         k += 1
@@ -178,27 +189,23 @@ def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
             if d is not None:
                 full = _reattach_free_variables(d, s, ground_pairs)
                 check_derivation(full, gsig)
-                stats["proof_nodes_expanded"] = search.stats.nodes_expanded
-                verdict = Verdict(DERIVABLE, derivation=full, stats=stats)
-                return verdict
+                return finish(DERIVABLE, derivation=full)
         if not refute_exhausted_at_ceiling:
             mw = min(k, world_ceiling)
             md = min(domain_ceiling, max(1, len(cs) + k * u))
-            cm = refute(grounded, gsig, RefuteBounds(mw, md), refute_stats)
+            cm = refute(grounded, gsig, RefuteBounds(mw, md, exhausted), refute_stats)
             if cm is not None:
-                stats["frames_examined"] = refute_stats.frames
                 original = _unground_countermodel(cm, s, sig, ground_pairs)
                 original.validate()
-                return Verdict(UNDERIVABLE, countermodel=original, stats=stats)
+                return finish(UNDERIVABLE, countermodel=original)
+            exhausted = (mw, md)
             if mw == world_ceiling and md == domain_ceiling:
                 refute_exhausted_at_ceiling = True
         if skip_prove and refute_exhausted_at_ceiling:
             break  # cannot happen for a correct ceiling; fall through to undecided
         if refute_exhausted_at_ceiling and not skip_prove and config.prove_step * k >= config.prove_cap:
             break
-    stats["frames_examined"] = refute_stats.frames
-    stats["proof_nodes_expanded"] = search.stats.nodes_expanded
-    return Verdict(UNDECIDED, stats=stats)
+    return finish(UNDECIDED)
 
 
 def _reattach_free_variables(

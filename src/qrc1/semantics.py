@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional, Sequence
@@ -225,14 +226,33 @@ def _transitive(relation: frozenset[tuple[int, int]], n: int) -> bool:
     )
 
 
+def _extensions(
+    rel: frozenset[tuple[int, int]], n: int, rooted: bool
+) -> Iterator[frozenset[tuple[int, int]]]:
+    """Transitive relations on worlds 0..n whose restriction to 0..n-1 is the
+    transitive relation rel; with rooted, world 0 sees the new world n.
+
+    Restricting a transitive relation to fewer worlds keeps it transitive
+    (and rooted), so extending every relation on n worlds by one world in
+    every way reaches every relation on n + 1 worlds.
+    """
+    olds = range(n)
+    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(olds, k)]
+    for ins in subsets:
+        if rooted and n and 0 not in ins:
+            continue
+        for outs in subsets:
+            for loop in ((), ((n, n),)):
+                ext = rel.union(((w, n) for w in ins), ((n, u) for u in outs), loop)
+                if _transitive(ext, n + 1):
+                    yield ext
+
+
 def _transitive_relations(n: int) -> list[frozenset[tuple[int, int]]]:
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    out = []
-    for bits in itertools.product((False, True), repeat=len(pairs)):
-        rel = frozenset(p for p, b in zip(pairs, bits) if b)
-        if _transitive(rel, n):
-            out.append(rel)
-    return sorted(out, key=lambda r: sorted(r))
+    rels = [frozenset()]
+    for m in range(n):
+        rels = [ext for rel in rels for ext in _extensions(rel, m, rooted=False)]
+    return sorted(rels, key=lambda r: sorted(r))
 
 
 def _nested_domains(
@@ -343,8 +363,16 @@ def _relation_tables(
 
 @dataclass
 class RefuteBounds:
+    """Search frames of at most max_worlds worlds and max_domain elements.
+
+    exhausted is a box (worlds, elements) that an earlier search of the same
+    sequent already covered without finding a countermodel; its frames are
+    skipped.
+    """
+
     max_worlds: int
     max_domain: int
+    exhausted: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_domain < 1:
@@ -355,10 +383,16 @@ class RefuteBounds:
 class RefuteStats:
     frames: int = 0
     candidates: int = 0
+    truncated: int = 0  # implicant lists cut at IMPLICANT_CAP: the search was not complete
+
+
+# Past this many minimal implicants a universal's list is cut short, and
+# countermodels that need the rest are not found.
+IMPLICANT_CAP = 4096
 
 
 def _forcing_implicants(
-    m_frame: "_Frame", w: int, g: dict[str, int], f: Formula, const_at
+    m_frame: "_Frame", w: int, g: dict[str, int], f: Formula, const_at, stats: RefuteStats
 ) -> list[frozenset[tuple]] | None:
     """Minimal sets of relation atoms that force f at w, or None if unforceable.
 
@@ -381,17 +415,17 @@ def _forcing_implicants(
                     vals.append(g[t.name])
             return [frozenset({(w, name, tuple(vals))})]
         case And(l, r):
-            li = _forcing_implicants(m_frame, w, g, l, const_at)
+            li = _forcing_implicants(m_frame, w, g, l, const_at, stats)
             if li is None:
                 return None
-            ri = _forcing_implicants(m_frame, w, g, r, const_at)
+            ri = _forcing_implicants(m_frame, w, g, r, const_at, stats)
             if ri is None:
                 return None
             return _minimize([a | b for a in li for b in ri])
         case Diamond(b):
             out: list[frozenset[tuple]] = []
             for v in m_frame.successors[w]:
-                vi = _forcing_implicants(m_frame, v, g, b, const_at)
+                vi = _forcing_implicants(m_frame, v, g, b, const_at, stats)
                 if vi:
                     out.extend(vi)
             return _minimize(out) if out else None
@@ -400,12 +434,13 @@ def _forcing_implicants(
             for d in sorted(m_frame.domains[w]):
                 g2 = dict(g)
                 g2[x] = d
-                bi = _forcing_implicants(m_frame, w, g2, b, const_at)
+                bi = _forcing_implicants(m_frame, w, g2, b, const_at, stats)
                 if bi is None:
                     return None
                 acc = _minimize([a | c for a in acc for c in bi])
-                if len(acc) > 4096:
-                    acc = acc[:4096]  # cap: countermodels this large are out of scope
+                if len(acc) > IMPLICANT_CAP:
+                    acc = acc[:IMPLICANT_CAP]
+                    stats.truncated += 1
             return acc
     raise TypeError(f"not a formula: {f!r}")
 
@@ -424,18 +459,77 @@ class _Frame:
     n: int
     rel: frozenset[tuple[int, int]]
     domains: tuple[frozenset[int], ...]
-    successors: list[list[int]]
+    successors: tuple[tuple[int, ...], ...]
 
 
-def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
-    # world 0 is the root; every other world must be reachable from it
+def _relabel(rel: frozenset[tuple[int, int]], perm: Sequence[int]) -> frozenset[tuple[int, int]]:
+    return frozenset((perm[w], perm[u]) for (w, u) in rel)
+
+
+@dataclass(frozen=True)
+class _RootedRelation:
+    rel: frozenset[tuple[int, int]]
+    successors: tuple[tuple[int, ...], ...]
+    upsets: tuple[int, ...]  # sets of worlds closed upward along rel, without the root, as bit masks, descending
+    automorphisms: tuple[tuple[int, ...], ...]  # all but the identity, each as its image of every bit mask
+
+
+@functools.cache
+def _rooted_relations(n: int) -> tuple[_RootedRelation, ...]:
+    """Rooted transitive relations on worlds 0..n-1, one per class up to the
+    world permutations that fix the root 0.
+
+    Root 0 sees every other world. Each class is represented by its least
+    relabeling; classes on n worlds come from extending those on n - 1.
+    """
+    perms = [(0, *p) for p in itertools.permutations(range(1, n))]
+    if n == 1:
+        found = [frozenset(), frozenset({(0, 0)})]
+    else:
+        found = [ext for r in _rooted_relations(n - 1) for ext in _extensions(r.rel, n - 1, rooted=True)]
+    classes = {min(tuple(sorted(_relabel(rel, p))) for p in perms) for rel in found}
+    full = (1 << n) - 1
+    out = []
+    for key in sorted(classes):
+        rel = frozenset(key)
+        succ = tuple(tuple(u for u in range(n) if (w, u) in rel) for w in range(n))
+        upsets = tuple(mask for mask in range(full - 1, 0, -1) if not mask & 1
+                       and all(mask >> u & 1 for w in range(n) if mask >> w & 1 for u in succ[w]))
+        autos = tuple(tuple(sum(1 << p[w] for w in range(n) if mask >> w & 1) for mask in range(full + 1))
+                      for p in perms[1:] if _relabel(rel, p) == rel)
+        out.append(_RootedRelation(rel, succ, upsets, autos))
+    return tuple(out)
+
+
+def _rooted_frames(
+    max_worlds: int, max_domain: int, exhausted: tuple[int, int] = (0, 0)
+) -> Iterator[_Frame]:
+    """Every rooted frame within the bounds once up to isomorphism: world
+    permutations that fix the root 0, and any renaming of elements. Frames
+    inside the exhausted box (at most as many worlds and elements) are skipped.
+
+    An element is determined up to renaming by its profile, the set of worlds
+    whose domain holds it, which inclusivity makes closed upward along R. The
+    root's elements have every world as profile. So a frame is a relation and
+    a multiset of up-closed profiles, at least one of them full; elements are
+    labeled 0..k-1 in descending profile order, and only the multiset that is
+    least under the relation's automorphisms is kept.
+    """
+    done_worlds, done_domain = exhausted
     for n in range(1, max_worlds + 1):
-        for rel in _transitive_relations(n):
-            if any(w != 0 and (0, w) not in rel for w in range(n)):
-                continue
-            for domains in _nested_domains(n, rel, max_domain):
-                succ = [[v for v in range(n) if (w, v) in rel] for w in range(n)]
-                yield _Frame(n, rel, domains, succ)
+        full = (1 << n) - 1
+        first = done_domain + 1 if n <= done_worlds else 1
+        for k in range(first, max_domain + 1):
+            for r in _rooted_relations(n):
+                for roots in range(1, k + 1):
+                    for rest in itertools.combinations_with_replacement(r.upsets, k - roots):
+                        profiles = (full,) * roots + rest
+                        if any(tuple(sorted((image[m] for m in profiles), reverse=True)) < profiles
+                               for image in r.automorphisms):
+                            continue
+                        domains = tuple(frozenset(i for i, m in enumerate(profiles) if m >> w & 1)
+                                        for w in range(n))
+                        yield _Frame(n, r.rel, domains, r.successors)
 
 
 def refute(
@@ -446,9 +540,12 @@ def refute(
 ) -> Optional[Countermodel]:
     """Search for an adequate countermodel to s within the bounds.
 
-    Complete within the bounds: frames are enumerated exhaustively and, per
-    frame, only minimal relation interpretations forcing the lhs need testing
-    against the rhs (forcing is monotone in the relation tables).
+    Complete within the bounds unless stats.truncated grows: frames are
+    enumerated exhaustively up to isomorphism, constant values and free
+    variable assignments over the root domain up to renaming of the root
+    elements, and per frame only minimal
+    relation interpretations forcing the lhs need testing against the rhs
+    (forcing is monotone in the relation tables).
     """
     stats = stats if stats is not None else RefuteStats()
     # only constants occurring in the sequent constrain the search; the rest
@@ -457,32 +554,46 @@ def refute(
     constants = sorted(c for c in sig.constants if c in occurring)
     padding = sorted(c for c in sig.constants if c not in occurring)
     fvars = sorted(free_vars(s.lhs) | free_vars(s.rhs))
-    for frame in _rooted_frames(bounds.max_worlds, bounds.max_domain):
+    for frame in _rooted_frames(bounds.max_worlds, bounds.max_domain, bounds.exhausted):
         stats.frames += 1
         root_domain = sorted(frame.domains[0])
-        for const_vals in itertools.product(root_domain, repeat=len(constants)):
-            cmap = dict(zip(constants, const_vals))
+        for picks in _root_choices(len(root_domain), len(constants) + len(fvars)):
+            values = [root_domain[i] for i in picks]
+            cmap = dict(zip(constants, values))
 
             def const_at(w: int, c: str):
                 return cmap.get(c)
 
-            for g_vals in itertools.product(root_domain, repeat=len(fvars)):
-                g = dict(zip(fvars, g_vals))
-                implicants = _forcing_implicants(frame, 0, g, s.lhs, const_at)
-                if implicants is None:
-                    continue
-                for atoms in implicants:
-                    stats.candidates += 1
-                    full_cmap = dict(cmap)
-                    for c in padding:
-                        full_cmap[c] = root_domain[0]
-                    model = _model_from_atoms(frame, full_cmap, atoms, sig)
-                    assignment = Assignment(0, g, root_domain[0])
-                    if not forces(model, 0, assignment, s.rhs):
-                        cm = Countermodel(model, 0, assignment, s)
-                        cm.validate()
-                        return cm
+            g = dict(zip(fvars, values[len(constants):]))
+            implicants = _forcing_implicants(frame, 0, g, s.lhs, const_at, stats)
+            if implicants is None:
+                continue
+            for atoms in implicants:
+                stats.candidates += 1
+                full_cmap = dict(cmap)
+                for c in padding:
+                    full_cmap[c] = root_domain[0]
+                model = _model_from_atoms(frame, full_cmap, atoms, sig)
+                assignment = Assignment(0, g, root_domain[0])
+                if not forces(model, 0, assignment, s.rhs):
+                    cm = Countermodel(model, 0, assignment, s)
+                    cm.validate()
+                    return cm
     return None
+
+
+def _root_choices(m: int, length: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """Tuples of root-element indices 0..m-1, one per class under renaming of
+    the root elements: each index is at most one more than any before it.
+
+    Root elements lie in every world's domain, so renaming them among
+    themselves maps the frame onto itself (Zhang & Zhang's least-number rule).
+    """
+    if len(prefix) == length:
+        yield prefix
+        return
+    for i in range(min(max(prefix, default=-1) + 2, m)):
+        yield from _root_choices(m, length, prefix + (i,))
 
 
 def _sequent_constants(s: Sequent) -> set[str]:

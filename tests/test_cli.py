@@ -115,6 +115,40 @@ def test_check_derivation_rejects_tampering(capsys, tmp_path, sig_file):
     assert "INVALID" in out2
 
 
+MALFORMED_DERIVATIONS = [
+    ("premises not a list", lambda d: d.update(premises=5)),
+    ("premise not an object", lambda d: d.update(premises=[5])),
+    ("rule not a string", lambda d: d.update(rule=7)),
+    ("conclusion not a string", lambda d: d.update(conclusion=["S(c0)"])),
+    ("premise conclusion not a string", lambda d: d["premises"][0].update(conclusion=None)),
+    ("instantiation not an object", lambda d: d.update(instantiation="x")),
+    ("extra constants not a list", lambda d: d.update(extra_constants=3)),
+]
+
+
+@pytest.mark.parametrize("mutate", [m for _, m in MALFORMED_DERIVATIONS],
+                         ids=[name for name, _ in MALFORMED_DERIVATIONS])
+def test_check_derivation_reports_malformed_documents_invalid(capsys, tmp_path, sig_file, mutate):
+    _, out, _ = run(
+        capsys, "prove", "A x . S(x) |- S(c0)", "--sig", sig_file, "--format", "json-lines"
+    )
+    doc = json.loads(out)
+    mutate(doc["derivation"])
+    doc_path = tmp_path / "bad.jsonl"
+    doc_path.write_text(json.dumps(doc) + "\n")
+    code, out2, _ = run(capsys, "check-derivation", str(doc_path), "--sig", sig_file)
+    assert code == 2
+    assert "INVALID" in out2
+
+
+def test_check_derivation_reports_a_non_object_derivation_invalid(capsys, tmp_path, sig_file):
+    doc_path = tmp_path / "bad.jsonl"
+    doc_path.write_text(json.dumps({"derivation": 5}) + "\n")
+    code, out, _ = run(capsys, "check-derivation", str(doc_path), "--sig", sig_file)
+    assert code == 2
+    assert "INVALID" in out
+
+
 # ---------------------------------------------------------------------------
 # termmodel / translate / closure
 

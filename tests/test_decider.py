@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qrc1 import semantics
 from qrc1.calculus import check_derivation
 from qrc1.decider import (
     DERIVABLE,
@@ -74,6 +75,32 @@ def test_decide_is_cached():
     a = decide(seq("T |- T"), SIG, config)
     b = decide(seq("T |- T"), SIG, config)
     assert a is b
+
+
+def test_cache_key_covers_the_proof_budget():
+    s = seq("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)")
+    assert decide(s, SIG, DeciderConfig(prove_cap=3)).status == UNDECIDED
+    assert decide(s, SIG).status == DERIVABLE
+
+
+def test_every_verdict_reports_refute_work():
+    # derivable, but refute examines hundreds of frames before the proof is found
+    v = decide(seq("<><>S(c0) |- (A x0 . T & T) & <>(T & S(c0))"), SIG)
+    assert v.status == DERIVABLE
+    assert v.stats["frames_examined"] > 100
+    assert v.stats["refute_candidates"] > 100
+    assert v.stats["refute_truncated"] == 0
+    for text in ("T |- <>T", "T |- T"):
+        stats = decide(seq(text), SIG).stats
+        assert {"frames_examined", "refute_candidates", "refute_truncated",
+                "proof_nodes_expanded"} <= stats.keys()
+
+
+def test_truncated_implicants_are_reported(monkeypatch):
+    monkeypatch.setattr(semantics, "IMPLICANT_CAP", 1)
+    s = seq("A x . <>S(x) |- <>(A x . S(x)) & <>S(c1)")
+    v = decide(s, SIG, DeciderConfig(max_worlds=3, max_domain=2))
+    assert v.stats["refute_truncated"] > 0
 
 
 def test_modal_depth_precheck():

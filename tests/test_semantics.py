@@ -4,12 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrc1 import semantics
 from qrc1.generate import DEFAULT_SIG, random_adequate_model, random_formula
 from qrc1.semantics import (
     Assignment,
     Model,
     ModelError,
     RefuteBounds,
+    RefuteStats,
+    _rooted_frames,
     check_adequate,
     countermodel_from_dict,
     countermodel_to_dict,
@@ -25,12 +28,14 @@ from qrc1.semantics import (
 )
 from qrc1.syntax import (
     Const,
+    Sequent,
     Signature,
     Var,
     free_for,
     free_vars,
     parse_formula,
     parse_sequent,
+    pretty_sequent,
     substitute,
 )
 
@@ -334,3 +339,144 @@ def test_countermodel_round_trip():
     cm = refute(s, SIG, RefuteBounds(2, 2))
     back = countermodel_from_dict(countermodel_to_dict(cm), SIG)
     back.validate()
+
+
+def test_refute_counts_truncated_implicants(monkeypatch):
+    sig = Signature(constants=(), relations=(("S", 1),))
+    s = parse_sequent("A x . <>S(x) |- <>(A x . S(x))", sig)
+    stats = RefuteStats()
+    refute(s, sig, RefuteBounds(3, 2), stats)
+    assert stats.truncated == 0
+    monkeypatch.setattr(semantics, "IMPLICANT_CAP", 1)
+    refute(s, sig, RefuteBounds(3, 2), stats)
+    assert stats.truncated > 0
+
+
+# ---------------------------------------------------------------------------
+# rooted frames up to isomorphism
+
+
+def _frame_class(n, rel, profiles):
+    """The isomorphism class of a rooted frame: least image, over the world
+    permutations that fix the root, of its relation and of the sorted
+    profiles (the worlds whose domain holds each element)."""
+    return n, min(
+        (tuple(sorted((p[w], p[u]) for w, u in rel)),
+         tuple(sorted(tuple(sorted(p[w] for w in prof)) for prof in profiles)))
+        for p in [(0, *q) for q in itertools.permutations(range(1, n))]
+    )
+
+
+def _brute_force_frame_classes(max_worlds, max_domain):
+    """Every labeled rooted frame, from all relation bit patterns and all
+    domain tuples, reduced to its isomorphism class."""
+    classes = set()
+    elements = range(max_domain)
+    nonempty = [frozenset(c) for k in range(1, max_domain + 1)
+                for c in itertools.combinations(elements, k)]
+    for n in range(1, max_worlds + 1):
+        pairs = [(w, u) for w in range(n) for u in range(n)]
+        for bits in itertools.product((False, True), repeat=n * n):
+            rel = {p for p, b in zip(pairs, bits) if b}
+            if any((0, w) not in rel for w in range(1, n)):
+                continue
+            if any((w, v) not in rel for w, u in rel for u2, v in rel if u2 == u):
+                continue
+            for doms in itertools.product(nonempty, repeat=n):
+                if any(not doms[w] <= doms[u] for w, u in rel):
+                    continue
+                profiles = [{w for w in range(n) if e in doms[w]} for e in elements]
+                classes.add(_frame_class(n, rel, [p for p in profiles if p]))
+    return classes
+
+
+def _frames(max_worlds, max_domain, exhausted=(0, 0)):
+    return list(_rooted_frames(max_worlds, max_domain, exhausted))
+
+
+def _class_of(frame):
+    elements = set().union(*frame.domains)
+    return _frame_class(frame.n, frame.rel,
+                        [{w for w in range(frame.n) if e in frame.domains[w]} for e in elements])
+
+
+@pytest.mark.parametrize("bounds, count", [((2, 4), 52), ((3, 3), 214), ((3, 4), 422), ((4, 3), 1772)])
+def test_rooted_frames_are_the_isomorphism_classes(bounds, count):
+    frames = _frames(*bounds)
+    expected = _brute_force_frame_classes(*bounds)
+    assert len(expected) == count
+    assert len(frames) == count
+    assert {_class_of(f) for f in frames} == expected
+
+
+def test_rooted_frames_are_adequate_and_worlds_ascend():
+    frames = _frames(4, 3)
+    assert [f.n for f in frames] == sorted(f.n for f in frames)
+    for f in frames:
+        worlds = tuple(range(f.n))
+        m = Model(worlds, f.rel, dict(enumerate(f.domains)), {w: {} for w in worlds},
+                  {w: {} for w in worlds})
+        assert check_adequate(m).adequate
+        assert all((0, w) in f.rel for w in worlds[1:])
+        assert f.successors == tuple(tuple(u for u in worlds if (w, u) in f.rel) for w in worlds)
+
+
+def test_rooted_frames_skip_the_exhausted_box():
+    resumed = _frames(4, 3, exhausted=(3, 2))
+    assert {_class_of(f) for f in resumed} == (
+        {_class_of(f) for f in _frames(4, 3)} - {_class_of(f) for f in _frames(3, 2)})
+    assert len(resumed) == 1772 - len(_frames(3, 2))
+
+
+ORACLE_SIG = Signature(constants=("c0", "c1"), relations=(("S", 1),))
+
+
+def _labeled_rooted_models(bound_pairs):
+    """Brute force: each labeled adequate model within some of the bounds,
+    restricted to the worlds each of its worlds sees, with its root and its
+    (worlds, elements) box."""
+    out = {}
+    for bounds in bound_pairs:
+        for m in enumerate_models(ORACLE_SIG, *bounds):
+            for w in m.worlds:
+                sub = restrict(m, w)
+                box = (len(sub.worlds), len(set().union(*sub.domain.values())))
+                out[(_canon(sub), w)] = (sub, w, box)
+    return list(out.values())
+
+
+def _countermodel_boxes(s, rooted):
+    fv = sorted(free_vars(s.lhs) | free_vars(s.rhs))
+    boxes = set()
+    for m, w, box in rooted:
+        dom = sorted(m.domain[w])
+        for vals in itertools.product(dom, repeat=len(fv)):
+            g = Assignment(w, dict(zip(fv, vals)), dom[0])
+            if forces(m, w, g, s.lhs) and not forces(m, w, g, s.rhs):
+                boxes.add(box)
+    return boxes
+
+
+def test_refute_agrees_with_a_labeled_brute_force_search():
+    rooted = _labeled_rooted_models([(2, 2), (3, 1)])
+    rng = random.Random(3)
+    found = resumed_found = 0
+    for _ in range(100):
+        s = Sequent(*(random_formula(rng, ORACLE_SIG, max_mdepth=2, max_udepth=1, size=3, scope=["x"])
+                      for _ in "lr"))
+        boxes = _countermodel_boxes(s, rooted)
+
+        def within(bounds):
+            return any(w <= bounds[0] and d <= bounds[1] for w, d in boxes)
+
+        for bounds in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+            cm = refute(s, ORACLE_SIG, RefuteBounds(*bounds))
+            assert (cm is not None) == within(bounds), (pretty_sequent(s), bounds)
+            found += cm is not None
+        for done, bounds in [((1, 1), (2, 2)), ((1, 2), (2, 2)), ((2, 1), (3, 1))]:
+            if within(done):
+                continue  # a resumed search presumes the exhausted box held no countermodel
+            cm = refute(s, ORACLE_SIG, RefuteBounds(*bounds, exhausted=done))
+            assert (cm is not None) == within(bounds), (pretty_sequent(s), done, bounds)
+            resumed_found += cm is not None
+    assert found and resumed_found

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .syntax import (
     And,
@@ -22,8 +21,10 @@ from .syntax import (
     Var,
     free_for,
     free_vars,
+    fresh_name,
     constants_of,
     mdepth,
+    parse_sequent,
     pretty,
     pretty_sequent,
     sort_key,
@@ -71,12 +72,6 @@ class Derivation:
 
     def size(self) -> int:
         return 1 + sum(p.size() for p in self.premises)
-
-    def leaves(self) -> Iterator["Derivation"]:
-        if not self.premises:
-            yield self
-        for p in self.premises:
-            yield from p.leaves()
 
 
 # ---------------------------------------------------------------------------
@@ -278,48 +273,12 @@ def derived_gen_rhs(premise: Derivation, x: str, c: str) -> Derivation:
     # phi[x/c] = phi, so ConstGen turns phi |- psi[x/c] into phi |- psi
     d = Derivation(
         CONST_GEN,
-        Sequent(phi, _psi_of_gen(premise, x, c)),
+        # recover psi from psi[x/c] by replacing every occurrence of c by x
+        Sequent(phi, _term_to_var(premise.conclusion.rhs, Const(c), x)),
         (premise,),
         Instantiation(x, Const(c)),
     )
     return _forall_r(d, x)
-
-
-def _psi_of_gen(premise: Derivation, x: str, c: str) -> Formula:
-    # recover psi from psi[x/c]: replace every occurrence of c by x
-    return _const_to_var(premise.conclusion.rhs, c, x)
-
-
-def _const_to_var(f: Formula, c: str, x: str) -> Formula:
-    match f:
-        case Top():
-            return f
-        case Pred(name, args):
-            return Pred(name, tuple(Var(x) if isinstance(a, Const) and a.name == c else a for a in args))
-        case And(l, r):
-            return And(_const_to_var(l, c, x), _const_to_var(r, c, x))
-        case Diamond(b):
-            return Diamond(_const_to_var(b, c, x))
-        case Forall(z, b):
-            return Forall(z, _const_to_var(b, c, x))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-DERIVED_RULES = {
-    "swap-foralls": derived_swap_foralls,
-    "inst": derived_inst,
-    "rename": derived_rename,
-    "inst-rhs": derived_inst_rhs,
-    "gen-rhs": derived_gen_rhs,
-}
-
-
-def derived_rule(name: str, *args, **kwargs) -> Derivation:
-    try:
-        builder = DERIVED_RULES[name]
-    except KeyError:
-        raise DerivationError(f"unknown derived rule {name!r}") from None
-    return builder(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +287,16 @@ def derived_rule(name: str, *args, **kwargs) -> Derivation:
 
 FRESH_CONST_PREFIX = "#"
 FRESH_VAR_PREFIX = "v#"
+
+# Each of the search's two caches (proved goals, failed goals) stops growing
+# at this many entries.
+PROOF_CACHE_MAX = 200_000
+
+
+def mdepth_precheck(s: Sequent) -> bool:
+    """True when the modal-depth necessary condition already rules out
+    derivability (the countermodel is still produced by refute)."""
+    return mdepth(s.lhs) < mdepth(s.rhs)
 
 
 @dataclass
@@ -344,35 +313,22 @@ class ProofSearch:
     that every derivable sequent is reachable at some budget.
     """
 
-    def __init__(self, sig: Signature, max_cache: int = 200_000):
+    def __init__(self, sig: Signature):
         self.sig = sig
         self.stats = SearchStats()
         self._proved: dict[Sequent, Derivation] = {}
         self._failed_at: dict[Sequent, int] = {}
-        self._max_cache = max_cache
-        self._fresh_counter = itertools.count()
 
     def prove(self, goal: Sequent, budget: int) -> Optional[Derivation]:
         """Search for a derivation of `goal` with at most `budget` nodes."""
         for limit in range(1, budget + 1):
             d = self._search(goal, limit)
             if d is not None:
-                check_derivation(d, self._search_signature(d))
+                # the checker reads only relation arities from the signature,
+                # so fresh constants of the search need no declaring
+                check_derivation(d, self.sig)
                 return d
         return None
-
-    def _search_signature(self, d: Derivation) -> Signature:
-        # fresh constants introduced during the search must type-check
-        extra: set[str] = set()
-
-        def walk(node: Derivation) -> None:
-            extra.update(constants_of(node.conclusion.lhs))
-            extra.update(constants_of(node.conclusion.rhs))
-            for p in node.premises:
-                walk(p)
-
-        walk(d)
-        return self.sig.with_constants(sorted(extra))
 
     def _search(self, goal: Sequent, limit: int) -> Optional[Derivation]:
         if limit <= 0:
@@ -384,16 +340,16 @@ class ProofSearch:
         if self._failed_at.get(goal, 0) >= limit:
             self.stats.cache_hits += 1
             return None
-        if mdepth(goal.lhs) < mdepth(goal.rhs):
+        if mdepth_precheck(goal):
             self._failed_at[goal] = 10**9  # necessary condition, never derivable
             return None
         self.stats.nodes_expanded += 1
         found = self._try_moves(goal, limit)
         if found is not None:
-            if len(self._proved) < self._max_cache:
+            if len(self._proved) < PROOF_CACHE_MAX:
                 self._proved[goal] = found
         else:
-            if len(self._failed_at) < self._max_cache:
+            if len(self._failed_at) < PROOF_CACHE_MAX:
                 self._failed_at[goal] = max(self._failed_at.get(goal, 0), limit)
         return found
 
@@ -474,7 +430,7 @@ class ProofSearch:
         fv = sorted(free_vars(phi) | free_vars(psi))
         if fv and limit >= 2:
             x = fv[0]
-            c = self._fresh_const(goal)
+            c = fresh_name(FRESH_CONST_PREFIX, constants_of(phi) | constants_of(psi))
             sub = substitute_sequent(goal, x, Const(c))
             d = self._search(sub, limit - 1)
             if d is not None:
@@ -483,8 +439,8 @@ class ProofSearch:
         # generalize a term away (inverse term instantiation), only at
         # larger budgets; abstracts every occurrence of the chosen term
         if limit >= 6:
-            for t in self._generalizable_terms(goal):
-                x = self._fresh_var(goal)
+            x = fresh_name(FRESH_VAR_PREFIX, free_vars(phi) | free_vars(psi))
+            for t in [Const(c) for c in sorted(constants_of(phi) | constants_of(psi))]:
                 gen = Sequent(
                     _term_to_var(phi, t, x), _term_to_var(psi, t, x)
                 )
@@ -550,26 +506,6 @@ class ProofSearch:
         ordered = sorted(pool, key=sort_key)
         # widen the pool as the budget grows to keep the search fair
         return ordered[: 2 * limit]
-
-    def _generalizable_terms(self, goal: Sequent) -> list[Term]:
-        out: list[Term] = [Const(c) for c in sorted(constants_of(goal.lhs) | constants_of(goal.rhs))]
-        return out
-
-    def _fresh_const(self, goal: Sequent) -> str:
-        used = constants_of(goal.lhs) | constants_of(goal.rhs)
-        for k in itertools.count():
-            name = f"{FRESH_CONST_PREFIX}{k}"
-            if name not in used:
-                return name
-        raise AssertionError
-
-    def _fresh_var(self, goal: Sequent) -> str:
-        used = free_vars(goal.lhs) | free_vars(goal.rhs)
-        for k in itertools.count():
-            name = f"{FRESH_VAR_PREFIX}{k}"
-            if name not in used:
-                return name
-        raise AssertionError
 
 
 def _term_to_var(f: Formula, t: Term, x: str) -> Formula:
@@ -644,8 +580,6 @@ def _field(node: dict, key: str, kind: type, default=None):
 
 def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
     """Rebuild a derivation; a document of the wrong shape raises DerivationError."""
-    from .syntax import parse_sequent
-
     def build(node: dict) -> Derivation:
         if not isinstance(node, dict):
             raise DerivationError("malformed derivation document: a node must be an object")

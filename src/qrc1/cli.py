@@ -19,14 +19,14 @@ from .arith import arith_sequent, arith_to_dict, default_realization, parse_real
 from .calculus import DerivationError, ProofSearch, check_derivation, derivation_from_dict, derivation_to_dict
 from .decider import (
     DERIVABLE,
+    PROVE_CAP,
     DeciderConfig,
-    PRACTICAL_DOMAIN_CAP,
-    PRACTICAL_WORLD_CAP,
     UNDECIDED,
     UNDERIVABLE,
     decide,
-    derived_ceiling,
     ground_free_variables,
+    reattach_free_variables,
+    refute_ceiling,
     verdict_to_dict,
 )
 from .semantics import (
@@ -140,7 +140,7 @@ def cmd_decide(args, out) -> int:
 def cmd_prove(args, out) -> int:
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
-    budget = args.budget if args.budget is not None else 42
+    budget = args.budget if args.budget is not None else PROVE_CAP
     status = EXIT_OK
     for s in sequents:
         grounded, gsig, pairs = ground_free_variables(s, sig)
@@ -155,30 +155,25 @@ def cmd_prove(args, out) -> int:
             )
             status = EXIT_UNDECIDED
             continue
+        d = reattach_free_variables(d, s, pairs)
         check_derivation(d, gsig)
         doc = {
-            "sequent": pretty_sequent(grounded),
+            "sequent": pretty_sequent(s),
             "status": DERIVABLE,
-            "derivation": derivation_to_dict(d, gsig),
+            "derivation": derivation_to_dict(d, sig),
         }
-        if pairs:
-            doc["grounding"] = {x: c for x, c in pairs}
-        _emit(doc, f"proved: {pretty_sequent(grounded)} ({d.size()} rule applications)", args.format, out)
+        _emit(doc, f"proved: {pretty_sequent(s)} ({d.size()} rule applications)", args.format, out)
     return status
 
 
 def cmd_refute(args, out) -> int:
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
+    config = _decider_config(args)
     status = EXIT_OK
     for s in sequents:
-        grounded, gsig, _pairs = ground_free_variables(s, sig)
-        mw, md = derived_ceiling(grounded, gsig)
-        bounds = RefuteBounds(
-            args.max_worlds if args.max_worlds is not None else min(mw, PRACTICAL_WORLD_CAP),
-            args.max_domain if args.max_domain is not None else min(md, PRACTICAL_DOMAIN_CAP),
-        )
-        cm = refute(grounded, gsig, bounds)
+        bounds = RefuteBounds(*refute_ceiling(s, sig, config))
+        cm = refute(s, sig, bounds)
         if cm is None:
             _emit(
                 {"sequent": pretty_sequent(s), "status": "no-countermodel",
@@ -192,11 +187,11 @@ def cmd_refute(args, out) -> int:
             continue
         cm.validate()
         doc = {
-            "sequent": pretty_sequent(grounded),
+            "sequent": pretty_sequent(s),
             "status": UNDERIVABLE,
             "countermodel": countermodel_to_dict(cm),
         }
-        _emit(doc, f"refuted: {pretty_sequent(grounded)}\n{model_text(cm.model)}", args.format, out)
+        _emit(doc, f"refuted: {pretty_sequent(s)}\n{model_text(cm.model)}", args.format, out)
     return status
 
 
@@ -214,19 +209,22 @@ def _certificate_docs(text: str) -> list[dict]:
             docs.append(json.loads(line))
         except json.JSONDecodeError as e:
             raise QRCError(f"line {lineno}: not a JSON document ({e.msg})") from e
+        except RecursionError:
+            raise QRCError(f"line {lineno}: JSON nested too deeply") from None
     if not docs:
         raise QRCError("no certificate documents in input")
     return docs
 
 
-def _extract(doc: dict, kind: str, key: str) -> Optional[dict]:
+def _extract(doc: dict, kind: str) -> Optional[dict]:
+    """The `kind` certificate of a prove/refute or a decide document."""
     if not isinstance(doc, dict):
         return None
-    if key in doc:
-        return doc[key]
+    if kind in doc:
+        return doc[kind]
     cert = doc.get("certificate")
     if isinstance(cert, dict) and cert.get("kind") == kind:
-        return cert.get(key)
+        return cert.get(kind)
     return None
 
 
@@ -234,7 +232,7 @@ def cmd_check_derivation(args, out) -> int:
     sig = _load_signature(args) or Signature()
     status = EXIT_OK
     for doc in _certificate_docs(_read_text(args.input)):
-        inner = _extract(doc, "derivation", "derivation")
+        inner = _extract(doc, "derivation")
         if inner is None:
             raise QRCError("document carries no derivation")
         label = doc.get("sequent", inner.get("conclusion", "?") if isinstance(inner, dict) else "?")
@@ -254,16 +252,16 @@ def cmd_check_model(args, out) -> int:
     sig = _load_signature(args) or Signature()
     status = EXIT_OK
     for doc in _certificate_docs(_read_text(args.input)):
-        inner = _extract(doc, "countermodel", "countermodel")
+        inner = _extract(doc, "countermodel")
         if inner is None:
             raise QRCError("document carries no countermodel")
-        label = doc.get("sequent", inner.get("sequent", "?"))
+        label = doc.get("sequent", inner.get("sequent", "?") if isinstance(inner, dict) else "?")
         try:
             cm = countermodel_from_dict(inner, sig)
             cm.validate()
             _emit({"sequent": label, "valid": True},
                   f"valid countermodel for {pretty_sequent(cm.sequent)}", args.format, out)
-        except (ModelError, ParseError, KeyError) as e:
+        except (ModelError, ParseError) as e:
             _emit({"sequent": label, "valid": False, "error": str(e)},
                   f"INVALID countermodel ({label}): {e}", args.format, out)
             status = EXIT_INVALID_CERTIFICATE
@@ -381,8 +379,6 @@ def _add_common(p: _Parser, budgets: bool = True) -> None:
     p.add_argument("--sig", metavar="FILE", help="signature file (a `sig:` header line)")
     p.add_argument("--format", choices=("text", "json-lines"), default="text",
                    help="output format (default: text)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized workloads (reserved; deterministic commands ignore it)")
     if budgets:
         p.add_argument("--budget", type=_positive, metavar="N",
                        help="round/node budget before giving up")

@@ -12,11 +12,10 @@ from .calculus import (
     ProofSearch,
     check_derivation,
     derivation_to_dict,
+    mdepth_precheck,
 )
 from .semantics import (
-    Assignment,
     Countermodel,
-    Model,
     RefuteBounds,
     RefuteStats,
     countermodel_to_dict,
@@ -43,6 +42,11 @@ GROUND_PREFIX = "@"
 # ceiling reports undecided rather than underivable.
 PRACTICAL_WORLD_CAP = 4
 PRACTICAL_DOMAIN_CAP = 4
+
+# Each dovetail round lets proof search expand PROVE_STEP more nodes, up to
+# PROVE_CAP; past the cap the YES side gives up.
+PROVE_STEP = 3
+PROVE_CAP = 42
 
 SCHEMA_VERSION = 1
 
@@ -72,9 +76,7 @@ def verdict_to_dict(v: Verdict, sig: Signature) -> dict:
 
 @dataclass(frozen=True)
 class DeciderConfig:
-    prove_step: int = 3  # proof-node budget added per dovetail round
-    prove_cap: int = 42  # give up on the YES side past this many nodes
-    max_rounds: Optional[int] = None  # None: run to the derived ceiling
+    max_rounds: Optional[int] = None  # None: run until both searches are exhausted
     max_worlds: Optional[int] = None  # overrides the derived world ceiling
     max_domain: Optional[int] = None
 
@@ -83,36 +85,60 @@ _DEFAULT_CONFIG = DeciderConfig()
 
 
 def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signature, list[tuple[str, str]]]:
-    """Replace free variables by fresh constants; returns the grounded sequent,
-    the extended signature, and the (variable, constant) pairs in order."""
+    """Replace free variables by fresh constants for proof search; returns the
+    grounded sequent, the extended signature, and the (variable, constant)
+    pairs in order. reattach_free_variables turns a derivation of the grounded
+    sequent back into one of s."""
     fv = sorted(free_vars(s.lhs) | free_vars(s.rhs))
     pairs = [(x, f"{GROUND_PREFIX}{x}") for x in fv]
+    if not pairs:
+        return s, sig, pairs
     grounded = s
     for x, c in pairs:
         grounded = substitute_sequent(grounded, x, Const(c))
     return grounded, sig.with_constants(c for _, c in pairs), pairs
 
 
-def _count_diamonds(formulas) -> int:
-    return sum(1 for f in formulas if isinstance(f, Diamond))
+def domain_bound(s: Sequent, saturations: int) -> int:
+    """Elements a term model of s holds after that many saturations: one per
+    constant and free variable, since the term model names a free variable's
+    value by a constant, and udepth fresh witnesses per saturation."""
+    names = len(constants_of(s.lhs) | constants_of(s.rhs)) + len(free_vars(s.lhs) | free_vars(s.rhs))
+    return max(1, names + saturations * max(udepth(s.lhs), udepth(s.rhs)))
 
 
 def derived_ceiling(s: Sequent, sig: Signature) -> tuple[int, int]:
     """(max worlds, max domain) sufficient for a term-model-shaped countermodel.
 
     The tree construction branches once per positive diamond formula per leaf
-    and strictly decreases modal depth per step, adding udepth fresh witnesses
-    per saturation.
+    and strictly decreases modal depth per step. The diamonds are counted on
+    the grounded sequent, where a universal is also unfolded by the
+    constants that name the free variables' values.
     """
+    s, sig, _ = ground_free_variables(s, sig)
     cs = sorted(constants_of(s.lhs) | constants_of(s.rhs))
     u = max(udepth(s.lhs), udepth(s.rhs))
     m = max(mdepth(s.lhs), mdepth(s.rhs))
     witness_names = [f"n{k}" for k in range(u)]
     cl = closure([s.lhs, s.rhs], cs + witness_names)
-    d = _count_diamonds(cl)
+    d = sum(1 for f in cl if isinstance(f, Diamond))
     worlds = sum(d**i for i in range(m + 1))
-    dom = max(1, len(cs) + (m + 1) * u)
-    return worlds, dom
+    return worlds, domain_bound(s, m + 1)
+
+
+def refute_ceiling(s: Sequent, sig: Signature, config: DeciderConfig) -> tuple[int, int]:
+    """The (worlds, elements) box countermodel search covers at most: the
+    derived ceiling clamped to the practical caps, or the config's bounds."""
+    worlds, domain = derived_ceiling(s, sig)
+    if config.max_worlds is None:
+        worlds = min(worlds, PRACTICAL_WORLD_CAP)
+    else:
+        worlds = config.max_worlds
+    if config.max_domain is None:
+        domain = min(domain, PRACTICAL_DOMAIN_CAP)
+    else:
+        domain = config.max_domain
+    return worlds, domain
 
 
 _DECIDE_CACHE: dict[tuple, Verdict] = {}
@@ -121,12 +147,6 @@ _DECIDE_CACHE_MAX = 100_000
 
 def clear_cache() -> None:
     _DECIDE_CACHE.clear()
-
-
-def mdepth_precheck(s: Sequent) -> bool:
-    """True when the modal-depth necessary condition already rules out
-    derivability (the countermodel is still produced by refute)."""
-    return mdepth(s.lhs) < mdepth(s.rhs)
 
 
 def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
@@ -143,18 +163,11 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
 
 
 def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
+    # refute takes free variables as assignment values, proof search as
+    # fresh constants; refute_ceiling grounds again, a no-op here
     grounded, gsig, ground_pairs = ground_free_variables(s, sig)
-    world_ceiling, domain_ceiling = derived_ceiling(grounded, gsig)
-    world_ceiling = min(world_ceiling, PRACTICAL_WORLD_CAP)
-    domain_ceiling = min(domain_ceiling, PRACTICAL_DOMAIN_CAP)
-    if config.max_worlds is not None:
-        world_ceiling = config.max_worlds
-    if config.max_domain is not None:
-        domain_ceiling = config.max_domain
-
-    cs = constants_of(grounded.lhs) | constants_of(grounded.rhs)
-    u = max(udepth(grounded.lhs), udepth(grounded.rhs))
-    skip_prove = mdepth_precheck(grounded)
+    world_ceiling, domain_ceiling = refute_ceiling(grounded, gsig, config)
+    skip_prove = mdepth_precheck(s)
 
     search = ProofSearch(gsig)
     refute_stats = RefuteStats()
@@ -167,8 +180,7 @@ def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
 
     max_rounds = config.max_rounds
     if max_rounds is None:
-        prove_rounds = (config.prove_cap + config.prove_step - 1) // config.prove_step
-        max_rounds = max(world_ceiling, domain_ceiling, prove_rounds)
+        max_rounds = max(world_ceiling, domain_ceiling, (PROVE_CAP + PROVE_STEP - 1) // PROVE_STEP)
 
     def finish(status: str, **certificate) -> Verdict:
         stats["frames_examined"] = refute_stats.frames
@@ -177,38 +189,32 @@ def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
         stats["proof_nodes_expanded"] = search.stats.nodes_expanded
         return Verdict(status, stats=stats, **certificate)
 
-    refute_exhausted_at_ceiling = False
+    refute_done = False  # the whole box up to the ceiling holds no countermodel
     exhausted = (0, 0)  # the box of frames an earlier round searched in full
-    k = 0
-    while k < max_rounds:
-        k += 1
+    for k in range(1, max_rounds + 1):
         stats["rounds"] = k
+        prove_done = skip_prove or PROVE_STEP * k >= PROVE_CAP
         if not skip_prove:
-            budget = min(config.prove_step * k, config.prove_cap)
-            d = search.prove(grounded, budget)
+            d = search.prove(grounded, min(PROVE_STEP * k, PROVE_CAP))
             if d is not None:
-                full = _reattach_free_variables(d, s, ground_pairs)
+                full = reattach_free_variables(d, s, ground_pairs)
                 check_derivation(full, gsig)
                 return finish(DERIVABLE, derivation=full)
-        if not refute_exhausted_at_ceiling:
+        if not refute_done:
             mw = min(k, world_ceiling)
-            md = min(domain_ceiling, max(1, len(cs) + k * u))
-            cm = refute(grounded, gsig, RefuteBounds(mw, md, exhausted), refute_stats)
+            md = min(domain_ceiling, domain_bound(s, k))
+            cm = refute(s, sig, RefuteBounds(mw, md, exhausted), refute_stats)
             if cm is not None:
-                original = _unground_countermodel(cm, s, sig, ground_pairs)
-                original.validate()
-                return finish(UNDERIVABLE, countermodel=original)
+                cm.validate()
+                return finish(UNDERIVABLE, countermodel=cm)
             exhausted = (mw, md)
-            if mw == world_ceiling and md == domain_ceiling:
-                refute_exhausted_at_ceiling = True
-        if skip_prove and refute_exhausted_at_ceiling:
-            break  # cannot happen for a correct ceiling; fall through to undecided
-        if refute_exhausted_at_ceiling and not skip_prove and config.prove_step * k >= config.prove_cap:
+            refute_done = exhausted == (world_ceiling, domain_ceiling)
+        if refute_done and prove_done:
             break
     return finish(UNDECIDED)
 
 
-def _reattach_free_variables(
+def reattach_free_variables(
     d: Derivation, original: Sequent, ground_pairs: list[tuple[str, str]]
 ) -> Derivation:
     """Wrap the derivation of the grounded sequent in constant-generalization
@@ -220,26 +226,3 @@ def _reattach_free_variables(
         x, c = ground_pairs[i]
         d = Derivation(CONST_GEN, seqs[i], (d,), Instantiation(x, Const(c)))
     return d
-
-
-def _unground_countermodel(
-    cm: Countermodel, original: Sequent, sig: Signature, ground_pairs: list[tuple[str, str]]
-) -> Countermodel:
-    """Turn the interpretation of each grounding constant back into an
-    assignment value for the corresponding free variable."""
-    if not ground_pairs:
-        return Countermodel(cm.model, cm.root, cm.assignment, original)
-    gmap = dict(cm.assignment.mapping)
-    for x, c in ground_pairs:
-        gmap[x] = cm.model.const_value(cm.root, c)
-    ground_names = {c for _, c in ground_pairs}
-    m = cm.model
-    model = Model(
-        worlds=m.worlds,
-        R=m.R,
-        domain=m.domain,
-        constI={w: {c: d for c, d in m.constI.get(w, {}).items() if c not in ground_names} for w in m.worlds},
-        relJ=m.relJ,
-    )
-    g = Assignment(cm.root, gmap, cm.assignment.default)
-    return Countermodel(model, cm.root, g, original)

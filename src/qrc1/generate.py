@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .semantics import Model, check_adequate
+from .semantics import Model, check_adequate, transitive_closure
 from .syntax import (
     And,
     Const,
@@ -94,17 +94,11 @@ def random_adequate_model(
     relation, and concordant constant interpretations."""
     n = rng.randint(1, max_worlds)
     worlds = tuple(range(n))
-    edges = {(a, b) for a in worlds for b in worlds if a != b and rng.random() < 0.4}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(edges):
-            for (c, d) in list(edges):
-                if b == c and (a, d) not in edges:
-                    edges.add((a, d))
-                    changed = True
+    edges = transitive_closure((a, b) for a in worlds for b in worlds if a != b and rng.random() < 0.4)
 
     base = {w: {f"d{w}_{i}" for i in range(rng.randint(1, max_domain))} for w in worlds}
+    # each world holds its own elements and those of every world that sees
+    # it; edges are transitive, so the domains grow along them
     domain: dict[int, frozenset[str]] = {}
     for w in worlds:
         dom = set(base[w])
@@ -112,14 +106,6 @@ def random_adequate_model(
             if b == w:
                 dom |= base[a]
         domain[w] = frozenset(dom)
-    # grow along chains until inclusion is stable
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in edges:
-            if not domain[a] <= domain[b]:
-                domain[b] = domain[b] | domain[a]
-                changed = True
 
     # a shared core element keeps constant interpretations concordant
     core = "d_core"
@@ -136,7 +122,7 @@ def random_adequate_model(
                 tuples.add(tuple(rng.choice(dom) for _ in range(arity)))
             table[name] = frozenset(tuples)
         relJ[w] = table
-    m = Model(worlds=worlds, R=frozenset(edges), domain=domain, constI=constI, relJ=relJ)
+    m = Model(worlds=worlds, R=edges, domain=domain, constI=constI, relJ=relJ)
     report = check_adequate(m)
     assert report.adequate, report
     return m

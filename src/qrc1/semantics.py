@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .syntax import (
     And,
@@ -19,7 +19,9 @@ from .syntax import (
     Signature,
     Term,
     Top,
+    constants_of,
     free_vars,
+    parse_sequent,
     pretty_sequent,
 )
 
@@ -104,9 +106,7 @@ def check_adequate(m: Model) -> AdequacyReport:
     for (w, u) in m.R:
         iw, iu = m.constI.get(w, {}), m.constI.get(u, {})
         for c, d in iw.items():
-            if c in iu and iu[c] != d:
-                return AdequacyReport(True, True, False, ("concordant", w, u, c))
-            if c not in iu:
+            if c not in iu or iu[c] != d:
                 return AdequacyReport(True, True, False, ("concordant", w, u, c))
     return AdequacyReport(True, True, True)
 
@@ -207,6 +207,12 @@ class Countermodel:
         report = check_adequate(self.model)
         if not report.adequate:
             raise ModelError(f"countermodel is not adequate: {report.witness}")
+        if self.root not in self.model.worlds:
+            raise ModelError(f"root {self.root!r} is not a world of the model")
+        g = self.assignment
+        for d in (*g.mapping.values(), g.default):
+            if d not in self.model.domain[self.root]:
+                raise ModelError(f"the assignment's value {d!r} is not in the root's domain")
         if not forces(self.model, self.root, self.assignment, self.sequent.lhs):
             raise ModelError("countermodel does not force the left-hand side")
         if forces(self.model, self.root, self.assignment, self.sequent.rhs):
@@ -217,13 +223,23 @@ class Countermodel:
 # enumeration of adequate models
 
 
-def _transitive(relation: frozenset[tuple[int, int]], n: int) -> bool:
+def _transitive(relation: frozenset[tuple[int, int]]) -> bool:
     return all(
         (w, v) in relation
         for (w, u) in relation
         for (u2, v) in relation
         if u2 == u
     )
+
+
+def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[World, World]]:
+    """The least transitive relation that contains edges."""
+    closed = set(edges)
+    while True:
+        new = {(w, v) for (w, u) in closed for (u2, v) in closed if u2 == u} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
 
 
 def _extensions(
@@ -244,7 +260,7 @@ def _extensions(
         for outs in subsets:
             for loop in ((), ((n, n),)):
                 ext = rel.union(((w, n) for w in ins), ((n, u) for u in outs), loop)
-                if _transitive(ext, n + 1):
+                if _transitive(ext):
                     yield ext
 
 
@@ -312,7 +328,6 @@ def enumerate_models(
     sig: Signature,
     max_worlds: int,
     max_domain: int,
-    extra_constants: int = 0,
 ) -> Iterator[Model]:
     """Deterministic, duplicate-free, exhaustive stream of adequate models.
 
@@ -321,7 +336,6 @@ def enumerate_models(
     """
     if max_worlds < 1 or max_domain < 1:
         raise ModelError("bounds must be at least 1")
-    sig = sig.with_constants(f"e{k}" for k in range(extra_constants))
     constants = list(sig.constants)
     relations = list(sig.relations)
     for n in range(1, max_worlds + 1):
@@ -392,7 +406,7 @@ IMPLICANT_CAP = 4096
 
 
 def _forcing_implicants(
-    m_frame: "_Frame", w: int, g: dict[str, int], f: Formula, const_at, stats: RefuteStats
+    m_frame: "_Frame", w: int, g: dict[str, int], f: Formula, cmap: dict[str, int], stats: RefuteStats
 ) -> list[frozenset[tuple]] | None:
     """Minimal sets of relation atoms that force f at w, or None if unforceable.
 
@@ -407,7 +421,7 @@ def _forcing_implicants(
             vals = []
             for t in args:
                 if isinstance(t, Const):
-                    v = const_at(w, t.name)
+                    v = cmap.get(t.name)
                     if v is None:
                         return None
                     vals.append(v)
@@ -415,17 +429,17 @@ def _forcing_implicants(
                     vals.append(g[t.name])
             return [frozenset({(w, name, tuple(vals))})]
         case And(l, r):
-            li = _forcing_implicants(m_frame, w, g, l, const_at, stats)
+            li = _forcing_implicants(m_frame, w, g, l, cmap, stats)
             if li is None:
                 return None
-            ri = _forcing_implicants(m_frame, w, g, r, const_at, stats)
+            ri = _forcing_implicants(m_frame, w, g, r, cmap, stats)
             if ri is None:
                 return None
             return _minimize([a | b for a in li for b in ri])
         case Diamond(b):
             out: list[frozenset[tuple]] = []
             for v in m_frame.successors[w]:
-                vi = _forcing_implicants(m_frame, v, g, b, const_at, stats)
+                vi = _forcing_implicants(m_frame, v, g, b, cmap, stats)
                 if vi:
                     out.extend(vi)
             return _minimize(out) if out else None
@@ -434,7 +448,7 @@ def _forcing_implicants(
             for d in sorted(m_frame.domains[w]):
                 g2 = dict(g)
                 g2[x] = d
-                bi = _forcing_implicants(m_frame, w, g2, b, const_at, stats)
+                bi = _forcing_implicants(m_frame, w, g2, b, cmap, stats)
                 if bi is None:
                     return None
                 acc = _minimize([a | c for a in acc for c in bi])
@@ -550,7 +564,7 @@ def refute(
     stats = stats if stats is not None else RefuteStats()
     # only constants occurring in the sequent constrain the search; the rest
     # are interpreted uniformly at the root element afterwards
-    occurring = _sequent_constants(s)
+    occurring = constants_of(s.lhs) | constants_of(s.rhs)
     constants = sorted(c for c in sig.constants if c in occurring)
     padding = sorted(c for c in sig.constants if c not in occurring)
     fvars = sorted(free_vars(s.lhs) | free_vars(s.rhs))
@@ -560,12 +574,8 @@ def refute(
         for picks in _root_choices(len(root_domain), len(constants) + len(fvars)):
             values = [root_domain[i] for i in picks]
             cmap = dict(zip(constants, values))
-
-            def const_at(w: int, c: str):
-                return cmap.get(c)
-
             g = dict(zip(fvars, values[len(constants):]))
-            implicants = _forcing_implicants(frame, 0, g, s.lhs, const_at, stats)
+            implicants = _forcing_implicants(frame, 0, g, s.lhs, cmap, stats)
             if implicants is None:
                 continue
             for atoms in implicants:
@@ -573,7 +583,7 @@ def refute(
                 full_cmap = dict(cmap)
                 for c in padding:
                     full_cmap[c] = root_domain[0]
-                model = _model_from_atoms(frame, full_cmap, atoms, sig)
+                model = _model_from_atoms(frame, full_cmap, atoms)
                 assignment = Assignment(0, g, root_domain[0])
                 if not forces(model, 0, assignment, s.rhs):
                     cm = Countermodel(model, 0, assignment, s)
@@ -596,14 +606,8 @@ def _root_choices(m: int, length: int, prefix: tuple[int, ...] = ()) -> Iterator
         yield from _root_choices(m, length, prefix + (i,))
 
 
-def _sequent_constants(s: Sequent) -> set[str]:
-    from .syntax import constants_of
-
-    return set(constants_of(s.lhs) | constants_of(s.rhs))
-
-
 def _model_from_atoms(
-    frame: _Frame, cmap: dict[str, int], atoms: frozenset[tuple], sig: Signature
+    frame: _Frame, cmap: dict[str, int], atoms: frozenset[tuple]
 ) -> Model:
     relJ: dict[int, dict[str, set[tuple]]] = {w: {} for w in range(frame.n)}
     for (w, name, tup) in atoms:
@@ -639,19 +643,38 @@ def model_to_dict(m: Model) -> dict:
     }
 
 
+def _shaped(value, kind, what: str):
+    """value when it has the given JSON type; otherwise the document is malformed."""
+    if not isinstance(value, kind):
+        raise ModelError(f"malformed model document: {what}")
+    return value
+
+
+def _ids(values, what: str) -> tuple[Element, ...]:
+    return tuple(_shaped(d, Element, f"{what} must hold integers or strings")
+                 for d in _shaped(values, list, f"{what} must be a list"))
+
+
 def model_from_dict(doc: dict) -> Model:
-    try:
-        worlds = tuple(entry["id"] for entry in doc["worlds"])
-        domain = {e["id"]: frozenset(e["domain"]) for e in doc["worlds"]}
-        constI = {e["id"]: dict(e.get("constants", {})) for e in doc["worlds"]}
-        relJ = {
-            e["id"]: {s: frozenset(tuple(t) for t in ts) for s, ts in e.get("relations", {}).items()}
-            for e in doc["worlds"]
-        }
-        R = frozenset((w, u) for w, u in doc.get("edges", []))
-    except (KeyError, TypeError) as exc:
-        raise ModelError(f"malformed model document: {exc}") from None
-    m = Model(worlds=worlds, R=R, domain=domain, constI=constI, relJ=relJ)
+    """Rebuild a model; a document of the wrong shape raises ModelError."""
+    doc = _shaped(doc, dict, "a model must be an object")
+    worlds: list[World] = []
+    domain, constI, relJ = {}, {}, {}
+    for entry in _shaped(doc.get("worlds"), list, "'worlds' must be a list"):
+        entry = _shaped(entry, dict, "a world must be an object")
+        w = _shaped(entry.get("id"), World, "a world id must be an integer or a string")
+        worlds.append(w)
+        domain[w] = frozenset(_ids(entry.get("domain"), "a domain"))
+        constants = _shaped(entry.get("constants", {}), dict, "'constants' must be an object")
+        constI[w] = {c: _shaped(d, Element, "a constant's value must be an integer or a string")
+                     for c, d in constants.items()}
+        relations = _shaped(entry.get("relations", {}), dict, "'relations' must be an object")
+        relJ[w] = {name: frozenset(_ids(t, "a tuple") for t in _shaped(ts, list, "a relation must be a list"))
+                   for name, ts in relations.items()}
+    edges = [_ids(e, "an edge") for e in _shaped(doc.get("edges", []), list, "'edges' must be a list")]
+    if any(len(e) != 2 for e in edges):
+        raise ModelError("malformed model document: an edge must name two worlds")
+    m = Model(worlds=tuple(worlds), R=frozenset(edges), domain=domain, constI=constI, relJ=relJ)
     validate_model(m)
     return m
 
@@ -669,12 +692,18 @@ def countermodel_to_dict(cm: Countermodel) -> dict:
 
 
 def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
-    from .syntax import parse_sequent
-
-    model = model_from_dict(doc["model"])
-    root = doc["root"]
-    g = Assignment(root, dict(doc["assignment"]["map"]), doc["assignment"]["default"])
-    seq = parse_sequent(doc["sequent"], sig)
+    """Rebuild a countermodel; a document of the wrong shape raises ModelError."""
+    doc = _shaped(doc, dict, "a countermodel must be an object")
+    model = model_from_dict(doc.get("model"))
+    root = _shaped(doc.get("root"), World, "'root' must be an integer or a string")
+    raw = _shaped(doc.get("assignment"), dict, "'assignment' must be an object")
+    mapping = _shaped(raw.get("map"), dict, "the assignment's 'map' must be an object")
+    g = Assignment(
+        root,
+        {x: _shaped(d, Element, "an assigned value must be an integer or a string") for x, d in mapping.items()},
+        _shaped(raw.get("default"), Element, "the assignment's 'default' must be an integer or a string"),
+    )
+    seq = parse_sequent(_shaped(doc.get("sequent"), str, "'sequent' must be a string"), sig)
     return Countermodel(model, root, g, seq)
 
 

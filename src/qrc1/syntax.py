@@ -7,8 +7,9 @@ constants, conjunction, diamond, and universal quantification. Nothing else.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Container, Iterable, Mapping, Union
 
 
 class QRCError(Exception):
@@ -167,6 +168,15 @@ class Signature:
 # basic syntactic operations
 
 
+def fresh_name(prefix: str, used: Container[str]) -> str:
+    """The first of prefix0, prefix1, ... that is not in used."""
+    for k in itertools.count():
+        name = f"{prefix}{k}"
+        if name not in used:
+            return name
+    raise AssertionError
+
+
 @functools.lru_cache(maxsize=None)
 def free_vars(f: Formula) -> frozenset[str]:
     match f:
@@ -194,19 +204,6 @@ def constants_of(f: Formula) -> frozenset[str]:
             return constants_of(l) | constants_of(r)
         case Diamond(b) | Forall(_, b):
             return constants_of(b)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def relations_of(f: Formula) -> frozenset[str]:
-    match f:
-        case Top():
-            return frozenset()
-        case Pred(name, _):
-            return frozenset({name})
-        case And(l, r):
-            return relations_of(l) | relations_of(r)
-        case Diamond(b) | Forall(_, b):
-            return relations_of(b)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -381,9 +378,6 @@ def closure(gamma: Iterable[Formula], constants: Iterable[str]) -> frozenset[For
 # canonical order
 
 
-_TAG_RANK = {Top: 0, Pred: 1, And: 2, Diamond: 3, Forall: 4}
-
-
 def sort_key(f: Formula) -> tuple:
     """Total order on formulas: size, then constructor tag, then names."""
     return (formula_size(f), _tag_key(f))
@@ -426,7 +420,9 @@ def pretty(f: Formula) -> str:
             return f"{name}({','.join(term_str(a) for a in args)})"
         case And(l, r):
             ls = pretty(l)
-            if isinstance(l, Forall):
+            # a quantifier extends to the right, so one that ends the left
+            # operand must be closed off before the &
+            if isinstance(l, Forall) or (isinstance(l, And) and isinstance(l.right, Forall)):
                 ls = f"({ls})"
             rs = pretty(r)
             if isinstance(r, And):
@@ -486,7 +482,29 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: The deepest formula the parser accepts, counting <>, A and & on every
+#: path from the top. Operations on formulas recurse on their structure, and
+#: a formula this deep stays well inside Python's recursion limit; deeper ones
+#: raise ParseError instead of RecursionError.
+MAX_NESTING = 100
+
+# Parentheses do not count towards MAX_NESTING, since pretty adds some that
+# the input did not need, at most one around each subformula. The parser
+# itself recurses on <>, A and (, so it stops once more than twice
+# MAX_NESTING of them are open at once: pretty's text of a formula within
+# MAX_NESTING never is.
+_MAX_OPEN = 2 * MAX_NESTING
+
+
+def _too_deep(tok: _Token, what: str) -> ParseError:
+    return ParseError(f"formula nested more than {what} deep", tok.pos)
+
+
 class _Parser:
+    """Recursive descent; each parse_* method takes the number of <>, A and (
+    open around the current token, and returns a formula and its height, the
+    number of <>, A and & on its deepest path."""
+
     def __init__(self, text: str, sig: Signature):
         self.tokens = _tokenize(text)
         self.sig = sig
@@ -506,19 +524,33 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {self.cur.text!r}", self.cur.pos)
         return self.advance()
 
-    def parse_formula(self) -> Formula:
-        left = self.parse_unary()
+    def formula(self) -> Formula:
+        tok = self.cur
+        f, height = self.parse_formula(0)
+        if height > MAX_NESTING:
+            raise _too_deep(tok, f"{MAX_NESTING} levels")
+        return f
+
+    def enter(self, tok: _Token, depth: int) -> int:
+        # checked on the way down, so that the recursion stops in time
+        if depth == _MAX_OPEN:
+            raise _too_deep(tok, f"{_MAX_OPEN} levels, counting parentheses,")
+        return depth + 1
+
+    def parse_formula(self, depth: int) -> tuple[Formula, int]:
+        left, height = self.parse_unary(depth)
         while self.cur.kind == "&":
             self.advance()
-            right = self.parse_unary()
-            left = And(left, right)
-        return left
+            right, right_height = self.parse_unary(depth)
+            left, height = And(left, right), 1 + max(height, right_height)
+        return left, height
 
-    def parse_unary(self) -> Formula:
+    def parse_unary(self, depth: int) -> tuple[Formula, int]:
         tok = self.cur
         if tok.kind == "<>":
             self.advance()
-            return Diamond(self.parse_unary())
+            body, height = self.parse_unary(self.enter(tok, depth))
+            return Diamond(body), height + 1
         if tok.kind == "ident" and tok.text == "A":
             self.advance()
             var = self.expect("ident")
@@ -528,20 +560,21 @@ class _Parser:
                 )
             self.expect(".")
             # the quantifier extends maximally to the right
-            return Forall(var.text, self.parse_formula())
-        return self.parse_atom()
+            body, height = self.parse_formula(self.enter(tok, depth))
+            return Forall(var.text, body), height + 1
+        return self.parse_atom(depth)
 
-    def parse_atom(self) -> Formula:
+    def parse_atom(self, depth: int) -> tuple[Formula, int]:
         tok = self.cur
         if tok.kind == "(":
             self.advance()
-            f = self.parse_formula()
+            f = self.parse_formula(self.enter(tok, depth))
             self.expect(")")
             return f
         if tok.kind == "ident":
             if tok.text == "T":
                 self.advance()
-                return TOP
+                return TOP, 0
             self.advance()
             if self.cur.kind == "(":
                 self.advance()
@@ -550,9 +583,9 @@ class _Parser:
                     self.advance()
                     args.append(self.parse_term())
                 self.expect(")")
-                return self._mk_pred(tok, tuple(args))
+                return self._mk_pred(tok, tuple(args)), 0
             # bare identifier in formula position: only a 0-ary relation fits
-            return self._mk_pred(tok, ())
+            return self._mk_pred(tok, ()), 0
         raise ParseError(f"expected a formula, found {tok.text!r}", tok.pos)
 
     def _mk_pred(self, tok: _Token, args: tuple[Term, ...]) -> Pred:
@@ -577,9 +610,9 @@ class _Parser:
         return Var(tok.text)
 
     def parse_sequent(self) -> Sequent:
-        lhs = self.parse_formula()
+        lhs = self.formula()
         self.expect("|-")
-        rhs = self.parse_formula()
+        rhs = self.formula()
         return Sequent(lhs, rhs)
 
     def done(self) -> None:
@@ -589,7 +622,7 @@ class _Parser:
 
 def parse_formula(text: str, sig: Signature) -> Formula:
     p = _Parser(text, sig)
-    f = p.parse_formula()
+    f = p.formula()
     p.done()
     return f
 

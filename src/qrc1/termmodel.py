@@ -11,7 +11,7 @@ from typing import Iterable
 
 from . import decider
 from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide
-from .semantics import Model, default_assignment, forces
+from .semantics import Model, default_assignment, forces, transitive_closure
 from .syntax import (
     And,
     Const,
@@ -25,6 +25,7 @@ from .syntax import (
     closure,
     constants_of,
     free_vars,
+    fresh_name,
     pretty,
     set_udepth,
     sorted_formulas,
@@ -116,13 +117,10 @@ class FreshConstants:
     def take(self, count: int, prefix: str | None = None) -> list[str]:
         prefix = prefix if prefix is not None else self.prefix
         out: list[str] = []
-        k = 0
-        while len(out) < count:
-            name = f"{prefix}{k}"
-            if name not in self.used:
-                self.used.add(name)
-                out.append(name)
-            k += 1
+        for _ in range(count):
+            name = fresh_name(prefix, self.used)
+            self.used.add(name)
+            out.append(name)
         return out
 
 
@@ -272,28 +270,14 @@ def build_term_model(
                 next_frontier.append(vi)
         frontier = next_frontier
 
-    r = _transitive_closure(edges, len(worlds))
     model = Model(
         worlds=tuple(range(len(worlds))),
-        R=frozenset(r),
+        R=transitive_closure(edges),
         domain={i: frozenset(tw.domain_constants) for i, tw in enumerate(worlds)},
         constI={i: {c: c for c in tw.domain_constants} for i, tw in enumerate(worlds)},
         relJ={i: _atoms_of(tw.pair) for i, tw in enumerate(worlds)},
     )
     return TermModelResult(model, tuple(worlds))
-
-
-def _transitive_closure(edges: list[tuple[int, int]], n: int) -> set[tuple[int, int]]:
-    r = set(edges)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(r):
-            for (c, d) in list(r):
-                if b == c and (a, d) not in r:
-                    r.add((a, d))
-                    changed = True
-    return r
 
 
 def _atoms_of(p: PairPM) -> dict[str, frozenset[tuple[str, ...]]]:
@@ -327,14 +311,10 @@ def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> Tru
     phi_set = sorted_formulas(p.formulas())
     checked = 0
     violations: list[tuple[int, str, str]] = []
+    m = result.model
     for i, tw in enumerate(result.worlds):
-        m = result.model
         g = default_assignment(m, i)
-        if phi_set:
-            cl = sorted_formulas(closure(phi_set, tw.domain_constants))
-        else:
-            cl = []
-        for f in cl:
+        for f in sorted_formulas(closure(phi_set, tw.domain_constants)):
             checked += 1
             member = f in tw.pair.pos
             forced = forces(m, i, g, f)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qrc1.cli import main
+from qrc1.syntax import MAX_NESTING
 
 SIG_TEXT = "sig: constants c0 c1; relations S/1 R/2;\n"
 
@@ -149,6 +150,80 @@ def test_check_derivation_reports_a_non_object_derivation_invalid(capsys, tmp_pa
     assert "INVALID" in out
 
 
+MALFORMED_COUNTERMODELS = [
+    ("assignment not an object", lambda d: d["countermodel"].update(assignment=5)),
+    ("edge of one world", lambda d: d["countermodel"]["model"].update(edges=[[0]])),
+    ("sequent not a string", lambda d: d["countermodel"].update(sequent=5)),
+    ("world id not a scalar", lambda d: d["countermodel"]["model"]["worlds"][0].update(id=[0])),
+    ("countermodel not an object", lambda d: d.update(countermodel=5)),
+    ("root not a world", lambda d: d["countermodel"].update(root=7)),
+    ("assigned value outside the domain", lambda d: d["countermodel"]["assignment"]["map"].update(x=5)),
+    ("default outside the domain", lambda d: d["countermodel"]["assignment"].update(default=5)),
+]
+
+
+@pytest.mark.parametrize("mutate", [m for _, m in MALFORMED_COUNTERMODELS],
+                         ids=[name for name, _ in MALFORMED_COUNTERMODELS])
+def test_check_model_reports_malformed_documents_invalid(capsys, tmp_path, sig_file, mutate):
+    _, out, _ = run(capsys, "refute", "T |- <>T", "--sig", sig_file, "--format", "json-lines")
+    doc = json.loads(out)
+    mutate(doc)
+    doc_path = tmp_path / "bad.jsonl"
+    doc_path.write_text(json.dumps(doc) + "\n" + out)  # the valid document after it is still checked
+    code, out2, _ = run(capsys, "check-model", str(doc_path), "--sig", sig_file)
+    assert code == 2
+    assert out2.startswith("INVALID countermodel")
+    assert "valid countermodel for T |- <>T" in out2
+
+
+def test_check_model_rejects_an_assignment_outside_the_domain(capsys, tmp_path, sig_file):
+    # A x . S(x) |- S(y) is derivable; with y at an element that is no
+    # element of the model, S(y) would look false
+    forged = {"countermodel": {
+        "assignment": {"default": 0, "map": {"y": 5}},
+        "model": {"edges": [], "worlds": [
+            {"constants": {"c0": 0, "c1": 0}, "domain": [0], "id": 0, "relations": {"S": [[0]]}}]},
+        "root": 0,
+        "sequent": "A x . S(x) |- S(y)",
+    }}
+    doc_path = tmp_path / "forged.jsonl"
+    doc_path.write_text(json.dumps(forged) + "\n")
+    code, out, _ = run(capsys, "check-model", str(doc_path), "--sig", sig_file)
+    assert code == 2
+    assert "not in the root's domain" in out
+
+
+@pytest.mark.parametrize("command", ["check-derivation", "check-model"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
+    doc_path = tmp_path / "deep.jsonl"
+    doc_path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    code, _, err = run(capsys, command, str(doc_path))
+    assert code == 1
+    assert "nested too deeply" in err
+
+
+# prove and refute certify the sequent as given: free variables stay
+# variables, and a countermodel assigns them values
+FREE_VARIABLE_ROUND_TRIPS = [
+    ("A y . R(x,y) |- R(x,x)", "prove", "check-derivation"),
+    ("R(x,y) |- R(y,x)", "refute", "check-model"),
+    ("S(x) & <>S(y) |- <>S(x)", "refute", "check-model"),
+]
+
+
+@pytest.mark.parametrize("text, search, check", FREE_VARIABLE_ROUND_TRIPS)
+def test_certificates_of_free_variable_sequents_check(capsys, tmp_path, sig_file, text, search, check):
+    for command in (search, "decide"):
+        code, out, _ = run(capsys, command, text, "--sig", sig_file, "--format", "json-lines")
+        assert code == 0
+        assert json.loads(out)["sequent"] == text
+        doc_path = tmp_path / f"{command}.jsonl"
+        doc_path.write_text(out)
+        code2, out2, _ = run(capsys, check, str(doc_path), "--sig", sig_file)
+        assert code2 == 0, out2
+        assert text in out2
+
+
 # ---------------------------------------------------------------------------
 # termmodel / translate / closure
 
@@ -205,3 +280,37 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_parse_error_is_usage_error(capsys):
     code, _, err = run(capsys, "decide", "T |- ")
     assert code == 1
+
+
+def test_decide_at_the_nesting_limit(capsys):
+    code, out, _ = run(capsys, "decide", "<>" * MAX_NESTING + "T |- T")
+    assert code == 0
+    assert out.startswith("derivable:")
+    code, out, _ = run(capsys, "decide", "T |- " + "<>" * MAX_NESTING + "T")
+    assert code == 0
+    assert out.startswith("underivable:")
+
+
+# pretty prints <>(A x . ...) with parentheses the input need not have, so a
+# certificate's text is nested deeper than the sequent it concludes
+AT_THE_LIMIT = "<>A x . " * (MAX_NESTING // 2)
+
+
+@pytest.mark.parametrize("text, check", [
+    (AT_THE_LIMIT + "S(c0) |- T", "check-derivation"),
+    ("T |- " + AT_THE_LIMIT + "S(c0)", "check-model"),
+], ids=["derivable", "underivable"])
+def test_certificates_at_the_nesting_limit_check(capsys, tmp_path, sig_file, text, check):
+    code, out, _ = run(capsys, "decide", text, "--sig", sig_file, "--format", "json-lines")
+    assert code == 0
+    doc_path = tmp_path / "verdict.jsonl"
+    doc_path.write_text(out)
+    code2, out2, _ = run(capsys, check, str(doc_path), "--sig", sig_file)
+    assert code2 == 0, out2
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_decide_past_the_nesting_limit_is_a_usage_error(capsys, depth):
+    code, _, err = run(capsys, "decide", "<>" * depth + "T |- T")
+    assert code == 1
+    assert "nested more than" in err

@@ -78,8 +78,9 @@ def test_decide_is_cached():
 
 
 def test_cache_key_covers_the_proof_budget():
+    # one round gives proof search too few nodes for this derivable sequent
     s = seq("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)")
-    assert decide(s, SIG, DeciderConfig(prove_cap=3)).status == UNDECIDED
+    assert decide(s, SIG, DeciderConfig(max_rounds=1)).status == UNDECIDED
     assert decide(s, SIG).status == DERIVABLE
 
 
@@ -129,7 +130,7 @@ def test_derived_ceiling_grows_with_modal_depth():
 def test_undecided_when_bounds_are_too_small():
     s = parse_sequent("A x . <>S(x) |- <>(A x . S(x))",
                       Signature(relations=(("S", 1),)))
-    config = DeciderConfig(max_rounds=1, max_worlds=1, max_domain=1, prove_cap=3)
+    config = DeciderConfig(max_rounds=1, max_worlds=1, max_domain=1)
     v = decide(s, Signature(relations=(("S", 1),)), config)
     assert v.status == UNDECIDED
     assert v.derivation is None and v.countermodel is None

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrc1.syntax import (
+    MAX_NESTING,
     And,
     ClosureError,
     Const,
@@ -160,9 +161,54 @@ def test_closure_contains_top_and_subformulas():
         "S(c0) & (S(c1) & T)",
         "<>(S(c0) & T)",
         "A x . (S(x) & <>R(x,c0))",
+        "(T & A x . S(x)) & S(c0)",
     ],
 )
 def test_pretty_parse_round_trip(text):
+    f = parse_formula(text, SIG)
+    assert parse_formula(pretty(f), SIG) == f
+
+
+TERMS = st.sampled_from([Var("x"), Var("y"), Const("c0"), Const("c1")])
+FORMULAS = st.recursive(
+    st.just(TOP)
+    | st.builds(lambda t: Pred("S", (t,)), TERMS)
+    | st.builds(lambda a, b: Pred("R", (a, b)), TERMS, TERMS),
+    lambda sub: st.builds(And, sub, sub)
+    | st.builds(Diamond, sub)
+    | st.builds(Forall, st.sampled_from(["x", "y"]), sub),
+    max_leaves=12,
+)
+
+
+@given(FORMULAS)
+def test_pretty_parses_back_to_the_same_formula(f):
+    assert parse_formula(pretty(f), SIG) == f
+
+
+def test_nesting_limit():
+    assert mdepth(parse_formula("<>" * MAX_NESTING + "T", SIG)) == MAX_NESTING
+    parse_formula("A x . " * (MAX_NESTING - 1) + "<>S(x)", SIG)
+    # parentheses do not count towards the limit; twice as many may be open
+    parse_formula("(" * (2 * MAX_NESTING) + "T" + ")" * (2 * MAX_NESTING), SIG)
+    for deep in (
+        "<>" * (MAX_NESTING + 1) + "T",
+        "(" * (2 * MAX_NESTING + 1) + "T" + ")" * (2 * MAX_NESTING + 1),
+        " & ".join(["T"] * (MAX_NESTING + 2)),  # the chain nests to the left
+        "<>" * MAX_NESTING + "(T & T)",
+    ):
+        with pytest.raises(ParseError, match="nested more than"):
+            parse_formula(deep, SIG)
+
+
+@pytest.mark.parametrize("text", [
+    # pretty adds a parenthesis around each A x . under a <>
+    "<>A x . " * 34 + "S(c0)",
+    "<>A x . " * (MAX_NESTING // 2) + "S(x)",
+    # and around each & that is the right operand of &
+    "S(c0) & (" * MAX_NESTING + "T" + ")" * MAX_NESTING,
+], ids=["<>A x . 34 times", "<>A x . to the limit", "& nested right to the limit"])
+def test_pretty_of_a_formula_within_the_limit_parses_back(text):
     f = parse_formula(text, SIG)
     assert parse_formula(pretty(f), SIG) == f
 

@@ -2,12 +2,14 @@
 """Cross-check the decision procedure against exhaustive model enumeration.
 
 For every sequent of a seeded random corpus:
-  - derivable verdicts must not be refuted by any enumerated adequate model
-    within the bounds (soundness), and
+  - derivable verdicts must not be refuted by any adequate model within the
+    bounds (soundness): seen from any of its worlds, such a model is one of
+    the enumerated models rooted at 0, up to isomorphism, so each of these is
+    checked at its root under every assignment into the root's domain, and
   - underivable verdicts must come with a validated countermodel.
 
 Example:
-    python scripts/soundness_sweep.py --count 300 --max-worlds 2 --max-domain 2
+    python scripts/soundness_sweep.py --count 300 --max-worlds 3 --max-domain 2
 """
 
 import argparse
@@ -25,7 +27,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--count", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--max-worlds", type=int, default=2)
+    ap.add_argument("--max-worlds", type=int, default=3)
     ap.add_argument("--max-domain", type=int, default=2)
     ap.add_argument("--sig", help="signature header line (default: constants c0; relations S/1)")
     args = ap.parse_args()
@@ -37,7 +39,7 @@ def main() -> int:
 
     t0 = time.perf_counter()
     models = list(enumerate_models(sig, args.max_worlds, args.max_domain))
-    print(f"enumerated {len(models)} adequate models "
+    print(f"enumerated {len(models)} rooted adequate models "
           f"(<= {args.max_worlds} worlds, domain <= {args.max_domain}) "
           f"in {time.perf_counter() - t0:.1f}s")
 
@@ -48,14 +50,12 @@ def main() -> int:
             derivable += 1
             fv = sorted(free_vars(s.lhs) | free_vars(s.rhs))
             for m in models:
-                for w in m.worlds:
-                    dom = sorted(m.domain[w])
-                    for vals in itertools.product(dom, repeat=len(fv)):
-                        g = Assignment(w, dict(zip(fv, vals)), dom[0])
-                        if forces(m, w, g, s.lhs) and not forces(m, w, g, s.rhs):
-                            violations += 1
-                            print(f"VIOLATION: {pretty_sequent(s)} refuted at "
-                                  f"world {w} of {m}")
+                dom = sorted(m.domain[0])
+                for vals in itertools.product(dom, repeat=len(fv)):
+                    g = Assignment(0, dict(zip(fv, vals)), dom[0])
+                    if forces(m, 0, g, s.lhs) and not forces(m, 0, g, s.rhs):
+                        violations += 1
+                        print(f"VIOLATION: {pretty_sequent(s)} refuted at the root of {m}")
         elif v.status == UNDERIVABLE:
             underivable += 1
             v.countermodel.validate()

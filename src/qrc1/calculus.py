@@ -15,6 +15,7 @@ from .syntax import (
     QRCError,
     Sequent,
     Signature,
+    SignatureError,
     Term,
     TOP,
     Top,
@@ -602,5 +603,8 @@ def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
         extra = _field(doc, "extra_constants", list, [])
         if not all(isinstance(c, str) for c in extra):
             raise DerivationError("malformed derivation document: 'extra_constants' must hold names")
-        sig = sig.with_constants(extra)
+        try:
+            sig = sig.with_constants(extra)
+        except SignatureError as e:
+            raise DerivationError(f"malformed derivation document: 'extra_constants': {e}") from None
     return build(doc)

@@ -238,7 +238,7 @@ def cmd_check_derivation(args, out) -> int:
         label = doc.get("sequent", inner.get("conclusion", "?") if isinstance(inner, dict) else "?")
         try:
             d = derivation_from_dict(inner, sig)
-            concluded = check_derivation(d, sig.with_constants(inner.get("extra_constants", ())))
+            concluded = check_derivation(d, sig)  # the checker reads only relation arities
             _emit({"sequent": label, "valid": True},
                   f"valid derivation of {pretty_sequent(concluded)}", args.format, out)
         except (DerivationError, ParseError, KeyError) as e:

@@ -242,21 +242,16 @@ def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[
         closed |= new
 
 
-def _extensions(
-    rel: frozenset[tuple[int, int]], n: int, rooted: bool
-) -> Iterator[frozenset[tuple[int, int]]]:
-    """Transitive relations on worlds 0..n whose restriction to 0..n-1 is the
-    transitive relation rel; with rooted, world 0 sees the new world n.
+def _extensions(rel: frozenset[tuple[int, int]], n: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """Transitive relations on worlds 0..n in which the root 0 sees the new
+    world n and whose restriction to 0..n-1 is the rooted transitive relation rel.
 
-    Restricting a transitive relation to fewer worlds keeps it transitive
-    (and rooted), so extending every relation on n worlds by one world in
-    every way reaches every relation on n + 1 worlds.
+    Restricting a rooted transitive relation to fewer worlds, the root among
+    them, keeps it rooted and transitive, so extending every relation on n
+    worlds by one world in every way reaches every relation on n + 1 worlds.
     """
-    olds = range(n)
-    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(olds, k)]
-    for ins in subsets:
-        if rooted and n and 0 not in ins:
-            continue
+    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
+    for ins in (s for s in subsets if 0 in s):
         for outs in subsets:
             for loop in ((), ((n, n),)):
                 ext = rel.union(((w, n) for w in ins), ((n, u) for u in outs), loop)
@@ -264,111 +259,31 @@ def _extensions(
                     yield ext
 
 
-def _transitive_relations(n: int) -> list[frozenset[tuple[int, int]]]:
-    rels = [frozenset()]
-    for m in range(n):
-        rels = [ext for rel in rels for ext in _extensions(rel, m, rooted=False)]
-    return sorted(rels, key=lambda r: sorted(r))
-
-
-def _nested_domains(
-    n: int, rel: frozenset[tuple[int, int]], max_domain: int
-) -> Iterator[tuple[frozenset[int], ...]]:
-    subsets = [frozenset(s) for k in range(1, max_domain + 1)
-               for s in itertools.combinations(range(max_domain), k)]
-    subsets.sort(key=lambda s: (len(s), sorted(s)))
-    for choice in itertools.product(subsets, repeat=n):
-        if all(choice[w] <= choice[u] for (w, u) in rel):
-            yield choice
-
-
-def _concordant_interpretations(
-    n: int,
-    rel: frozenset[tuple[int, int]],
-    domains: Sequence[frozenset[int]],
-    constants: Sequence[str],
-) -> Iterator[tuple[dict[str, int], ...]]:
-    if not constants:
-        yield tuple({} for _ in range(n))
-        return
-    # equality propagates along edges; group worlds into concordance classes
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (w, u) in rel:
-        ra, rb = find(w), find(u)
-        if ra != rb:
-            parent[ra] = rb
-    classes: dict[int, list[int]] = {}
-    for w in range(n):
-        classes.setdefault(find(w), []).append(w)
-    class_list = sorted(classes.values())
-    class_domains = [frozenset.intersection(*(domains[w] for w in ws)) for ws in class_list]
-    if any(not cd for cd in class_domains):
-        return
-    value_products = [
-        list(itertools.product(*[sorted(cd) for cd in class_domains]))
-        for _c in constants
-    ]
-    for combo in itertools.product(*value_products):
-        interp: list[dict[str, int]] = [dict() for _ in range(n)]
-        for ci, c in enumerate(constants):
-            for cls_idx, ws in enumerate(class_list):
-                for w in ws:
-                    interp[w][c] = combo[ci][cls_idx]
-        yield tuple(interp)
-
-
 def enumerate_models(
     sig: Signature,
     max_worlds: int,
     max_domain: int,
 ) -> Iterator[Model]:
-    """Deterministic, duplicate-free, exhaustive stream of adequate models.
+    """Deterministic stream of adequate models rooted at world 0, on the
+    frames that refute searches.
 
-    Worlds are labeled 0..n-1 and elements 0..max_domain-1; every adequate
-    model within the bounds appears up to renaming of worlds and elements.
+    Every adequate model within the bounds, restricted to one of its worlds
+    and the worlds that world sees, appears rooted at 0 at least once up to
+    isomorphism (renaming of worlds and elements). Forcing at a world reads
+    only the worlds it sees, so checking each model of the stream at its root
+    covers every world of every adequate model within the bounds.
     """
     if max_worlds < 1 or max_domain < 1:
         raise ModelError("bounds must be at least 1")
-    constants = list(sig.constants)
-    relations = list(sig.relations)
-    for n in range(1, max_worlds + 1):
-        for rel in _transitive_relations(n):
-            for domains in _nested_domains(n, rel, max_domain):
-                for interp in _concordant_interpretations(n, rel, domains, constants):
-                    for relJ in _relation_tables(n, domains, relations):
-                        yield Model(
-                            worlds=tuple(range(n)),
-                            R=rel,
-                            domain={w: domains[w] for w in range(n)},
-                            constI={w: interp[w] for w in range(n)},
-                            relJ={w: relJ[w] for w in range(n)},
-                        )
-
-
-def _relation_tables(
-    n: int,
-    domains: Sequence[frozenset[int]],
-    relations: Sequence[tuple[str, int]],
-) -> Iterator[tuple[dict[str, frozenset[tuple[int, ...]]], ...]]:
-    per_world_options: list[list[dict[str, frozenset[tuple[int, ...]]]]] = []
-    for w in range(n):
-        rel_options: list[list[tuple[str, frozenset[tuple[int, ...]]]]] = []
-        for (s, arity) in relations:
-            tuples = sorted(itertools.product(sorted(domains[w]), repeat=arity))
-            choices = []
-            for k in range(len(tuples) + 1):
-                for sub in itertools.combinations(tuples, k):
-                    choices.append((s, frozenset(sub)))
-            rel_options.append(choices)
-        per_world_options.append([dict(combo) for combo in itertools.product(*rel_options)])
-    yield from itertools.product(*per_world_options)
+    for frame in _rooted_frames(max_worlds, max_domain):
+        root_domain = sorted(frame.domains[0])
+        atoms = [(w, name, tup) for w in range(frame.n) for name, arity in sig.relations
+                 for tup in itertools.product(sorted(frame.domains[w]), repeat=arity)]
+        for picks in _root_choices(len(root_domain), len(sig.constants)):
+            cmap = {c: root_domain[i] for c, i in zip(sig.constants, picks)}
+            for k in range(len(atoms) + 1):
+                for chosen in itertools.combinations(atoms, k):
+                    yield _model_from_atoms(frame, cmap, frozenset(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +359,9 @@ def _forcing_implicants(
                     out.extend(vi)
             return _minimize(out) if out else None
         case Forall(x, b):
+            if x not in free_vars(b):
+                # domains are nonempty and b's implicants are the same for every d
+                return _forcing_implicants(m_frame, w, g, b, cmap, stats)
             acc: list[frozenset[tuple]] = [frozenset()]
             for d in sorted(m_frame.domains[w]):
                 g2 = dict(g)
@@ -500,7 +418,7 @@ def _rooted_relations(n: int) -> tuple[_RootedRelation, ...]:
     if n == 1:
         found = [frozenset(), frozenset({(0, 0)})]
     else:
-        found = [ext for r in _rooted_relations(n - 1) for ext in _extensions(r.rel, n - 1, rooted=True)]
+        found = [ext for r in _rooted_relations(n - 1) for ext in _extensions(r.rel, n - 1)]
     classes = {min(tuple(sorted(_relabel(rel, p))) for p in perms) for rel in found}
     full = (1 << n) - 1
     out = []

@@ -124,6 +124,8 @@ MALFORMED_DERIVATIONS = [
     ("premise conclusion not a string", lambda d: d["premises"][0].update(conclusion=None)),
     ("instantiation not an object", lambda d: d.update(instantiation="x")),
     ("extra constants not a list", lambda d: d.update(extra_constants=3)),
+    ("extra constant names a relation", lambda d: d.update(extra_constants=["S"])),
+    ("extra constant repeated", lambda d: d.update(extra_constants=["k", "k"])),
 ]
 
 
@@ -136,10 +138,11 @@ def test_check_derivation_reports_malformed_documents_invalid(capsys, tmp_path, 
     doc = json.loads(out)
     mutate(doc["derivation"])
     doc_path = tmp_path / "bad.jsonl"
-    doc_path.write_text(json.dumps(doc) + "\n")
+    doc_path.write_text(json.dumps(doc) + "\n" + out)  # the valid document after it is still checked
     code, out2, _ = run(capsys, "check-derivation", str(doc_path), "--sig", sig_file)
     assert code == 2
-    assert "INVALID" in out2
+    assert out2.startswith("INVALID derivation")
+    assert "valid derivation of A x . S(x) |- S(c0)" in out2
 
 
 def test_check_derivation_reports_a_non_object_derivation_invalid(capsys, tmp_path, sig_file):

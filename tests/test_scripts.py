@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT_RUNS = [
     (["gen_corpus.py", "--count", "5"], "sig: constants c0 c1; relations S/1 R/2;"),
-    (["soundness_sweep.py", "--count", "20", "--max-worlds", "2", "--max-domain", "1"],
+    (["soundness_sweep.py", "--count", "20", "--max-worlds", "3", "--max-domain", "2"],
      "0 soundness violations"),
     (["saturation_demo.py", "--count", "2"], "0 violations"),
 ]

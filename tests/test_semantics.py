@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -216,10 +217,11 @@ def _canon(m: Model):
     )
 
 
+@functools.cache
 def _oracle_models(sig, max_worlds, max_domain):
-    """Independent brute-force enumeration: build every candidate structure
-    directly and keep the ones that validate as adequate."""
-    out = set()
+    """Independent brute-force enumeration: build every labeled candidate
+    structure directly and keep the ones that validate as adequate."""
+    out = {}
     elements = list(range(max_domain))
     for n in range(1, max_worlds + 1):
         worlds = tuple(range(n))
@@ -252,17 +254,45 @@ def _oracle_models(sig, max_worlds, max_domain):
                         m = Model(worlds, rel, domain, constI, {w: tables[w] for w in worlds})
                         try:
                             if check_adequate(m).adequate:
-                                out.add(_canon(m))
+                                out[_canon(m)] = m
                         except ModelError:
                             continue
-    return out
+    return tuple(out.values())
+
+
+def _pointed_class(m: Model, root):
+    """The isomorphism class of m restricted to what root sees, pointed at
+    root: its least relabeling with root as world 0."""
+    sub = restrict(m, root)
+    others = [w for w in sub.worlds if w != root]
+    elements = sorted(set().union(*sub.domain.values()))
+    keys = []
+    for order in itertools.permutations(others):
+        wmap = {root: 0, **{w: i for i, w in enumerate(order, 1)}}
+        for image in itertools.permutations(range(len(elements))):
+            emap = dict(zip(elements, image))
+            keys.append(_canon(Model(
+                tuple(range(len(sub.worlds))),
+                frozenset((wmap[w], wmap[u]) for w, u in sub.R),
+                {wmap[w]: frozenset(emap[d] for d in sub.domain[w]) for w in sub.worlds},
+                {wmap[w]: {c: emap[d] for c, d in sub.constI[w].items()} for w in sub.worlds},
+                {wmap[w]: {s: frozenset(tuple(emap[d] for d in t) for t in ts)
+                           for s, ts in sub.relJ[w].items() if ts} for w in sub.worlds})))
+    return min(keys)
+
+
+ORACLE_SIG = Signature(constants=("c0", "c1"), relations=(("S", 1),))
 
 
 def test_enumeration_matches_independent_oracle():
-    sig = Signature(constants=("c0",), relations=(("S", 1),))
-    expected = _oracle_models(sig, max_worlds=2, max_domain=1)
-    got = {_canon(m) for m in enumerate_models(sig, max_worlds=2, max_domain=1)}
-    assert got == expected
+    # each model of the stream, at its root 0, against each world of each
+    # labeled model: the same pointed models up to isomorphism
+    for bounds in [(2, 1), (2, 2), (3, 1)]:
+        expected = {_pointed_class(m, w) for m in _oracle_models(ORACLE_SIG, *bounds) for w in m.worlds}
+        models = list(enumerate_models(ORACLE_SIG, *bounds))
+        assert all(check_adequate(m).adequate and all((0, w) in m.R for w in m.worlds[1:])
+                   for m in models)
+        assert {_pointed_class(m, 0) for m in models} == expected, bounds
 
 
 def test_enumeration_one_world_counts():
@@ -279,15 +309,6 @@ def test_enumeration_is_deterministic():
     b = [_canon(m) for m in enumerate_models(sig, 2, 1)]
     assert a == b
     assert len(a) == len(set(a))
-
-
-def test_enumeration_two_worlds_without_relation_regression():
-    # two unrelated worlds exist in the stream even at domain bound 1
-    sig = Signature(constants=(), relations=())
-    canons = {_canon(m) for m in enumerate_models(sig, 2, 1)}
-    target = Model((0, 1), frozenset(), {0: frozenset({0}), 1: frozenset({0})},
-                   {0: {}, 1: {}}, {0: {}, 1: {}})
-    assert _canon(target) in canons
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +371,25 @@ def test_refute_counts_truncated_implicants(monkeypatch):
     monkeypatch.setattr(semantics, "IMPLICANT_CAP", 1)
     refute(s, sig, RefuteBounds(3, 2), stats)
     assert stats.truncated > 0
+
+
+def test_vacuous_universals_are_not_expanded_per_element(monkeypatch):
+    # A x1 . A x2 . S(x0) binds nothing that occurs in S(x0): its implicants
+    # are S(x0)'s, found once rather than once per element per quantifier
+    frame = next(f for f in _rooted_frames(1, 3) if len(f.domains[0]) == 3)
+    f = parse_formula("A x0 . A x1 . A x2 . S(x0)", SIG)
+    calls = 0
+    implicants = semantics._forcing_implicants
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return implicants(*args)
+
+    monkeypatch.setattr(semantics, "_forcing_implicants", counted)
+    got = counted(frame, 0, {}, f, {}, RefuteStats())
+    assert got == [frozenset((0, "S", (d,)) for d in range(3))]
+    assert calls == 1 + 3 * 3  # the expanded universal, then per element its two vacuous ones and S(x0)
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +468,13 @@ def test_rooted_frames_skip_the_exhausted_box():
     assert len(resumed) == 1772 - len(_frames(3, 2))
 
 
-ORACLE_SIG = Signature(constants=("c0", "c1"), relations=(("S", 1),))
-
-
 def _labeled_rooted_models(bound_pairs):
     """Brute force: each labeled adequate model within some of the bounds,
     restricted to the worlds each of its worlds sees, with its root and its
     (worlds, elements) box."""
     out = {}
     for bounds in bound_pairs:
-        for m in enumerate_models(ORACLE_SIG, *bounds):
+        for m in _oracle_models(ORACLE_SIG, *bounds):
             for w in m.worlds:
                 sub = restrict(m, w)
                 box = (len(sub.worlds), len(set().union(*sub.domain.values())))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
@@ -20,6 +20,8 @@ from .syntax import (
     TOP,
     Top,
     Var,
+    _subst,
+    formula_size,
     free_for,
     free_vars,
     fresh_name,
@@ -70,9 +72,14 @@ class Derivation:
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
     instantiation: Optional[Instantiation] = None
+    # proof search compares sizes against its budget at every cache hit
+    _size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_size", 1 + sum(p._size for p in self.premises))
 
     def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        return self._size
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +349,7 @@ class ProofSearch:
             self.stats.cache_hits += 1
             return None
         if mdepth_precheck(goal):
-            self._failed_at[goal] = 10**9  # necessary condition, never derivable
+            # never derivable, and cheaper to test again than to store
             return None
         self.stats.nodes_expanded += 1
         found = self._try_moves(goal, limit)
@@ -413,7 +420,7 @@ class ProofSearch:
             for t in self._term_candidates(goal, limit):
                 if not free_for(t, phi.var, phi.body):
                     continue
-                inst = substitute(phi.body, phi.var, t)
+                inst = _subst(phi.body, phi.var, t)
                 d = self._search(Sequent(inst, psi), limit - 1)
                 if d is not None:
                     return Derivation(FORALL_L, goal, (d,), Instantiation(phi.var, t))
@@ -488,25 +495,35 @@ class ProofSearch:
         return uniq[: 2 + limit]
 
     def _cut_pool(self, goal: Sequent, limit: int) -> list[Formula]:
-        subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-        pool: set[Formula] = set(subs)
+        """The first 2 * limit cut candidates in sort_key order, so the pool
+        widens as the budget grows, to keep the search fair. sort_key orders
+        by size first and each candidate's size is known before it is built,
+        so candidates are built one size at a time, until the prefix is whole."""
+        wanted = 2 * limit
+        subs_of_size: dict[int, list[Formula]] = {}
+        for s in subformulas(goal.lhs) | subformulas(goal.rhs):
+            subs_of_size.setdefault(formula_size(s), []).append(s)
         terms: list[Term] = [Const(c) for c in sorted(constants_of(goal.lhs) | constants_of(goal.rhs))]
         terms += [Var(y) for y in sorted(free_vars(goal.lhs) | free_vars(goal.rhs))]
-        for s in subs:
-            pool.add(Diamond(s))
-            if isinstance(s, Forall):
-                # one substitution step into the body
-                for t in terms:
-                    if free_for(t, s.var, s.body):
-                        pool.add(substitute(s.body, s.var, t))
-                # bound-variable renaming targets
-                for k in range(2):
-                    y = f"{FRESH_VAR_PREFIX}{k}"
-                    if y != s.var and y not in free_vars(s.body) and free_for(Var(y), s.var, s.body):
-                        pool.add(Forall(y, substitute(s.body, s.var, Var(y))))
-        ordered = sorted(pool, key=sort_key)
-        # widen the pool as the budget grows to keep the search fair
-        return ordered[: 2 * limit]
+        renamings = [f"{FRESH_VAR_PREFIX}{k}" for k in range(2)]
+        pool: set[Formula] = set()
+        for n in range(1, max(subs_of_size) + 2):
+            # the candidates of size n: subformulas of size n, <>s for s of
+            # size n - 1, one substitution step into the body of a universal
+            # of size n + 1, and renamings of the bound variable of one of size n
+            pool.update(subs_of_size.get(n, ()))
+            pool.update(Diamond(s) for s in subs_of_size.get(n - 1, ()))
+            for s in subs_of_size.get(n + 1, ()):
+                if isinstance(s, Forall):
+                    pool.update(_subst(s.body, s.var, t) for t in terms if free_for(t, s.var, s.body))
+            for s in subs_of_size.get(n, ()):
+                if isinstance(s, Forall):
+                    for y in renamings:
+                        if y != s.var and y not in free_vars(s.body) and free_for(Var(y), s.var, s.body):
+                            pool.add(Forall(y, _subst(s.body, s.var, Var(y))))
+            if len(pool) >= wanted:
+                break
+        return sorted(pool, key=sort_key)[:wanted]
 
 
 def _term_to_var(f: Formula, t: Term, x: str) -> Formula:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Union
+from dataclasses import dataclass, field
+from typing import Container, Iterable, Mapping, Optional, Union
 
 
 class QRCError(Exception):
@@ -63,6 +63,35 @@ Term = Union[Var, Const]
 # formulas
 
 
+def _hash_once(cls):
+    """Keep the dataclass's structural hash in the `_hash` field of cls.
+
+    Proof search looks the same formulas and sequents up over and over, so
+    each computes its hash once, at the first __hash__ call. A string's hash
+    differs from process to process, so pickling and copying carry only the
+    constructor fields, and the copy computes its own hash.
+    """
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in cls.__match_args__)
+
+    cls.__hash__ = __hash__
+    cls.__reduce__ = __reduce__
+    return cls
+
+
+def _hash_slot():
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 class Formula:
     __slots__ = ()
 
@@ -76,36 +105,44 @@ class Top(Formula):
         return "Top"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Pred(Formula):
     name: str
     args: tuple[Term, ...] = ()
+    _hash: Optional[int] = _hash_slot()
 
     def __repr__(self) -> str:
         return f"Pred({self.name}, {list(self.args)})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
     left: Formula
     right: Formula
+    _hash: Optional[int] = _hash_slot()
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Diamond(Formula):
     body: Formula
+    _hash: Optional[int] = _hash_slot()
 
     def __repr__(self) -> str:
         return f"Diamond({self.body!r})"
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True, repr=False)
 class Forall(Formula):
     var: str
     body: Formula
+    _hash: Optional[int] = _hash_slot()
 
     def __repr__(self) -> str:
         return f"Forall({self.var}, {self.body!r})"
@@ -114,10 +151,12 @@ class Forall(Formula):
 TOP = Top()
 
 
+@_hash_once
 @dataclass(frozen=True, slots=True)
 class Sequent:
     lhs: Formula
     rhs: Formula
+    _hash: Optional[int] = _hash_slot()
 
     def __str__(self) -> str:
         return f"{pretty(self.lhs)} |- {pretty(self.rhs)}"

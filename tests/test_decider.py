@@ -84,6 +84,21 @@ def test_cache_key_covers_the_proof_budget():
     assert decide(s, SIG).status == DERIVABLE
 
 
+@pytest.mark.parametrize(
+    "text, nodes, size",
+    [
+        ("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)", 19_537, 10),
+        ("(A x0 . R(c1,x0) & T) & A x0 . A x1 . S(x1) |- S(c0) & (S(c1) & T & S(c0))", 7_386, 13),
+    ],
+)
+def test_proof_search_work_is_pinned(text, nodes, size):
+    # a change that only makes each node cheaper must leave these unchanged
+    v = decide(seq(text), SIG)
+    assert v.status == DERIVABLE
+    assert v.stats["proof_nodes_expanded"] == nodes
+    assert v.derivation.size() == size
+
+
 def test_every_verdict_reports_refute_work():
     # derivable, but refute examines hundreds of frames before the proof is found
     v = decide(seq("<><>S(c0) |- (A x0 . T & T) & <>(T & S(c0))"), SIG)

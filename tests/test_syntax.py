@@ -1,3 +1,11 @@
+import copy
+import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +48,50 @@ SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
 
 # ---------------------------------------------------------------------------
 # construction and signatures
+
+
+def _python(code: str, hash_seed: int, stdin: bytes = b"") -> bytes:
+    """Run code in a fresh interpreter with the given PYTHONHASHSEED."""
+    import qrc1
+
+    src = str(Path(qrc1.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], input=stdin, capture_output=True, env=env, check=True
+    ).stdout
+
+
+_PARSE = """
+import json, pickle, sys
+from qrc1.syntax import Signature, parse_formula, parse_sequent
+sig = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
+f = parse_formula("A x . <>(R(x,c0) & S(y))", sig)
+s = parse_sequent("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)", sig)
+"""
+
+
+def test_pickled_formulas_hash_anew_under_another_hash_seed():
+    # hashed before pickling, so a hash that travelled would be the old seed's
+    dumped = _python(_PARSE + "{f, s}\nsys.stdout.buffer.write(pickle.dumps((f, s)))", hash_seed=1)
+    checks = _python(_PARSE + """
+g, t = pickle.loads(sys.stdin.buffer.read())
+print(json.dumps({
+    "equal": g == f and t == s,
+    "hash": hash(g) == hash(f) and hash(t) == hash(s),
+    "in set": g in {f} and t in {s},
+    "dict key": {f: 1}.get(g) == 1 and {s: 1}.get(t) == 1,
+}))
+""", hash_seed=2, stdin=dumped)
+    assert json.loads(checks) == {"equal": True, "hash": True, "in set": True, "dict key": True}
+
+
+def test_unhashed_formula_pickles_and_copies():
+    f = parse_formula("A x . <>(R(x,c0) & S(c1))", SIG)
+    assert f._hash is None  # never hashed
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f and hash(g) == hash(f)
+    s = Sequent(f, TOP)
+    assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
 
 
 def test_signature_rejects_duplicates_and_reserved_names():

@@ -1,4 +1,9 @@
-"""Total decision procedure for sequents, with a verifiable certificate either way."""
+"""Total decision procedure for sequents, with a verifiable certificate either way.
+
+decide reads the verdict off the canonical model of the left-hand side
+(canonical.py). Only when that model is too big does it run the dovetail:
+proof search and countermodel search interleaved in growing rounds.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from .calculus import (
     derivation_to_dict,
     mdepth_precheck,
 )
+from .canonical import CANONICAL_WORLD_CAP, CanonicalModel
 from .semantics import (
     Countermodel,
     RefuteBounds,
@@ -163,20 +169,65 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
 
 
 def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
-    # refute takes free variables as assignment values, proof search as
-    # fresh constants; refute_ceiling grounds again, a no-op here
+    # the canonical model and proof search take free variables as fresh
+    # constants, refute as assignment values
+    grounded, gsig, ground_pairs = ground_free_variables(s, sig)
+    world_cap = CANONICAL_WORLD_CAP if config.max_worlds is None else min(CANONICAL_WORLD_CAP, config.max_worlds)
+    canon = CanonicalModel(grounded, world_cap)
+    stats = _work_stats(s)
+    stats["canonical_worlds"] = len(canon.worlds)
+    stats["canonical_elements"] = canon.elements
+    if len(canon.worlds) > world_cap or (config.max_domain is not None and canon.elements > config.max_domain):
+        stats["canonical_fallback"] = 1
+        return dovetail(s, sig, config, stats)
+    if canon.forces(0, grounded.rhs):
+        d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
+        check_derivation(d, gsig)
+        return _verdict(DERIVABLE, stats, derivation=d)
+    cm = canon.countermodel(s, sig, ground_pairs)
+    cm.validate()
+    return _verdict(UNDERIVABLE, stats, countermodel=cm)
+
+
+def _work_stats(s: Sequent) -> dict:
+    """Every stats key, with no work done yet."""
+    return {
+        "precheck_short_circuit": mdepth_precheck(s),
+        "canonical_worlds": 0,
+        "canonical_elements": 0,
+        "canonical_fallback": 0,
+        "world_ceiling": 0,
+        "domain_ceiling": 0,
+        "rounds": 0,
+        "frames_examined": 0,
+        "refute_candidates": 0,
+        "refute_truncated": 0,
+        "proof_nodes_expanded": 0,
+        "proof_cache_hits": 0,
+        "certificate_size": 0,
+    }
+
+
+def _verdict(status: str, stats: dict, **certificate) -> Verdict:
+    v = Verdict(status, stats=stats, **certificate)
+    if v.derivation is not None:
+        stats["certificate_size"] = v.derivation.size()
+    elif v.countermodel is not None:
+        stats["certificate_size"] = len(v.countermodel.model.worlds)
+    return v
+
+
+def dovetail(s: Sequent, sig: Signature, config: DeciderConfig, stats: dict | None = None) -> Verdict:
+    """Interleave proof search and countermodel search in rounds of growing
+    budgets and bounds. decide runs it when the canonical model is too big."""
     grounded, gsig, ground_pairs = ground_free_variables(s, sig)
     world_ceiling, domain_ceiling = refute_ceiling(grounded, gsig, config)
-    skip_prove = mdepth_precheck(s)
-
+    stats = stats if stats is not None else _work_stats(s)
+    skip_prove = stats["precheck_short_circuit"]
     search = ProofSearch(gsig)
     refute_stats = RefuteStats()
-    stats: dict = {
-        "world_ceiling": world_ceiling,
-        "domain_ceiling": domain_ceiling,
-        "rounds": 0,
-        "precheck_short_circuit": skip_prove,
-    }
+    stats["world_ceiling"] = world_ceiling
+    stats["domain_ceiling"] = domain_ceiling
 
     max_rounds = config.max_rounds
     if max_rounds is None:
@@ -187,7 +238,8 @@ def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
         stats["refute_candidates"] = refute_stats.candidates
         stats["refute_truncated"] = refute_stats.truncated
         stats["proof_nodes_expanded"] = search.stats.nodes_expanded
-        return Verdict(status, stats=stats, **certificate)
+        stats["proof_cache_hits"] = search.stats.cache_hits
+        return _verdict(status, stats, **certificate)
 
     refute_done = False  # the whole box up to the ceiling holds no countermodel
     exhausted = (0, 0)  # the box of frames an earlier round searched in full

@@ -48,8 +48,19 @@ class Model:
     constI: Mapping[World, Mapping[str, Element]]
     relJ: Mapping[World, Mapping[str, frozenset[tuple[Element, ...]]]]
 
-    def successors(self, w: World) -> list[World]:
-        return [v for v in self.worlds if (w, v) in self.R]
+    def successors(self, w: World) -> tuple[World, ...]:
+        return self._successors.get(w, ())
+
+    @functools.cached_property
+    def _successors(self) -> dict[World, tuple[World, ...]]:
+        # forcing asks for the successors of a world at every diamond; each
+        # list is in the order of self.worlds
+        position = {w: i for i, w in enumerate(self.worlds)}
+        succ: dict[World, list[World]] = {}
+        for w, v in self.R:
+            if v in position:
+                succ.setdefault(w, []).append(v)
+        return {w: tuple(sorted(vs, key=position.__getitem__)) for w, vs in succ.items()}
 
     def const_value(self, w: World, c: str) -> Element:
         try:
@@ -100,8 +111,8 @@ def check_adequate(m: Model) -> AdequacyReport:
         if missing:
             return AdequacyReport(False, True, True, ("inclusive", w, u, min(missing, key=str)))
     for (w, u) in m.R:
-        for v in m.worlds:
-            if (u, v) in m.R and (w, v) not in m.R:
+        for v in m.successors(u):
+            if (w, v) not in m.R:
                 return AdequacyReport(True, False, True, ("transitive", w, u, v))
     for (w, u) in m.R:
         iw, iu = m.constI.get(w, {}), m.constI.get(u, {})

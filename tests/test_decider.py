@@ -3,9 +3,10 @@ import random
 import pytest
 
 from qrc1 import semantics
-from qrc1.calculus import check_derivation
+from qrc1.calculus import ProofSearch, check_derivation
 from qrc1.decider import (
     DERIVABLE,
+    PROVE_CAP,
     DeciderConfig,
     UNDECIDED,
     UNDERIVABLE,
@@ -13,6 +14,7 @@ from qrc1.decider import (
     derived_ceiling,
     ground_free_variables,
     mdepth_precheck,
+    refute_ceiling,
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
@@ -78,9 +80,11 @@ def test_decide_is_cached():
 
 
 def test_cache_key_covers_the_proof_budget():
-    # one round gives proof search too few nodes for this derivable sequent
+    # the canonical model has 4 elements, so max_domain=1 sends decide to the
+    # dovetail, and one round gives proof search too few nodes for this
+    # derivable sequent
     s = seq("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)")
-    assert decide(s, SIG, DeciderConfig(max_rounds=1)).status == UNDECIDED
+    assert decide(s, SIG, DeciderConfig(max_rounds=1, max_domain=1)).status == UNDECIDED
     assert decide(s, SIG).status == DERIVABLE
 
 
@@ -93,19 +97,25 @@ def test_cache_key_covers_the_proof_budget():
 )
 def test_proof_search_work_is_pinned(text, nodes, size):
     # a change that only makes each node cheaper must leave these unchanged
-    v = decide(seq(text), SIG)
-    assert v.status == DERIVABLE
-    assert v.stats["proof_nodes_expanded"] == nodes
-    assert v.derivation.size() == size
+    assert decide(seq(text), SIG).status == DERIVABLE
+    grounded, gsig, _ = ground_free_variables(seq(text), SIG)
+    search = ProofSearch(gsig)
+    d = search.prove(grounded, PROVE_CAP)
+    assert d is not None
+    assert search.stats.nodes_expanded == nodes
+    assert d.size() == size
 
 
 def test_every_verdict_reports_refute_work():
-    # derivable, but refute examines hundreds of frames before the proof is found
-    v = decide(seq("<><>S(c0) |- (A x0 . T & T) & <>(T & S(c0))"), SIG)
-    assert v.status == DERIVABLE
-    assert v.stats["frames_examined"] > 100
-    assert v.stats["refute_candidates"] > 100
-    assert v.stats["refute_truncated"] == 0
+    # derivable, but refute examines hundreds of frames within the dovetail's bounds
+    s = seq("<><>S(c0) |- (A x0 . T & T) & <>(T & S(c0))")
+    assert decide(s, SIG).status == DERIVABLE
+    refute_stats = semantics.RefuteStats()
+    bounds = semantics.RefuteBounds(*refute_ceiling(s, SIG, DeciderConfig()))
+    assert semantics.refute(s, SIG, bounds, refute_stats) is None
+    assert refute_stats.frames > 100
+    assert refute_stats.candidates > 100
+    assert refute_stats.truncated == 0
     for text in ("T |- <>T", "T |- T"):
         stats = decide(seq(text), SIG).stats
         assert {"frames_examined", "refute_candidates", "refute_truncated",

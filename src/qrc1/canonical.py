@@ -19,6 +19,15 @@ ForallR. A universal forced at w holds of e in particular, and k fresh
 variables suffice for the universals nested at one world. So M_phi decides
 the sequent: `derive` returns the derivation, or `countermodel` returns
 M_phi itself as the countermodel.
+
+The same argument lets forcing test a universal at its generic instance
+alone: w forces A x . b iff it forces b at e, since the derivation read off
+that instance concludes A x . b. Forcing thus costs one test per world and
+subformula of psi, not one per instance. Building M_phi does instantiate
+each left universal over the whole domain, and so stops once it holds
+CANONICAL_FACT_CAP facts. A part of M_phi still serves the YES side: each
+of its facts and worlds keeps its derivation, so whatever the part forces
+has a derivation read off it.
 """
 
 from __future__ import annotations
@@ -63,11 +72,18 @@ from .syntax import (
     udepth,
 )
 
-# Past this many worlds the canonical model is not built further, and decide
-# falls back to its dovetailed searches. A model of this size builds, and as
-# a countermodel validates, in about a second and some tens of megabytes; it
-# grows by a factor of the domain size with each nested universal and diamond.
-CANONICAL_WORLD_CAP = 4096
+# Past this many facts, summed over all worlds, the canonical model is not
+# built further. Every world holds at least its own formula, so this bounds
+# the worlds too. On a 2-core x86 VM under CPython 3.11, building to the cap
+# the one world of `A x1 . ... A x8 . (R(x1,x2) & ... & R(x7,x8))`, whose
+# facts are large formulas, takes 0.2 s and 6 MB; the largest countermodel
+# measured below the cap (2,128 worlds, 4,615 facts) decides and validates
+# in 0.4 s.
+CANONICAL_FACT_CAP = 10_000
+
+
+class _TooBig(Exception):
+    pass
 
 
 def _then(d: Derivation, step: Derivation) -> Derivation:
@@ -101,38 +117,62 @@ class _World:
         self.below: list[int] | None = None  # the proper descendants, nearest first
 
 
-class CanonicalModel:
-    """M_phi for a sequent without free variables. Building stops once there
-    are more than world_cap worlds; the model is then incomplete."""
+def _generic(world: _World, b: Formula) -> Var:
+    """The instance a universal A x . b is tested and derived at: the world's
+    first own fresh variable not free in b. At most udepth(psi) - 1
+    enclosing universals took one already."""
+    return next(e for e in world.fresh if e.name not in free_vars(b))
 
-    def __init__(self, s: Sequent, world_cap: int):
+
+class CanonicalModel:
+    """M_phi for a sequent without free variables. Building stops before a
+    world past max_worlds or an element past max_domain, and once there are
+    CANONICAL_FACT_CAP facts; the model is then not complete."""
+
+    def __init__(self, s: Sequent, max_worlds: int | None = None, max_domain: int | None = None):
         k = udepth(s.rhs)
         used = constants_of(s.lhs) | constants_of(s.rhs)
         used |= {g.var for f in (s.lhs, s.rhs) for g in subformulas(f) if isinstance(g, Forall)}
         self._names: Iterator[str] = (
             name for name in (f"{FRESH_VAR_PREFIX}{i}" for i in itertools.count()) if name not in used
         )
+        self._max_worlds = max_worlds
+        self._max_domain = max_domain
         self._forced: dict[tuple[int, Formula], bool] = {}
         self.worlds: list[_World] = []
+        self.elements = 0
+        self.facts = 0
+        self.complete = False
         constants = tuple(Const(c) for c in sorted(constants_of(s.lhs) | constants_of(s.rhs)))
-        self._add(s.lhs, None, constants, max(k, 1))
-        w = 0
-        while w < len(self.worlds) <= world_cap:  # breadth first: worlds are numbered by depth
-            world = self.worlds[w]
-            for f in world.facts:
-                if isinstance(f, Diamond):
-                    world.children.append(len(self.worlds))
-                    self._add(f.body, w, world.domain, k)
-            w += 1
-        self.elements = len(self.worlds[0].domain) + sum(len(v.fresh) for v in self.worlds[1:])
+        try:
+            self._add(s.lhs, None, constants, max(k, 1))
+            w = 0
+            while w < len(self.worlds):  # breadth first: worlds are numbered by depth
+                world = self.worlds[w]
+                for f in world.facts:
+                    if isinstance(f, Diamond):
+                        self._add(f.body, w, world.domain, k)
+                w += 1
+            self.complete = True
+        except _TooBig:
+            pass
 
     def _add(self, formula: Formula, parent: int | None, inherited: tuple[Term, ...], k: int) -> None:
+        elements = self.elements + (len(inherited) if parent is None else 0) + k
+        if len(self.worlds) == self._max_worlds or (self._max_domain is not None and elements > self._max_domain):
+            raise _TooBig
+        self.elements = elements
         fresh = tuple(Var(next(self._names)) for _ in range(k))
         world = _World(formula, parent, inherited + fresh, fresh)
+        if parent is not None:
+            self.worlds[parent].children.append(len(self.worlds))
         self.worlds.append(world)
         self._unfold(world, formula, None)
 
     def _unfold(self, world: _World, f: Formula, origin: Optional[tuple]) -> None:
+        if self.facts == CANONICAL_FACT_CAP:
+            raise _TooBig
+        self.facts += 1
         world.facts[f] = origin
         match f:
             case And(l, r):
@@ -170,7 +210,8 @@ class CanonicalModel:
 
     def forces(self, w: int, f: Formula) -> bool:
         """Whether world w forces the closed formula f (whose terms are the
-        constants and fresh variables of w's domain)."""
+        constants and fresh variables of w's domain), a universal tested at
+        its generic instance."""
         key = (w, f)
         known = self._forced.get(key)
         if known is not None:
@@ -188,7 +229,7 @@ class CanonicalModel:
             case Diamond(b):
                 result = any(self.forces(v, b) for v in self._below(w))
             case Forall(x, b):
-                result = all(self.forces(w, _subst(b, x, t)) for t in world.domain)
+                result = self.forces(w, _subst(b, x, _generic(world, b)))
         self._forced[key] = result
         return result
 
@@ -207,8 +248,7 @@ class CanonicalModel:
                 v = next(v for v in self._below(w) if self.forces(v, b))
                 return self._reach(w, v, _nec(self.derive(v, b)))
             case Forall(x, b):
-                # at most udepth(psi) - 1 enclosing universals took one already
-                e = next(e for e in world.fresh if e.name not in free_vars(b))
+                e = _generic(world, b)
                 inst = _subst(b, x, e)
                 d = self.derive(w, inst)
                 if inst != b:

@@ -1,8 +1,9 @@
 """Total decision procedure for sequents, with a verifiable certificate either way.
 
 decide reads the verdict off the canonical model of the left-hand side
-(canonical.py). Only when that model is too big does it run the dovetail:
-proof search and countermodel search interleaved in growing rounds.
+(canonical.py). When that model is too big to build in full and its built
+part does not force the right-hand side, it runs the dovetail: proof search
+and countermodel search interleaved in growing rounds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .calculus import (
     derivation_to_dict,
     mdepth_precheck,
 )
-from .canonical import CANONICAL_WORLD_CAP, CanonicalModel
+from .canonical import CanonicalModel
 from .semantics import (
     Countermodel,
     RefuteBounds,
@@ -172,18 +173,19 @@ def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
     # the canonical model and proof search take free variables as fresh
     # constants, refute as assignment values
     grounded, gsig, ground_pairs = ground_free_variables(s, sig)
-    world_cap = CANONICAL_WORLD_CAP if config.max_worlds is None else min(CANONICAL_WORLD_CAP, config.max_worlds)
-    canon = CanonicalModel(grounded, world_cap)
+    canon = CanonicalModel(grounded, config.max_worlds, config.max_domain)
     stats = _work_stats(s)
     stats["canonical_worlds"] = len(canon.worlds)
     stats["canonical_elements"] = canon.elements
-    if len(canon.worlds) > world_cap or (config.max_domain is not None and canon.elements > config.max_domain):
-        stats["canonical_fallback"] = 1
-        return dovetail(s, sig, config, stats)
-    if canon.forces(0, grounded.rhs):
+    stats["canonical_facts"] = canon.facts
+    # a derivation reads off whatever the part of M_phi built forces
+    if canon.worlds and canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
         check_derivation(d, gsig)
         return _verdict(DERIVABLE, stats, derivation=d)
+    if not canon.complete:
+        stats["canonical_fallback"] = 1
+        return dovetail(s, sig, config, stats)
     cm = canon.countermodel(s, sig, ground_pairs)
     cm.validate()
     return _verdict(UNDERIVABLE, stats, countermodel=cm)
@@ -195,6 +197,7 @@ def _work_stats(s: Sequent) -> dict:
         "precheck_short_circuit": mdepth_precheck(s),
         "canonical_worlds": 0,
         "canonical_elements": 0,
+        "canonical_facts": 0,
         "canonical_fallback": 0,
         "world_ceiling": 0,
         "domain_ceiling": 0,
@@ -219,7 +222,8 @@ def _verdict(status: str, stats: dict, **certificate) -> Verdict:
 
 def dovetail(s: Sequent, sig: Signature, config: DeciderConfig, stats: dict | None = None) -> Verdict:
     """Interleave proof search and countermodel search in rounds of growing
-    budgets and bounds. decide runs it when the canonical model is too big."""
+    budgets and bounds. decide runs it when the canonical model is too big
+    and its built part does not force the right-hand side."""
     grounded, gsig, ground_pairs = ground_free_variables(s, sig)
     world_ceiling, domain_ceiling = refute_ceiling(grounded, gsig, config)
     stats = stats if stats is not None else _work_stats(s)

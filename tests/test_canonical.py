@@ -1,9 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
-from qrc1 import decider
+from qrc1 import canonical, semantics
 from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
@@ -19,7 +20,7 @@ from qrc1.syntax import Signature, parse_sequent
 
 SIG = DEFAULT_SIG
 STATS_KEYS = {
-    "precheck_short_circuit", "canonical_worlds", "canonical_elements", "canonical_fallback",
+    "precheck_short_circuit", "canonical_worlds", "canonical_elements", "canonical_facts", "canonical_fallback",
     "world_ceiling", "domain_ceiling", "rounds", "frames_examined", "refute_candidates",
     "refute_truncated", "proof_nodes_expanded", "proof_cache_hits", "certificate_size",
 }
@@ -80,7 +81,7 @@ def test_every_stats_key_on_both_paths(monkeypatch):
         stats = decide(seq(text), SIG).stats
         assert stats.keys() == STATS_KEYS
         assert stats["canonical_fallback"] == 0 and stats["rounds"] == 0
-    monkeypatch.setattr(decider, "CANONICAL_WORLD_CAP", 1)
+    monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
     # a config of its own, so that no cached verdict answers
     v = decide(seq("<>S(c0) |- S(c0)"), SIG, DeciderConfig(max_rounds=10))
     assert v.stats.keys() == STATS_KEYS
@@ -92,7 +93,10 @@ def test_every_stats_key_on_both_paths(monkeypatch):
 def test_config_bounds_below_the_canonical_model_run_the_dovetail():
     s = seq("A x . <>S(x) |- <>A x . S(x)")  # 2 worlds, 2 elements
     for config in (DeciderConfig(max_worlds=1), DeciderConfig(max_domain=1)):
-        assert decide(s, SIG, config).stats["canonical_fallback"] == 1
+        stats = decide(s, SIG, config).stats
+        assert stats["canonical_fallback"] == 1
+        # building stops at the bound, not after the whole model
+        assert stats["canonical_worlds"] == 1 and stats["canonical_elements"] == 1
     assert decide(s, SIG, DeciderConfig(max_worlds=2, max_domain=2)).stats["canonical_fallback"] == 0
 
 
@@ -108,3 +112,58 @@ def test_canonical_status_equals_the_dovetail_status():
         assert v.status == dovetail(s, sig, DeciderConfig()).status, s
         statuses.add(v.status)
     assert statuses == {DERIVABLE, UNDERIVABLE}
+
+
+NESTED = "A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . A x7 . A x8 . (R(x1,x2) & R(x3,x4) & R(x5,x6) & R(x7,x8))"
+
+
+@pytest.mark.parametrize(
+    "text, facts",
+    [
+        # M_phi's root alone would hold 8^8 instances of the left-hand side
+        (f"{NESTED} |- {NESTED}", canonical.CANONICAL_FACT_CAP),
+        # forcing each instance of the right-hand side would take 8^8 tests
+        (f"A x . A y . R(x,y) |- {NESTED}", 73),
+        # M_phi grows past the cap, and its first 10,000 facts force the right-hand side
+        ("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>(R(x2,x3) & A x4 . <>R(x3,x4)))))"
+         " |- A y0 . <>A y1 . <>A y2 . <>T", canonical.CANONICAL_FACT_CAP),
+    ],
+)
+def test_large_canonical_models_are_bounded(text, facts):
+    start = time.perf_counter()
+    v = decide(seq(text), SIG)
+    assert time.perf_counter() - start < 10  # 0.2 s measured; minutes unbounded
+    assert v.status == DERIVABLE
+    assert v.stats["canonical_facts"] == facts
+    assert v.stats["canonical_fallback"] == 0
+
+
+def test_the_dovetail_decides_past_the_cap():
+    # M_phi passes the cap and its part does not force the right-hand side,
+    # but a one-world countermodel exists
+    s = seq("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
+            " |- A y0 . A y1 . A y3 . <>A y2 . <>S(y2)")
+    v = decide(s, SIG)
+    assert v.stats["canonical_facts"] == canonical.CANONICAL_FACT_CAP
+    assert v.stats["canonical_fallback"] == 1
+    assert v.status == UNDERIVABLE
+    v.countermodel.validate()
+
+
+def test_generic_instance_forcing_equals_forcing():
+    # a universal is forced at a world iff its instance at the world's own
+    # fresh variable is; compare with forcing over every element
+    rng = random.Random(5)
+    free_sig = Signature(relations=SIG.relations)
+    corpus = [(random_sequent(rng, SIG, 2, 2, 5), SIG) for _ in range(200)]
+    corpus += [(random_sequent(rng, free_sig, 2, 2, 5), free_sig) for _ in range(100)]
+    forced = set()
+    for s, sig in corpus:
+        grounded, _, pairs = ground_free_variables(s, sig)
+        canon = canonical.CanonicalModel(grounded)
+        assert canon.complete
+        cm = canon.countermodel(s, sig, pairs)
+        assert semantics.forces(cm.model, 0, cm.assignment, s.lhs)
+        forced.add(canon.forces(0, grounded.rhs))
+        assert canon.forces(0, grounded.rhs) == semantics.forces(cm.model, 0, cm.assignment, s.rhs), s
+    assert forced == {True, False}

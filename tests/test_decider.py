@@ -80,11 +80,12 @@ def test_decide_is_cached():
 
 
 def test_cache_key_covers_the_proof_budget():
-    # the canonical model has 4 elements, so max_domain=1 sends decide to the
-    # dovetail, and one round gives proof search too few nodes for this
-    # derivable sequent
+    # the canonical model's root has 4 elements, so under max_domain=1 none of
+    # it is built and decide runs the dovetail, and one round gives proof
+    # search too few nodes for this derivable sequent
     s = seq("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)")
     assert decide(s, SIG, DeciderConfig(max_rounds=1, max_domain=1)).status == UNDECIDED
+    assert decide(s, SIG, DeciderConfig(max_domain=1)).status == DERIVABLE
     assert decide(s, SIG).status == DERIVABLE
 
 

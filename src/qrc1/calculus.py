@@ -300,17 +300,19 @@ FRESH_VAR_PREFIX = "v#"
 # at this many entries.
 PROOF_CACHE_MAX = 200_000
 
+# The node budget of `qrc1 prove` when none is given.
+PROVE_CAP = 42
+
 
 def mdepth_precheck(s: Sequent) -> bool:
     """True when the modal-depth necessary condition already rules out
-    derivability (the countermodel is still produced by refute)."""
+    derivability."""
     return mdepth(s.lhs) < mdepth(s.rhs)
 
 
 @dataclass
 class SearchStats:
     nodes_expanded: int = 0
-    cache_hits: int = 0
 
 
 class ProofSearch:
@@ -343,10 +345,8 @@ class ProofSearch:
             return None
         cached = self._proved.get(goal)
         if cached is not None and cached.size() <= limit:
-            self.stats.cache_hits += 1
             return cached
         if self._failed_at.get(goal, 0) >= limit:
-            self.stats.cache_hits += 1
             return None
         if mdepth_precheck(goal):
             # never derivable, and cheaper to test again than to store

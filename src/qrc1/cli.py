@@ -2,7 +2,8 @@
 building, closures, and the arithmetical translation.
 
 Exit codes: 0 completed, 1 usage/input error, 2 certificate validation
-failure, 3 undecided within budget.
+failure, 3 no verdict: decide undecided, prove out of budget, or refute
+without a countermodel.
 """
 
 from __future__ import annotations
@@ -16,27 +17,30 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .arith import arith_sequent, arith_to_dict, default_realization, parse_realization, render
-from .calculus import DerivationError, ProofSearch, check_derivation, derivation_from_dict, derivation_to_dict
+from .calculus import (
+    PROVE_CAP,
+    DerivationError,
+    ProofSearch,
+    check_derivation,
+    derivation_from_dict,
+    derivation_to_dict,
+)
 from .decider import (
     DERIVABLE,
-    PROVE_CAP,
     DeciderConfig,
     UNDECIDED,
     UNDERIVABLE,
     decide,
     ground_free_variables,
     reattach_free_variables,
-    refute_ceiling,
     verdict_to_dict,
 )
 from .semantics import (
     ModelError,
-    RefuteBounds,
     check_adequate,
     countermodel_from_dict,
     countermodel_to_dict,
     model_text,
-    refute,
 )
 from .syntax import (
     ParseError,
@@ -94,11 +98,7 @@ def _load_sequents(source: str, sig: Optional[Signature]) -> tuple[Signature, li
 
 
 def _decider_config(args) -> DeciderConfig:
-    return DeciderConfig(
-        max_rounds=getattr(args, "budget", None),
-        max_worlds=getattr(args, "max_worlds", None),
-        max_domain=getattr(args, "max_domain", None),
-    )
+    return DeciderConfig(max_worlds=args.max_worlds, max_domain=args.max_domain)
 
 
 def _emit(doc: dict, text: str, fmt: str, out) -> None:
@@ -140,16 +140,14 @@ def cmd_decide(args, out) -> int:
 def cmd_prove(args, out) -> int:
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
-    budget = args.budget if args.budget is not None else PROVE_CAP
     status = EXIT_OK
     for s in sequents:
         grounded, gsig, pairs = ground_free_variables(s, sig)
-        search = ProofSearch(gsig)
-        d = search.prove(grounded, budget)
+        d = ProofSearch(gsig).prove(grounded, args.budget)
         if d is None:
             _emit(
-                {"sequent": pretty_sequent(s), "status": "not-proved", "budget": budget},
-                f"not proved within budget {budget}: {pretty_sequent(s)}",
+                {"sequent": pretty_sequent(s), "status": "not-proved", "budget": args.budget},
+                f"not proved within budget {args.budget}: {pretty_sequent(s)}",
                 args.format,
                 out,
             )
@@ -172,20 +170,17 @@ def cmd_refute(args, out) -> int:
     config = _decider_config(args)
     status = EXIT_OK
     for s in sequents:
-        bounds = RefuteBounds(*refute_ceiling(s, sig, config))
-        cm = refute(s, sig, bounds)
+        v = decide(s, sig, config)
+        cm = v.countermodel
         if cm is None:
             _emit(
-                {"sequent": pretty_sequent(s), "status": "no-countermodel",
-                 "max_worlds": bounds.max_worlds, "max_domain": bounds.max_domain},
-                f"no countermodel within {bounds.max_worlds} worlds, domain {bounds.max_domain}: "
-                f"{pretty_sequent(s)}",
+                {"sequent": pretty_sequent(s), "status": "no-countermodel", "verdict": v.status},
+                f"no countermodel ({v.status}): {pretty_sequent(s)}",
                 args.format,
                 out,
             )
             status = EXIT_UNDECIDED
             continue
-        cm.validate()
         doc = {
             "sequent": pretty_sequent(s),
             "status": UNDERIVABLE,
@@ -375,17 +370,17 @@ def cmd_closure(args, out) -> int:
 # argument plumbing
 
 
-def _add_common(p: _Parser, budgets: bool = True) -> None:
+def _add_common(p: _Parser) -> None:
     p.add_argument("--sig", metavar="FILE", help="signature file (a `sig:` header line)")
     p.add_argument("--format", choices=("text", "json-lines"), default="text",
                    help="output format (default: text)")
-    if budgets:
-        p.add_argument("--budget", type=_positive, metavar="N",
-                       help="round/node budget before giving up")
-        p.add_argument("--max-worlds", type=_positive, metavar="N",
-                       help="cap on countermodel worlds (default: derived ceiling)")
-        p.add_argument("--max-domain", type=_positive, metavar="N",
-                       help="cap on countermodel domain size (default: derived ceiling)")
+
+
+def _add_bounds(p: _Parser) -> None:
+    p.add_argument("--max-worlds", type=_positive, metavar="N",
+                   help="stop building the canonical model past N worlds (default: its fact cap)")
+    p.add_argument("--max-domain", type=_positive, metavar="N",
+                   help="stop building the canonical model past N elements (default: its fact cap)")
 
 
 def _positive(text: str) -> int:
@@ -404,45 +399,50 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="sequent file, - for stdin, or an inline `lhs |- rhs`")
     p.add_argument("--jobs", type=_positive, default=1, help="parallel workers for batch input")
     _add_common(p)
+    _add_bounds(p)
     p.set_defaults(func=cmd_decide)
 
     p = sub.add_parser("prove", help="search for a derivation only")
     p.add_argument("input", help="sequent file, - for stdin, or an inline sequent")
+    p.add_argument("--budget", type=_positive, default=PROVE_CAP, metavar="N",
+                   help=f"proof nodes before giving up (default: {PROVE_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_prove)
 
-    p = sub.add_parser("refute", help="search for a countermodel only")
+    p = sub.add_parser("refute", help="print decide's countermodel, exit 3 if there is none")
     p.add_argument("input", help="sequent file, - for stdin, or an inline sequent")
     _add_common(p)
+    _add_bounds(p)
     p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("check-derivation", help="re-validate derivation documents")
     p.add_argument("input", help="json-lines file of derivation documents, - for stdin")
-    _add_common(p, budgets=False)
+    _add_common(p)
     p.set_defaults(func=cmd_check_derivation)
 
     p = sub.add_parser("check-model", help="re-validate countermodel documents")
     p.add_argument("input", help="json-lines file of countermodel documents, - for stdin")
-    _add_common(p, budgets=False)
+    _add_common(p)
     p.set_defaults(func=cmd_check_model)
 
     p = sub.add_parser("termmodel", help="build the saturation model of a pair file")
     p.add_argument("input", help="pair file (sig:/pos:/neg: lines), - for stdin")
     _add_common(p)
+    _add_bounds(p)
     p.set_defaults(func=cmd_termmodel)
 
     p = sub.add_parser("translate", help="arithmetical reading of sequents")
     p.add_argument("input", help="sequent file, - for stdin, or an inline sequent")
     p.add_argument("--realization", metavar="FILE",
                    help="template file; default gives each relation an opaque template atom")
-    _add_common(p, budgets=False)
+    _add_common(p)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("closure", help="list the instantiation closure of a formula")
     p.add_argument("formula", help="formula text")
     p.add_argument("--constants", metavar="LIST", default="",
                    help="comma-separated constants to instantiate with (added to --sig)")
-    _add_common(p, budgets=False)
+    _add_common(p)
     p.set_defaults(func=cmd_closure)
 
     return parser

@@ -303,16 +303,10 @@ def enumerate_models(
 
 @dataclass
 class RefuteBounds:
-    """Search frames of at most max_worlds worlds and max_domain elements.
-
-    exhausted is a box (worlds, elements) that an earlier search of the same
-    sequent already covered without finding a countermodel; its frames are
-    skipped.
-    """
+    """Search frames of at most max_worlds worlds and max_domain elements."""
 
     max_worlds: int
     max_domain: int
-    exhausted: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         if self.max_worlds < 1 or self.max_domain < 1:
@@ -444,12 +438,9 @@ def _rooted_relations(n: int) -> tuple[_RootedRelation, ...]:
     return tuple(out)
 
 
-def _rooted_frames(
-    max_worlds: int, max_domain: int, exhausted: tuple[int, int] = (0, 0)
-) -> Iterator[_Frame]:
+def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
     """Every rooted frame within the bounds once up to isomorphism: world
-    permutations that fix the root 0, and any renaming of elements. Frames
-    inside the exhausted box (at most as many worlds and elements) are skipped.
+    permutations that fix the root 0, and any renaming of elements.
 
     An element is determined up to renaming by its profile, the set of worlds
     whose domain holds it, which inclusivity makes closed upward along R. The
@@ -458,11 +449,9 @@ def _rooted_frames(
     labeled 0..k-1 in descending profile order, and only the multiset that is
     least under the relation's automorphisms is kept.
     """
-    done_worlds, done_domain = exhausted
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
-        first = done_domain + 1 if n <= done_worlds else 1
-        for k in range(first, max_domain + 1):
+        for k in range(1, max_domain + 1):
             for r in _rooted_relations(n):
                 for roots in range(1, k + 1):
                     for rest in itertools.combinations_with_replacement(r.upsets, k - roots):
@@ -497,7 +486,7 @@ def refute(
     constants = sorted(c for c in sig.constants if c in occurring)
     padding = sorted(c for c in sig.constants if c not in occurring)
     fvars = sorted(free_vars(s.lhs) | free_vars(s.rhs))
-    for frame in _rooted_frames(bounds.max_worlds, bounds.max_domain, bounds.exhausted):
+    for frame in _rooted_frames(bounds.max_worlds, bounds.max_domain):
         stats.frames += 1
         root_domain = sorted(frame.domains[0])
         for picks in _root_choices(len(root_domain), len(constants) + len(fvars)):

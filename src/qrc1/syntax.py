@@ -485,7 +485,8 @@ def pretty_sequent(s: Sequent) -> str:
 # parsing
 
 
-_SYMBOLS = ("|-", "<>", "(", ")", ",", ".", ";", ":", "/", "&")
+_PAIR_SYMBOLS = frozenset({"|-", "<>"})
+_SINGLE_SYMBOLS = frozenset("(),.;:/&")
 
 
 @dataclass
@@ -503,20 +504,21 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, i))
-                i += len(sym)
-                break
+        pair = text[i:i + 2]
+        if pair in _PAIR_SYMBOLS:
+            tokens.append(_Token(pair, pair, i))
+            i += 2
+        elif ch in _SINGLE_SYMBOLS:
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+        elif ch.isalnum() or ch in "_#@!":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_#@!"):
+                j += 1
+            tokens.append(_Token("ident", text[i:j], i))
+            i = j
         else:
-            if ch.isalnum() or ch in "_#@!":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] in "_#@!"):
-                    j += 1
-                tokens.append(_Token("ident", text[i:j], i))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
+            raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("eof", "", n))
     return tokens
 

@@ -4,14 +4,13 @@ import time
 
 import pytest
 
-from qrc1 import canonical, semantics
+from qrc1 import canonical, decider, semantics
 from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
     UNDERIVABLE,
     DeciderConfig,
     decide,
-    dovetail,
     ground_free_variables,
     verdict_to_dict,
 )
@@ -20,9 +19,8 @@ from qrc1.syntax import Signature, parse_sequent
 
 SIG = DEFAULT_SIG
 STATS_KEYS = {
-    "precheck_short_circuit", "canonical_worlds", "canonical_elements", "canonical_facts", "canonical_fallback",
-    "world_ceiling", "domain_ceiling", "rounds", "frames_examined", "refute_candidates",
-    "refute_truncated", "proof_nodes_expanded", "proof_cache_hits", "certificate_size",
+    "canonical_worlds", "canonical_elements", "canonical_facts", "canonical_fallback",
+    "frames_examined", "refute_candidates", "refute_truncated", "certificate_size",
 }
 
 
@@ -80,12 +78,12 @@ def test_every_stats_key_on_both_paths(monkeypatch):
     for text in ("T |- <>T", "T |- T"):
         stats = decide(seq(text), SIG).stats
         assert stats.keys() == STATS_KEYS
-        assert stats["canonical_fallback"] == 0 and stats["rounds"] == 0
+        assert stats["canonical_fallback"] == 0
     monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
-    # a config of its own, so that no cached verdict answers
-    v = decide(seq("<>S(c0) |- S(c0)"), SIG, DeciderConfig(max_rounds=10))
+    monkeypatch.setattr(decider, "_DECIDE_CACHE", {})  # so that no cached verdict answers
+    v = decide(seq("<>S(c0) |- S(c0)"), SIG)
     assert v.stats.keys() == STATS_KEYS
-    assert v.stats["canonical_fallback"] == 1 and v.stats["rounds"] >= 1
+    assert v.stats["canonical_fallback"] == 1
     assert v.status == UNDERIVABLE
     v.countermodel.validate()
 
@@ -100,18 +98,27 @@ def test_config_bounds_below_the_canonical_model_run_the_dovetail():
     assert decide(s, SIG, DeciderConfig(max_worlds=2, max_domain=2)).stats["canonical_fallback"] == 0
 
 
+# The statuses the dovetail, the search decide ran before the canonical model,
+# gave the corpus below: D derivable, U underivable.
+DOVETAIL_STATUSES = (
+    "UUUDUUDUDDUUDUDUDDDUUUDDUDDUUUDDUUUUDUUDUDUDDUUUUUUUUUUUUUUDUUUUDUDUUUDUUDUUUUUU"
+    "DUDUDDDUUUDDUDUDDDUDDUUUUUDUDDDUUDUUUUUUUDUUDUDUUUUUUUUUUUUDUDDDUDUUUUDUUDUUUUUD"
+    "DDDDUUUDUUDUDUUUDDUDUUDDUUUUDUUUUUUUUUDDUUUUUDUUUUUUDUDDDUUUUDUUDUUDUDDDDDUUUUUU"
+    "UUUUDUUDDDUUUUUUUUUUUUUUUUDUUUUDUDUDUUUDUDUUUUUDUUUUUUDUDDUDUUUUDUDDUUUDDDUUUDDU"
+    "DUUDDUDUUUDDDUUUUUDUUUUDDUUDUDUUUUUUDUUUUUUUUDUUDUDUDUUUUUUDUDDDUUUUDUUDUDUUUDDU"
+)
+
+
 def test_canonical_status_equals_the_dovetail_status():
     rng = random.Random(3)
     free_sig = Signature(relations=SIG.relations)  # no constants, so atoms take free variables
     corpus = [(random_sequent(rng, SIG, 2, 1, 4), SIG) for _ in range(300)]
     corpus += [(random_sequent(rng, free_sig, 2, 1, 4), free_sig) for _ in range(100)]
-    statuses = set()
-    for s, sig in corpus:
+    letters = {DERIVABLE: "D", UNDERIVABLE: "U"}
+    for (s, sig), expected in zip(corpus, DOVETAIL_STATUSES, strict=True):
         v = decide(s, sig)
         assert v.stats["canonical_fallback"] == 0
-        assert v.status == dovetail(s, sig, DeciderConfig()).status, s
-        statuses.add(v.status)
-    assert statuses == {DERIVABLE, UNDERIVABLE}
+        assert letters[v.status] == expected, s
 
 
 NESTED = "A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . A x7 . A x8 . (R(x1,x2) & R(x3,x4) & R(x5,x6) & R(x7,x8))"
@@ -138,16 +145,43 @@ def test_large_canonical_models_are_bounded(text, facts):
     assert v.stats["canonical_fallback"] == 0
 
 
-def test_the_dovetail_decides_past_the_cap():
+@pytest.mark.parametrize(
+    "text, worlds",
+    [
+        pytest.param("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
+                     " |- A y0 . A y1 . A y3 . <>A y2 . <>S(y2)", 1, id="one-world"),
+        pytest.param("A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . (R(x1,x2) & R(x3,x4) & R(x5,x6))"
+                     " |- A y1 . A y2 . A y3 . A y4 . A y5 . A y6 . S(y1)", 1, id="six-universals"),
+        pytest.param("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
+                     " |- A y0 . A y1 . A y2 . A y3 . R(c0,c0)", 2, id="two-worlds"),
+    ],
+)
+def test_the_fallback_refutes_past_the_cap(text, worlds):
     # M_phi passes the cap and its part does not force the right-hand side,
-    # but a one-world countermodel exists
-    s = seq("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
-            " |- A y0 . A y1 . A y3 . <>A y2 . <>S(y2)")
+    # but a countermodel of one element exists
+    s = seq(text)
     v = decide(s, SIG)
     assert v.stats["canonical_facts"] == canonical.CANONICAL_FACT_CAP
     assert v.stats["canonical_fallback"] == 1
     assert v.status == UNDERIVABLE
+    assert v.countermodel.sequent == s
     v.countermodel.validate()
+    assert len(v.countermodel.model.worlds) == worlds
+
+
+def test_a_derivable_sequent_past_the_cap_gets_a_verdict():
+    # the instances of the universals fill the cap before M_phi has a child
+    # world, so the part built cannot force the right-hand side
+    clauses = " & ".join(f"R(x{i},x{i + 1})" for i in range(1, 12, 2))
+    universals = " . ".join(f"A x{i}" for i in range(1, 13))
+    s = seq(f"({universals} . ({clauses})) & <>(S(c0) & <>S(c1)) |- <><>S(c1)")
+    start = time.perf_counter()
+    v = decide(s, SIG)
+    assert time.perf_counter() - start < 10
+    assert v.stats["canonical_fallback"] == 1
+    assert v.status != UNDERIVABLE
+    if v.derivation is not None:
+        check_derivation(v.derivation, SIG)
 
 
 def test_generic_instance_forcing_equals_forcing():

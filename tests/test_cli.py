@@ -52,10 +52,19 @@ def test_decide_undecided_exit_code(capsys, tmp_path):
     sig.write_text("sig: relations S/1;\n")
     code, out, _ = run(
         capsys, "decide", "A x . <>S(x) |- <>(A x . S(x))",
-        "--sig", str(sig), "--budget", "1", "--max-worlds", "1", "--max-domain", "1",
+        "--sig", str(sig), "--max-worlds", "1", "--max-domain", "1",
     )
     assert code == 3
     assert out.startswith("undecided:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "T |- T", "--max-worlds", "1"],
+    ["decide", "T |- T", "--budget", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
 
 
 def test_decide_jobs_preserve_order(capsys, tmp_path):

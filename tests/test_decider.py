@@ -2,19 +2,15 @@ import random
 
 import pytest
 
-from qrc1 import semantics
-from qrc1.calculus import ProofSearch, check_derivation
+from qrc1 import canonical, decider, semantics
+from qrc1.calculus import PROVE_CAP, ProofSearch, check_derivation, mdepth_precheck
 from qrc1.decider import (
     DERIVABLE,
-    PROVE_CAP,
     DeciderConfig,
     UNDECIDED,
     UNDERIVABLE,
     decide,
-    derived_ceiling,
     ground_free_variables,
-    mdepth_precheck,
-    refute_ceiling,
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
@@ -81,11 +77,11 @@ def test_decide_is_cached():
 
 def test_cache_key_covers_the_proof_budget():
     # the canonical model's root has 4 elements, so under max_domain=1 none of
-    # it is built and decide runs the dovetail, and one round gives proof
-    # search too few nodes for this derivable sequent
+    # it is built, and the one-element search finds no countermodel of this
+    # derivable sequent
     s = seq("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)")
-    assert decide(s, SIG, DeciderConfig(max_rounds=1, max_domain=1)).status == UNDECIDED
-    assert decide(s, SIG, DeciderConfig(max_domain=1)).status == DERIVABLE
+    assert decide(s, SIG, DeciderConfig(max_domain=1)).status == UNDECIDED
+    assert decide(s, SIG, DeciderConfig(max_domain=4)).status == DERIVABLE
     assert decide(s, SIG).status == DERIVABLE
 
 
@@ -108,34 +104,34 @@ def test_proof_search_work_is_pinned(text, nodes, size):
 
 
 def test_every_verdict_reports_refute_work():
-    # derivable, but refute examines hundreds of frames within the dovetail's bounds
+    # derivable, but refute examines hundreds of frames within 4 worlds and 1 element
     s = seq("<><>S(c0) |- (A x0 . T & T) & <>(T & S(c0))")
     assert decide(s, SIG).status == DERIVABLE
     refute_stats = semantics.RefuteStats()
-    bounds = semantics.RefuteBounds(*refute_ceiling(s, SIG, DeciderConfig()))
-    assert semantics.refute(s, SIG, bounds, refute_stats) is None
+    assert semantics.refute(s, SIG, semantics.RefuteBounds(4, 1), refute_stats) is None
     assert refute_stats.frames > 100
     assert refute_stats.candidates > 100
     assert refute_stats.truncated == 0
     for text in ("T |- <>T", "T |- T"):
         stats = decide(seq(text), SIG).stats
-        assert {"frames_examined", "refute_candidates", "refute_truncated",
-                "proof_nodes_expanded"} <= stats.keys()
+        assert {"frames_examined", "refute_candidates", "refute_truncated"} <= stats.keys()
 
 
 def test_truncated_implicants_are_reported(monkeypatch):
+    # no part of M_phi is built, so decide runs refute, which cuts the
+    # implicants of <>S(x) at a reflexive root
+    monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
     monkeypatch.setattr(semantics, "IMPLICANT_CAP", 1)
-    s = seq("A x . <>S(x) |- <>(A x . S(x)) & <>S(c1)")
-    v = decide(s, SIG, DeciderConfig(max_worlds=3, max_domain=2))
+    monkeypatch.setattr(decider, "_DECIDE_CACHE", {})
+    v = decide(seq("A x . <>S(x) |- <>(A x . S(x)) & <>S(c1)"), SIG)
+    assert v.stats["canonical_fallback"] == 1
     assert v.stats["refute_truncated"] > 0
 
 
 def test_modal_depth_precheck():
     assert mdepth_precheck(seq("T |- <>T"))
     assert not mdepth_precheck(seq("<>T |- <>T"))
-    v = decide(seq("T |- <><>T"), SIG)
-    assert v.status == UNDERIVABLE
-    assert v.stats["precheck_short_circuit"]
+    assert decide(seq("T |- <><>T"), SIG).status == UNDERIVABLE
 
 
 def test_grounding_free_variables():
@@ -146,17 +142,10 @@ def test_grounding_free_variables():
     assert set(gsig.constants) >= {"@x", "@y", "c0", "c1"}
 
 
-def test_derived_ceiling_grows_with_modal_depth():
-    w1, d1 = derived_ceiling(seq("<>S(c0) |- S(c0)"), SIG)
-    w2, d2 = derived_ceiling(seq("<><>S(c0) |- S(c0)"), SIG)
-    assert w2 >= w1 >= 1
-    assert d1 >= 1 and d2 >= d1
-
-
 def test_undecided_when_bounds_are_too_small():
     s = parse_sequent("A x . <>S(x) |- <>(A x . S(x))",
                       Signature(relations=(("S", 1),)))
-    config = DeciderConfig(max_rounds=1, max_worlds=1, max_domain=1)
+    config = DeciderConfig(max_worlds=1, max_domain=1)
     v = decide(s, Signature(relations=(("S", 1),)), config)
     assert v.status == UNDECIDED
     assert v.derivation is None and v.countermodel is None

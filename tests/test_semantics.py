@@ -430,8 +430,8 @@ def _brute_force_frame_classes(max_worlds, max_domain):
     return classes
 
 
-def _frames(max_worlds, max_domain, exhausted=(0, 0)):
-    return list(_rooted_frames(max_worlds, max_domain, exhausted))
+def _frames(max_worlds, max_domain):
+    return list(_rooted_frames(max_worlds, max_domain))
 
 
 def _class_of(frame):
@@ -459,13 +459,6 @@ def test_rooted_frames_are_adequate_and_worlds_ascend():
         assert check_adequate(m).adequate
         assert all((0, w) in f.rel for w in worlds[1:])
         assert f.successors == tuple(tuple(u for u in worlds if (w, u) in f.rel) for w in worlds)
-
-
-def test_rooted_frames_skip_the_exhausted_box():
-    resumed = _frames(4, 3, exhausted=(3, 2))
-    assert {_class_of(f) for f in resumed} == (
-        {_class_of(f) for f in _frames(4, 3)} - {_class_of(f) for f in _frames(3, 2)})
-    assert len(resumed) == 1772 - len(_frames(3, 2))
 
 
 def _labeled_rooted_models(bound_pairs):
@@ -497,7 +490,7 @@ def _countermodel_boxes(s, rooted):
 def test_refute_agrees_with_a_labeled_brute_force_search():
     rooted = _labeled_rooted_models([(2, 2), (3, 1)])
     rng = random.Random(3)
-    found = resumed_found = 0
+    found = 0
     for _ in range(100):
         s = Sequent(*(random_formula(rng, ORACLE_SIG, max_mdepth=2, max_udepth=1, size=3, scope=["x"])
                       for _ in "lr"))
@@ -510,10 +503,4 @@ def test_refute_agrees_with_a_labeled_brute_force_search():
             cm = refute(s, ORACLE_SIG, RefuteBounds(*bounds))
             assert (cm is not None) == within(bounds), (pretty_sequent(s), bounds)
             found += cm is not None
-        for done, bounds in [((1, 1), (2, 2)), ((1, 2), (2, 2)), ((2, 1), (3, 1))]:
-            if within(done):
-                continue  # a resumed search presumes the exhausted box held no countermodel
-            cm = refute(s, ORACLE_SIG, RefuteBounds(*bounds, exhausted=done))
-            assert (cm is not None) == within(bounds), (pretty_sequent(s), done, bounds)
-            resumed_found += cm is not None
-    assert found and resumed_found
+    assert found

@@ -300,9 +300,6 @@ FRESH_VAR_PREFIX = "v#"
 # at this many entries.
 PROOF_CACHE_MAX = 200_000
 
-# The node budget of `qrc1 prove` when none is given.
-PROVE_CAP = 42
-
 
 def mdepth_precheck(s: Sequent) -> bool:
     """True when the modal-depth necessary condition already rules out

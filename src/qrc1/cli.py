@@ -1,9 +1,10 @@
 """Command-line front end: batch deciding, certificate checking, model
-building, closures, and the arithmetical translation.
+building, closures, and the arithmetical translation. prove and refute print
+the derivation or the countermodel of decide's verdict.
 
 Exit codes: 0 completed, 1 usage/input error, 2 certificate validation
-failure, 3 no verdict: decide undecided, prove out of budget, or refute
-without a countermodel.
+failure, 3 no verdict: decide undecided, or prove or refute without the
+certificate asked for.
 """
 
 from __future__ import annotations
@@ -17,24 +18,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .arith import arith_sequent, arith_to_dict, default_realization, parse_realization, render
-from .calculus import (
-    PROVE_CAP,
-    DerivationError,
-    ProofSearch,
-    check_derivation,
-    derivation_from_dict,
-    derivation_to_dict,
-)
-from .decider import (
-    DERIVABLE,
-    DeciderConfig,
-    UNDECIDED,
-    UNDERIVABLE,
-    decide,
-    ground_free_variables,
-    reattach_free_variables,
-    verdict_to_dict,
-)
+from .calculus import DerivationError, check_derivation, derivation_from_dict, derivation_to_dict
+from .decider import DeciderConfig, UNDECIDED, decide, verdict_to_dict
 from .semantics import (
     ModelError,
     check_adequate,
@@ -71,6 +56,7 @@ EXIT_UNDECIDED = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage errors exit 1, not argparse's 2
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -137,56 +123,29 @@ def cmd_decide(args, out) -> int:
     return status
 
 
-def cmd_prove(args, out) -> int:
+def cmd_certificate(args, out) -> int:
+    """prove and refute: print the `args.kind` certificate of decide's verdict,
+    exit 3 on a sequent whose verdict carries none."""
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
+    kind = args.kind
     status = EXIT_OK
     for s in sequents:
-        grounded, gsig, pairs = ground_free_variables(s, sig)
-        d = ProofSearch(gsig).prove(grounded, args.budget)
-        if d is None:
-            _emit(
-                {"sequent": pretty_sequent(s), "status": "not-proved", "budget": args.budget},
-                f"not proved within budget {args.budget}: {pretty_sequent(s)}",
-                args.format,
-                out,
-            )
+        v = decide(s, sig)
+        label = pretty_sequent(s)
+        cert = getattr(v, kind)
+        if cert is None:
+            _emit({"sequent": label, "status": f"no-{kind}", "verdict": v.status},
+                  f"no {kind} ({v.status}): {label}", args.format, out)
             status = EXIT_UNDECIDED
             continue
-        d = reattach_free_variables(d, s, pairs)
-        check_derivation(d, gsig)
-        doc = {
-            "sequent": pretty_sequent(s),
-            "status": DERIVABLE,
-            "derivation": derivation_to_dict(d, sig),
-        }
-        _emit(doc, f"proved: {pretty_sequent(s)} ({d.size()} rule applications)", args.format, out)
-    return status
-
-
-def cmd_refute(args, out) -> int:
-    sig = _load_signature(args)
-    sig, sequents = _load_sequents(args.input, sig)
-    config = _decider_config(args)
-    status = EXIT_OK
-    for s in sequents:
-        v = decide(s, sig, config)
-        cm = v.countermodel
-        if cm is None:
-            _emit(
-                {"sequent": pretty_sequent(s), "status": "no-countermodel", "verdict": v.status},
-                f"no countermodel ({v.status}): {pretty_sequent(s)}",
-                args.format,
-                out,
-            )
-            status = EXIT_UNDECIDED
-            continue
-        doc = {
-            "sequent": pretty_sequent(s),
-            "status": UNDERIVABLE,
-            "countermodel": countermodel_to_dict(cm),
-        }
-        _emit(doc, f"refuted: {pretty_sequent(s)}\n{model_text(cm.model)}", args.format, out)
+        if kind == "derivation":
+            body = derivation_to_dict(cert, sig)
+            text = f"proved: {label} ({cert.size()} rule applications)"
+        else:
+            body = countermodel_to_dict(cert)
+            text = f"refuted: {label}\n{model_text(cert.model)}"
+        _emit({"sequent": label, "status": v.status, kind: body}, text, args.format, out)
     return status
 
 
@@ -402,18 +361,11 @@ def build_parser() -> _Parser:
     _add_bounds(p)
     p.set_defaults(func=cmd_decide)
 
-    p = sub.add_parser("prove", help="search for a derivation only")
-    p.add_argument("input", help="sequent file, - for stdin, or an inline sequent")
-    p.add_argument("--budget", type=_positive, default=PROVE_CAP, metavar="N",
-                   help=f"proof nodes before giving up (default: {PROVE_CAP})")
-    _add_common(p)
-    p.set_defaults(func=cmd_prove)
-
-    p = sub.add_parser("refute", help="print decide's countermodel, exit 3 if there is none")
-    p.add_argument("input", help="sequent file, - for stdin, or an inline sequent")
-    _add_common(p)
-    _add_bounds(p)
-    p.set_defaults(func=cmd_refute)
+    for name, kind in (("prove", "derivation"), ("refute", "countermodel")):
+        p = sub.add_parser(name, help=f"print decide's {kind}, exit 3 if there is none")
+        p.add_argument("input", help="sequent file, - for stdin, or an inline sequent")
+        _add_common(p)
+        p.set_defaults(func=cmd_certificate, kind=kind)
 
     p = sub.add_parser("check-derivation", help="re-validate derivation documents")
     p.add_argument("input", help="json-lines file of derivation documents, - for stdin")

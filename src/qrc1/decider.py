@@ -80,10 +80,10 @@ _DEFAULT_CONFIG = DeciderConfig()
 
 
 def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signature, list[tuple[str, str]]]:
-    """Replace free variables by fresh constants for the canonical model and
-    proof search; returns the grounded sequent, the extended signature, and
-    the (variable, constant) pairs in order. reattach_free_variables turns a
-    derivation of the grounded sequent back into one of s."""
+    """Replace free variables by fresh constants for the canonical model;
+    returns the grounded sequent, the extended signature, and the (variable,
+    constant) pairs in order. reattach_free_variables turns a derivation of
+    the grounded sequent back into one of s."""
     fv = sorted(free_vars(s.lhs) | free_vars(s.rhs))
     pairs = [(x, f"{GROUND_PREFIX}{x}") for x in fv]
     if not pairs:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from qrc1.calculus import derivation_to_dict
 from qrc1.cli import main
-from qrc1.syntax import MAX_NESTING
+from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, decide
+from qrc1.semantics import countermodel_to_dict
+from qrc1.syntax import MAX_NESTING, parse_sequent_file, pretty_sequent
 
 SIG_TEXT = "sig: constants c0 c1; relations S/1 R/2;\n"
 
@@ -61,10 +64,14 @@ def test_decide_undecided_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["prove", "T |- T", "--max-worlds", "1"],
     ["decide", "T |- T", "--budget", "1"],
+    ["prove", "T |- T", "--budget", "1"],
+    ["refute", "T |- T", "--max-worlds", "1"],
+    ["refute", "T |- T", "--max-domain", "1"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
-    code, _, _ = run(capsys, *argv)
+    code, _, err = run(capsys, *argv)
     assert code == 1
+    assert f"error: unrecognized arguments: {argv[-2]} 1" in err
 
 
 def test_decide_jobs_preserve_order(capsys, tmp_path):
@@ -103,13 +110,48 @@ def test_refute_and_check_model_round_trip(capsys, tmp_path, sig_file):
 
 
 def test_prove_gives_up_with_exit_3(capsys):
-    code, out, _ = run(capsys, "prove", "T |- <>T", "--budget", "5")
+    code, out, _ = run(capsys, "prove", "T |- <>T", "--format", "json-lines")
     assert code == 3
+    doc = json.loads(out)
+    assert doc["status"] == "no-derivation"
+    assert doc["verdict"] == "underivable"
 
 
 def test_refute_gives_up_with_exit_3(capsys, sig_file):
     code, _, _ = run(capsys, "refute", "<><>S(c0) |- <>S(c0)", "--sig", sig_file)
     assert code == 3
+
+
+# derivable, underivable, and undecided: the universals' instances fill the
+# canonical model's fact cap before it has the two worlds the right side needs
+SPLIT_CORPUS = [
+    "<><>S(c0) |- <>S(c0)",
+    "T |- <>T",
+    "(" + " . ".join(f"A x{i}" for i in range(1, 13)) + " . ("
+    + " & ".join(f"R(x{i},x{i + 1})" for i in range(1, 12, 2)) + ")) & <>(S(c0) & <>S(c1))"
+    " |- <><>S(c1)",
+]
+
+
+def test_prove_and_refute_split_decides_verdicts(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(SIG_TEXT + "\n".join(SPLIT_CORPUS) + "\n")
+    sig, sequents = parse_sequent_file(corpus.read_text())
+    verdicts = [decide(s, sig) for s in sequents]
+    assert [v.status for v in verdicts] == [DERIVABLE, UNDERIVABLE, UNDECIDED]
+    for command, kind, to_dict in (("prove", "derivation", lambda d: derivation_to_dict(d, sig)),
+                                   ("refute", "countermodel", countermodel_to_dict)):
+        code, out, _ = run(capsys, command, str(corpus), "--format", "json-lines")
+        assert code == 3
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert len(docs) == len(sequents)
+        for s, v, doc in zip(sequents, verdicts, docs):
+            cert = getattr(v, kind)
+            if cert is None:
+                expected = {"status": f"no-{kind}", "verdict": v.status}
+            else:
+                expected = {"status": v.status, kind: to_dict(cert)}
+            assert doc == {"sequent": pretty_sequent(s), **expected}
 
 
 def test_check_derivation_rejects_tampering(capsys, tmp_path, sig_file):

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Build saturation models for random consistent pairs and self-check the
-truth lemma, printing the per-world formula annotations.
+truth lemma and adequacy, printing the per-world formula annotations. Exits 1
+at the first model that violates the truth lemma or is not adequate.
 
 Example:
     python scripts/saturation_demo.py --count 5 --seed 3
@@ -42,9 +43,10 @@ def main() -> int:
         for ann in result.annotations():
             print(f"world {ann['world']}: + {ann['positive']}")
             print(f"{' ' * (6 + len(str(ann['world'])))} - {ann['negative']}")
-        print(f"adequate: {check_adequate(result.model).adequate}  "
+        adequate = check_adequate(result.model).adequate
+        print(f"adequate: {adequate}  "
               f"truth lemma: {report.checked} checked, {len(report.violations)} violations")
-        if not report.ok:
+        if not (adequate and report.ok):
             return 1
     print(f"done in {time.perf_counter() - t0:.1f}s")
     return 0

@@ -147,10 +147,6 @@ class Assignment:
         new[x] = d
         return Assignment(self.world, new, self.default)
 
-    def at(self, w: World) -> "Assignment":
-        # the inclusion coercion: same values, read at a successor world
-        return Assignment(w, self.mapping, self.default)
-
 
 def default_assignment(m: Model, w: World) -> Assignment:
     return Assignment(w, {}, min(m.domain[w], key=str))
@@ -169,7 +165,8 @@ def forces(m: Model, w: World, g: Assignment, f: Formula) -> bool:
         case And(l, r):
             return forces(m, w, g, l) and forces(m, w, g, r)
         case Diamond(b):
-            return any(forces(m, v, g.at(v), b) for v in m.successors(w))
+            # the inclusion coercion: g's values are read at v unchanged
+            return any(forces(m, v, g, b) for v in m.successors(w))
         case Forall(x, b):
             return all(forces(m, w, g.set(x, d), b) for d in m.domain[w])
     raise TypeError(f"not a formula: {f!r}")

@@ -417,11 +417,13 @@ def closure(gamma: Iterable[Formula], constants: Iterable[str]) -> frozenset[For
 # canonical order
 
 
+@functools.lru_cache(maxsize=None)
 def sort_key(f: Formula) -> tuple:
     """Total order on formulas: size, then constructor tag, then names."""
     return (formula_size(f), _tag_key(f))
 
 
+@functools.lru_cache(maxsize=None)
 def _tag_key(f: Formula) -> tuple:
     match f:
         case Top():

@@ -1,13 +1,15 @@
 """Pairs, Lindenbaum saturation, pair existence, and term-model construction.
 
 The derivability oracle throughout is the decider module, which is total on
-its own; this module never consults the model it is building.
+its own; this module never consults the model it is building. The oracle for
+one left-hand side is built once (its conjunction, constants and signatures)
+and then asked about each formula of a closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import decider
 from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide
@@ -83,6 +85,30 @@ def _oracle_sig(sig: Signature, formulas: Iterable[Formula]) -> Signature:
     return sig.with_constants(sorted(extra))
 
 
+def oracle(
+    gamma: Iterable[Formula], sig: Signature, config: DeciderConfig | None = None
+) -> Callable[[Formula], bool]:
+    """Derivability from the conjunction of gamma, asked one formula at a time;
+    the conjunction, its constants and each query signature are built once."""
+    lhs = conjunction(gamma)
+    lhs_constants = constants_of(lhs)
+    sigs: dict[frozenset[str], Signature] = {}
+
+    def entailed(f: Formula) -> bool:
+        extra = lhs_constants | constants_of(f)
+        if extra not in sigs:
+            sigs[extra] = sig.with_constants(sorted(extra))
+        seq = Sequent(lhs, f)
+        verdict = decide(seq, sigs[extra], config)
+        if verdict.status == DERIVABLE:
+            return True
+        if verdict.status == UNDERIVABLE:
+            return False
+        raise OracleUndecidedError(f"oracle undecided on {seq}")
+
+    return entailed
+
+
 def entails(
     gamma: Iterable[Formula],
     f: Formula,
@@ -91,20 +117,15 @@ def entails(
 ) -> bool:
     """True iff the conjunction of some finite subset of gamma derives f.
 
-    Monotonicity makes the conjunction of all of gamma sufficient.
+    Monotonicity makes the conjunction of all of gamma sufficient. The oracle
+    is built once per left-hand side; this builds it and asks it once.
     """
-    gamma = list(gamma)
-    seq = Sequent(conjunction(gamma), f)
-    verdict = decide(seq, _oracle_sig(sig, gamma + [f]), config)
-    if verdict.status == DERIVABLE:
-        return True
-    if verdict.status == UNDERIVABLE:
-        return False
-    raise OracleUndecidedError(f"oracle undecided on {seq}")
+    return oracle(gamma, sig, config)(f)
 
 
 def is_consistent(p: PairPM, sig: Signature, config: DeciderConfig | None = None) -> bool:
-    return all(not entails(p.pos, delta, sig, config) for delta in sorted_formulas(p.neg))
+    entailed = oracle(p.pos, sig, config)
+    return all(not entailed(delta) for delta in sorted_formulas(p.neg))
 
 
 class FreshConstants:
@@ -148,8 +169,9 @@ def lindenbaum(
     cl = sorted_formulas(closure(phi_set, d_constants))
     pos = set(p.pos)
     neg = set(p.neg)
+    entailed = oracle(p.pos, sig, config)
     for f in cl:
-        if entails(p.pos, f, sig, config):
+        if entailed(f):
             pos.add(f)
         else:
             neg.add(f)

@@ -25,3 +25,15 @@ def test_script_runs(argv, expected):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_saturation_demo_fails_on_inadequate_model(monkeypatch):
+    import runpy
+
+    from qrc1.semantics import AdequacyReport
+
+    main = runpy.run_path(str(ROOT / "scripts" / "saturation_demo.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "check_adequate",
+                        lambda m: AdequacyReport(False, True, True, ("inclusive",)))
+    monkeypatch.setattr(sys, "argv", ["saturation_demo.py", "--count", "2"])
+    assert main() == 1

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+
+import qrc1.termmodel as termmodel
 
 from qrc1.generate import random_formula
 from qrc1.semantics import check_adequate
@@ -8,9 +11,14 @@ from qrc1.syntax import (
     Diamond,
     Forall,
     Signature,
+    closure,
     free_vars,
     parse_formula,
+    parse_signature,
+    pretty_sequent,
     set_mdepth,
+    signature_str,
+    sorted_formulas,
     substitute,
     Const,
 )
@@ -197,3 +205,51 @@ def test_random_consistent_pairs_satisfy_truth_lemma():
         assert truth_lemma_check(result, p, sig).ok
         done += 1
     assert done >= 5
+
+
+def _demo_pairs(count: int):
+    """The first `count` closed consistent pairs that scripts/saturation_demo.py
+    draws with seed 3 over `c; S/1 R/2`."""
+    sig = parse_signature("sig: constants c; relations S/1 R/2;")
+    rng = random.Random(3)
+    pairs = []
+    while len(pairs) < count:
+        pos = frozenset(random_formula(rng, sig, 2, 1, 3) for _ in range(rng.randint(1, 2)))
+        neg = frozenset(random_formula(rng, sig, 2, 1, 3) for _ in range(rng.randint(0, 2)))
+        p = PairPM(pos, neg, sig.constants)
+        if any(free_vars(g) for g in p.formulas()) or not is_consistent(p, sig):
+            continue
+        pairs.append(p)
+    return sig, pairs
+
+
+def test_oracle_queries_are_pinned(monkeypatch):
+    """Building and checking term models asks the decider exactly the queries
+    (sequent, signature, order) recorded before the per-left-hand-side oracle,
+    and gets the same verdicts."""
+    sig, pairs = _demo_pairs(150)
+    digest = hashlib.sha256()
+    calls = 0
+    original = termmodel.decide
+
+    def recording_decide(s, query_sig, config=None):
+        nonlocal calls
+        verdict = original(s, query_sig, config)
+        calls += 1
+        digest.update(f"{pretty_sequent(s)}\t{signature_str(query_sig)}\t{verdict.status}\n".encode())
+        return verdict
+
+    monkeypatch.setattr(termmodel, "decide", recording_decide)
+    for p in pairs:
+        truth_lemma_check(build_term_model(p, sig), p, sig)
+    assert calls == 1252
+    assert digest.hexdigest() == "af45f8ae63a6c933eb77558461cd6b69b1114d4b406696824f3f2d3bc9033aeb"
+
+
+def test_lindenbaum_agrees_with_one_query_entails():
+    sig, pairs = _demo_pairs(150)
+    for p in pairs:
+        phi = sorted_formulas(p.formulas())
+        d, q = lindenbaum(p, phi, sig.constants, sig)
+        for g in closure(phi, d):
+            assert (g in q.pos) == entails(p.pos, g, sig), (p, g)

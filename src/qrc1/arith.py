@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .syntax import (
+    MAX_NESTING,
     And,
     Const,
     Diamond,
@@ -216,40 +217,24 @@ def _param_key(p: str) -> tuple[str, int]:
     return p[0], int(p[1:])
 
 
-def _occurring_vars(f: Formula, acc: list[str]) -> None:
+def _occurring_names(f: Formula, consts: list[str], vars_: list[str]) -> None:
+    """Append the constants and the variables of f, each in order of first
+    occurrence; a bound variable occurs at its binder."""
     match f:
-        case Top():
-            pass
         case Pred(_, args):
             for t in args:
-                if isinstance(t, Var) and t.name not in acc:
+                acc = consts if isinstance(t, Const) else vars_
+                if t.name not in acc:
                     acc.append(t.name)
         case And(l, r):
-            _occurring_vars(l, acc)
-            _occurring_vars(r, acc)
+            _occurring_names(l, consts, vars_)
+            _occurring_names(r, consts, vars_)
         case Diamond(b):
-            _occurring_vars(b, acc)
+            _occurring_names(b, consts, vars_)
         case Forall(x, b):
-            if x not in acc:
-                acc.append(x)
-            _occurring_vars(b, acc)
-
-
-def _occurring_consts(f: Formula, acc: list[str]) -> None:
-    match f:
-        case Pred(_, args):
-            for t in args:
-                if isinstance(t, Const) and t.name not in acc:
-                    acc.append(t.name)
-        case And(l, r):
-            _occurring_consts(l, acc)
-            _occurring_consts(r, acc)
-        case Diamond(b):
-            _occurring_consts(b, acc)
-        case Forall(_, b):
-            _occurring_consts(b, acc)
-        case _:
-            pass
+            if x not in vars_:
+                vars_.append(x)
+            _occurring_names(b, consts, vars_)
 
 
 def param_index(formulas: Iterable[Formula], sig: Signature | None = None) -> ParamIndex:
@@ -259,8 +244,7 @@ def param_index(formulas: Iterable[Formula], sig: Signature | None = None) -> Pa
     consts: list[str] = []
     vars_: list[str] = []
     for f in formulas:
-        _occurring_consts(f, consts)
-        _occurring_vars(f, vars_)
+        _occurring_names(f, consts, vars_)
     if sig is not None:
         order = {c: i for i, c in enumerate(sig.constants)}
         known = sorted((c for c in consts if c in order), key=order.get)
@@ -374,7 +358,7 @@ def render_term(t: ATerm) -> str:
                 if isinstance(r, AOp) and r.op == "+":
                     rs = f"({rs})"
             op_str = "×" if op == "*" else " + "
-            return f"{ls}{op_str}{rs}" if op == "+" else f"{ls}{op_str}{rs}"
+            return f"{ls}{op_str}{rs}"
     raise RealizationError(f"bad term {t!r}")
 
 
@@ -506,6 +490,12 @@ def sigma1_warnings(f: ArithFormula, prefix_ok: bool = True) -> list[str]:
 
 
 class _ArithParser:
+    """Recursive descent; each method takes the number of binders and
+    parentheses open around the current token, and returns a node and its
+    height, the number of binders, parentheses, &, |, + and * on its deepest
+    path. The translation and the printer recurse on a template's structure,
+    so templates taller than MAX_NESTING are refused."""
+
     def __init__(self, tokens: list[str], line: int):
         self.toks = tokens
         self.i = 0
@@ -523,76 +513,89 @@ class _ArithParser:
         self.i += 1
         return tok
 
-    def formula(self) -> ArithFormula:
-        out = self.conjunct()
-        while self.peek() == "|":
-            self.take()
-            out = OrA(out, self.conjunct())
-        return out
+    def too_deep(self) -> ParseError:
+        return ParseError(f"line {self.line}: template nested more than {MAX_NESTING} levels deep")
 
-    def conjunct(self) -> ArithFormula:
-        out = self.unit()
-        while self.peek() == "&":
-            self.take()
-            out = AndA(out, self.unit())
-        return out
+    def enter(self, depth: int) -> int:
+        # checked on the way down, so that the recursion stops in time
+        if depth == MAX_NESTING:
+            raise self.too_deep()
+        return depth + 1
 
-    def unit(self) -> ArithFormula:
+    def template(self) -> ArithFormula:
+        body, height = self.formula(0)
+        if height > MAX_NESTING:
+            raise self.too_deep()
+        if self.peek() is not None:
+            raise ParseError(f"line {self.line}: trailing input {self.peek()!r}")
+        return body
+
+    def chain(self, op: str, operand, make, depth: int) -> tuple:
+        """A left-associated chain of operands joined by op."""
+        out, height = operand(depth)
+        while self.peek() == op:
+            self.take()
+            right, right_height = operand(depth)
+            out, height = make(out, right), 1 + max(height, right_height)
+        return out, height
+
+    def formula(self, depth: int) -> tuple[ArithFormula, int]:
+        return self.chain("|", self.conjunct, OrA, depth)
+
+    def conjunct(self, depth: int) -> tuple[ArithFormula, int]:
+        return self.chain("&", self.unit, AndA, depth)
+
+    def unit(self, depth: int) -> tuple[ArithFormula, int]:
         tok = self.peek()
         if tok == "E":
             self.take()
             v = self.take()
             self.take(".")
-            return Exists(v, self.unit())
+            body, height = self.unit(self.enter(depth))
+            return Exists(v, body), height + 1
         if tok == "A":
             self.take()
             v = self.take()
             self.take("<=")
-            bound = self.term()
+            bound, bound_height = self.term(depth)
             self.take(".")
-            return BoundedForall(v, bound, self.unit())
+            body, height = self.unit(self.enter(depth))
+            return BoundedForall(v, bound, body), 1 + max(bound_height, height)
         if tok == "(":
             save = self.i
             self.take()
             try:
-                inner = self.formula()
+                inner, height = self.formula(self.enter(depth))
                 self.take(")")
-                return inner
+                return inner, height + 1
             except ParseError:
                 self.i = save  # parenthesized term inside a comparison
-        return self.comparison()
+        return self.comparison(depth)
 
-    def comparison(self) -> ArithFormula:
-        left = self.term()
+    def comparison(self, depth: int) -> tuple[ArithFormula, int]:
+        left, left_height = self.term(depth)
         op = self.take()
         if op not in ("=", "<="):
             raise ParseError(f"line {self.line}: expected = or <=, found {op!r}")
-        return Cmp(op, left, self.term())
+        right, right_height = self.term(depth)
+        return Cmp(op, left, right), max(left_height, right_height)
 
-    def term(self) -> ATerm:
-        out = self.factor()
-        while self.peek() == "+":
-            self.take()
-            out = AOp("+", out, self.factor())
-        return out
+    def term(self, depth: int) -> tuple[ATerm, int]:
+        return self.chain("+", self.factor, lambda l, r: AOp("+", l, r), depth)
 
-    def factor(self) -> ATerm:
-        out = self.prim()
-        while self.peek() == "*":
-            self.take()
-            out = AOp("*", out, self.prim())
-        return out
+    def factor(self, depth: int) -> tuple[ATerm, int]:
+        return self.chain("*", self.prim, lambda l, r: AOp("*", l, r), depth)
 
-    def prim(self) -> ATerm:
+    def prim(self, depth: int) -> tuple[ATerm, int]:
         tok = self.take()
         if tok == "(":
-            inner = self.term()
+            inner, height = self.term(self.enter(depth))
             self.take(")")
-            return inner
+            return inner, height + 1
         if tok.isdigit():
-            return ANum(int(tok))
+            return ANum(int(tok)), 0
         if tok.replace("_", "").isalnum():
-            return AVar(tok)
+            return AVar(tok), 0
         raise ParseError(f"line {self.line}: bad term token {tok!r}")
 
 
@@ -644,10 +647,7 @@ def parse_realization(text: str) -> tuple[Realization, list[str]]:
             raise ParseError(f"line {lineno}: repeated parameter in template for {name}")
         if "u" in params:
             raise ParseError(f"line {lineno}: u is reserved for the axiom code")
-        parser = _ArithParser(_tokenize_arith(body_src, lineno), lineno)
-        body = parser.formula()
-        if parser.peek() is not None:
-            raise ParseError(f"line {lineno}: trailing input {parser.peek()!r}")
+        body = _ArithParser(_tokenize_arith(body_src, lineno), lineno).template()
         if name in templates:
             raise ParseError(f"line {lineno}: duplicate template for {name}")
         templates[name] = (params, body)

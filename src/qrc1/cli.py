@@ -1,6 +1,11 @@
 """Command-line front end: batch deciding, certificate checking, model
 building, closures, and the arithmetical translation. prove and refute print
-the derivation or the countermodel of decide's verdict.
+the derivation or the countermodel of decide's verdict; termmodel saturates
+a pair file into its term model, without bounds.
+
+Sequent files and pair files are read alike: blank and # lines are skipped,
+an optional sig: header comes before the first item, and a --sig that
+differs from the header is a usage error.
 
 Exit codes: 0 completed, 1 usage/input error, 2 certificate validation
 failure, 3 no verdict: decide undecided, or prove or refute without the
@@ -28,6 +33,7 @@ from .semantics import (
     model_text,
 )
 from .syntax import (
+    Formula,
     ParseError,
     QRCError,
     Sequent,
@@ -40,6 +46,7 @@ from .syntax import (
     parse_signature,
     pretty,
     pretty_sequent,
+    read_signed_file,
     set_mdepth,
     set_udepth,
     sorted_formulas,
@@ -83,10 +90,6 @@ def _load_sequents(source: str, sig: Optional[Signature]) -> tuple[Signature, li
     return parse_sequent_file(_read_text(source), sig)
 
 
-def _decider_config(args) -> DeciderConfig:
-    return DeciderConfig(max_worlds=args.max_worlds, max_domain=args.max_domain)
-
-
 def _emit(doc: dict, text: str, fmt: str, out) -> None:
     if fmt == "json-lines":
         print(json.dumps(doc, sort_keys=True), file=out)
@@ -106,11 +109,14 @@ def _decide_one(payload: tuple[Sequent, Signature, DeciderConfig]):
 def cmd_decide(args, out) -> int:
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
-    config = _decider_config(args)
+    config = DeciderConfig(max_worlds=args.max_worlds, max_domain=args.max_domain)
     payloads = [(s, sig, config) for s in sequents]
     if args.jobs > 1 and len(sequents) > 1:
+        # about four tasks per worker: one sequent per task costs more in
+        # pickling and scheduling than deciding a fast sequent does
+        chunk = max(1, len(payloads) // (4 * args.jobs))
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(_decide_one, payloads))
+            verdicts = list(pool.map(_decide_one, payloads, chunksize=chunk))
     else:
         verdicts = [_decide_one(p) for p in payloads]
     status = EXIT_OK
@@ -226,36 +232,18 @@ def cmd_check_model(args, out) -> int:
 # termmodel
 
 
-def _parse_pair_file(text: str, sig: Optional[Signature]) -> tuple[Signature, PairPM]:
-    pos = []
-    neg = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("sig:"):
-            if sig is None:
-                sig = parse_signature(line)
-            continue
-        if line.startswith("pos:"):
-            bucket, body = pos, line[len("pos:"):]
-        elif line.startswith("neg:"):
-            bucket, body = neg, line[len("neg:"):]
-        else:
-            raise ParseError(f"line {lineno}: expected a sig:, pos:, or neg: line")
-        try:
-            bucket.append(parse_formula(body, sig or Signature()))
-        except ParseError as e:
-            raise ParseError(f"line {lineno}: {e}") from e
-    sig = sig or Signature()
-    return sig, PairPM(frozenset(pos), frozenset(neg), sig.constants)
+def _pair_item(line: str, sig: Signature) -> tuple[str, Formula]:
+    side, colon, body = line.partition(":")
+    if not colon or side not in ("pos", "neg"):
+        raise ParseError("expected a sig:, pos:, or neg: line")
+    return side, parse_formula(body, sig)
 
 
 def cmd_termmodel(args, out) -> int:
-    sig = _load_signature(args)
-    sig, pair = _parse_pair_file(_read_text(args.input), sig)
-    config = _decider_config(args)
-    result = build_term_model(pair, sig, config)
+    sig, items = read_signed_file(_read_text(args.input), _load_signature(args), _pair_item)
+    pair = PairPM(frozenset(f for side, f in items if side == "pos"),
+                  frozenset(f for side, f in items if side == "neg"), sig.constants)
+    result = build_term_model(pair, sig)
     report = truth_lemma_check(result, pair, sig)
     adequacy = check_adequate(result.model)
     doc = {
@@ -335,13 +323,6 @@ def _add_common(p: _Parser) -> None:
                    help="output format (default: text)")
 
 
-def _add_bounds(p: _Parser) -> None:
-    p.add_argument("--max-worlds", type=_positive, metavar="N",
-                   help="stop building the canonical model past N worlds (default: its fact cap)")
-    p.add_argument("--max-domain", type=_positive, metavar="N",
-                   help="stop building the canonical model past N elements (default: its fact cap)")
-
-
 def _positive(text: str) -> int:
     n = int(text)
     if n <= 0:
@@ -358,7 +339,10 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="sequent file, - for stdin, or an inline `lhs |- rhs`")
     p.add_argument("--jobs", type=_positive, default=1, help="parallel workers for batch input")
     _add_common(p)
-    _add_bounds(p)
+    p.add_argument("--max-worlds", type=_positive, metavar="N",
+                   help="stop building the canonical model past N worlds (default: its fact cap)")
+    p.add_argument("--max-domain", type=_positive, metavar="N",
+                   help="stop building the canonical model past N elements (default: its fact cap)")
     p.set_defaults(func=cmd_decide)
 
     for name, kind in (("prove", "derivation"), ("refute", "countermodel")):
@@ -380,7 +364,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("termmodel", help="build the saturation model of a pair file")
     p.add_argument("input", help="pair file (sig:/pos:/neg: lines), - for stdin")
     _add_common(p)
-    _add_bounds(p)
     p.set_defaults(func=cmd_termmodel)
 
     p = sub.add_parser("translate", help="arithmetical reading of sequents")

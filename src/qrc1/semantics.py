@@ -231,15 +231,6 @@ class Countermodel:
 # enumeration of adequate models
 
 
-def _transitive(relation: frozenset[tuple[int, int]]) -> bool:
-    return all(
-        (w, v) in relation
-        for (w, u) in relation
-        for (u2, v) in relation
-        if u2 == u
-    )
-
-
 def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[World, World]]:
     """The least transitive relation that contains edges."""
     closed = set(edges)
@@ -263,7 +254,7 @@ def _extensions(rel: frozenset[tuple[int, int]], n: int) -> Iterator[frozenset[t
         for outs in subsets:
             for loop in ((), ((n, n),)):
                 ext = rel.union(((w, n) for w in ins), ((n, u) for u in outs), loop)
-                if _transitive(ext):
+                if transitive_closure(ext) == ext:
                     yield ext
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping, Optional, Union
+from typing import Callable, Container, Iterable, Mapping, Optional, TypeVar, Union
 
 
 class QRCError(Exception):
@@ -706,31 +706,49 @@ def parse_signature(text: str) -> Signature:
     return Signature(tuple(constants), tuple(relations))
 
 
-def parse_sequent_file(text: str, sig: Signature | None = None) -> tuple[Signature, list[Sequent]]:
-    """A sequent file: optional ``sig:`` header line, then one sequent per line.
+_Item = TypeVar("_Item")
 
-    Blank lines and lines starting with ``#`` are skipped.
+
+def read_signed_file(
+    text: str, sig: Signature | None, parse_item: Callable[[str, Signature], _Item]
+) -> tuple[Signature, list[_Item]]:
+    """A file of one item per line, parsed by parse_item, under an optional
+    ``sig:`` header that must come before the first item.
+
+    Blank lines and lines starting with ``#`` are skipped, and each error
+    names its line. A given sig that differs from the header is an error;
+    with neither, the signature is empty.
     """
-    lines = text.splitlines()
-    sequents: list[Sequent] = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.startswith("sig:"):
-            if sig is not None and sequents:
-                raise ParseError(f"line {lineno}: signature header after sequents")
-            sig = parse_signature(stripped)
-            continue
-        if sig is None:
-            raise ParseError(f"line {lineno}: no signature declared")
+    lines = [(n, line.strip()) for n, line in enumerate(text.splitlines(), start=1)]
+    lines = [(n, line) for n, line in lines if line and not line.startswith("#")]
+    if lines and lines[0][1].startswith("sig:"):
+        lineno, line = lines.pop(0)
         try:
-            sequents.append(parse_sequent(stripped, sig))
+            header = parse_signature(line)
         except ParseError as e:
             raise ParseError(f"line {lineno}: {e}") from None
-    if sig is None:
-        raise ParseError("no signature declared")
-    return sig, sequents
+        if sig is not None and sig != header:
+            raise ParseError(
+                f"the given signature {signature_str(sig)!r} differs from "
+                f"the file's header {signature_str(header)!r}"
+            )
+        sig = header
+    for lineno, line in lines:  # first, so that no item's parse error hides a late header
+        if line.startswith("sig:"):
+            raise ParseError(f"line {lineno}: a sig: header must come before the first item")
+    sig = sig or Signature()
+    items: list[_Item] = []
+    for lineno, line in lines:
+        try:
+            items.append(parse_item(line, sig))
+        except ParseError as e:
+            raise ParseError(f"line {lineno}: {e}") from None
+    return sig, items
+
+
+def parse_sequent_file(text: str, sig: Signature | None = None) -> tuple[Signature, list[Sequent]]:
+    """A sequent file: one sequent per line, read by read_signed_file."""
+    return read_signed_file(text, sig, parse_sequent)
 
 
 def signature_str(sig: Signature) -> str:

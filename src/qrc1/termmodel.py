@@ -45,7 +45,9 @@ class PairError(QRCError):
 
 @dataclass(frozen=True)
 class PairPM:
-    """A <positive, negative> pair of closed formulas plus a constant snapshot."""
+    """A <positive, negative> pair of closed formulas plus a constant snapshot.
+    In a term model each world is a saturated pair, and its constants are the
+    world's domain."""
 
     pos: frozenset[Formula]
     neg: frozenset[Formula]
@@ -53,12 +55,6 @@ class PairPM:
 
     def formulas(self) -> frozenset[Formula]:
         return self.pos | self.neg
-
-
-@dataclass(frozen=True)
-class TermWorld:
-    pair: PairPM
-    domain_constants: tuple[str, ...]
 
 
 def _check_closed(formulas: Iterable[Formula]) -> None:
@@ -109,20 +105,6 @@ def oracle(
     return entailed
 
 
-def entails(
-    gamma: Iterable[Formula],
-    f: Formula,
-    sig: Signature,
-    config: DeciderConfig | None = None,
-) -> bool:
-    """True iff the conjunction of some finite subset of gamma derives f.
-
-    Monotonicity makes the conjunction of all of gamma sufficient. The oracle
-    is built once per left-hand side; this builds it and asks it once.
-    """
-    return oracle(gamma, sig, config)(f)
-
-
 def is_consistent(p: PairPM, sig: Signature, config: DeciderConfig | None = None) -> bool:
     entailed = oracle(p.pos, sig, config)
     return all(not entailed(delta) for delta in sorted_formulas(p.neg))
@@ -148,35 +130,33 @@ class FreshConstants:
 def lindenbaum(
     p: PairPM,
     phi_set: Iterable[Formula],
-    constants: Iterable[str],
     sig: Signature,
     fresh: FreshConstants | None = None,
     fresh_prefix: str | None = None,
     config: DeciderConfig | None = None,
-) -> tuple[tuple[str, ...], PairPM]:
+) -> PairPM:
     """Extend p to a maximal consistent, fully witnessed pair over the closure
-    of phi_set under the original constants plus udepth-many fresh witnesses.
+    of phi_set under p's constants plus udepth-many fresh witnesses (one when
+    p has no constants, so that the domain is never empty).
 
     The modal depth of the positive part is preserved exactly.
     """
     phi_set = list(phi_set)
     _check_closed(phi_set)
     _check_closed(p.formulas())
-    constants = tuple(dict.fromkeys(constants))
+    constants = tuple(dict.fromkeys(p.constants))
     fresh = fresh or FreshConstants(set(constants) | set(sig.constants))
-    witnesses = fresh.take(set_udepth(phi_set), fresh_prefix)
+    witnesses = fresh.take(max(set_udepth(phi_set), 0 if constants else 1), fresh_prefix)
     d_constants = constants + tuple(witnesses)
-    cl = sorted_formulas(closure(phi_set, d_constants))
     pos = set(p.pos)
     neg = set(p.neg)
     entailed = oracle(p.pos, sig, config)
-    for f in cl:
+    for f in sorted_formulas(closure(phi_set, d_constants)):
         if entailed(f):
             pos.add(f)
         else:
             neg.add(f)
-    q = PairPM(frozenset(pos), frozenset(neg), d_constants)
-    return d_constants, q
+    return PairPM(frozenset(pos), frozenset(neg), d_constants)
 
 
 def hatR(p: PairPM, q: PairPM) -> bool:
@@ -189,20 +169,20 @@ def hatR(p: PairPM, q: PairPM) -> bool:
 
 
 def pair_existence(
-    world: TermWorld,
+    p: PairPM,
     dphi: Formula,
     sig: Signature,
     fresh: FreshConstants | None = None,
     fresh_prefix: str | None = None,
     config: DeciderConfig | None = None,
-) -> tuple[tuple[str, ...], TermWorld]:
-    """Build a successor pair for a positive diamond formula of an MCW world.
+) -> PairPM:
+    """Build a successor pair for a positive diamond formula of a saturated
+    pair p.
 
-    Seeds <{phi}, {delta, <>delta | <>delta in p-} + {<>phi}> and saturates;
-    the result q satisfies hatR(p, q), has phi positive, and strictly smaller
-    modal depth on the positive side.
+    Seeds <{phi}, {delta, <>delta | <>delta in p-} + {<>phi}> over p's
+    constants and saturates; the result q satisfies hatR(p, q), has phi
+    positive, and strictly smaller modal depth on the positive side.
     """
-    p = world.pair
     if not isinstance(dphi, Diamond) or dphi not in p.pos:
         raise PairError(f"{pretty(dphi)} is not a positive diamond formula of the pair")
     seed_neg: set[Formula] = {dphi}
@@ -210,12 +190,8 @@ def pair_existence(
         if isinstance(f, Diamond):
             seed_neg.add(f)
             seed_neg.add(f.body)
-    seed = PairPM(frozenset({dphi.body}), frozenset(seed_neg), world.domain_constants)
-    phi_set = sorted_formulas(p.formulas())
-    e_constants, q = lindenbaum(
-        seed, phi_set, world.domain_constants, sig, fresh, fresh_prefix, config
-    )
-    return e_constants, TermWorld(q, e_constants)
+    seed = PairPM(frozenset({dphi.body}), frozenset(seed_neg), p.constants)
+    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh, fresh_prefix, config)
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +201,16 @@ def pair_existence(
 @dataclass(frozen=True)
 class TermModelResult:
     model: Model
-    worlds: tuple[TermWorld, ...]  # indexed by model world id
-    root: int = 0
+    worlds: tuple[PairPM, ...]  # indexed by model world id; the root is 0
 
     def annotations(self) -> list[dict]:
         return [
             {
                 "world": i,
-                "positive": [pretty(f) for f in sorted_formulas(tw.pair.pos)],
-                "negative": [pretty(f) for f in sorted_formulas(tw.pair.neg)],
+                "positive": [pretty(f) for f in sorted_formulas(w.pos)],
+                "negative": [pretty(f) for f in sorted_formulas(w.neg)],
             }
-            for i, tw in enumerate(self.worlds)
+            for i, w in enumerate(self.worlds)
         ]
 
 
@@ -257,47 +232,30 @@ def _ground_pair(p: PairPM, sig: Signature) -> tuple[PairPM, Signature]:
 def build_term_model(
     p: PairPM, sig: Signature, config: DeciderConfig | None = None
 ) -> TermModelResult:
-    """The completeness construction: root by saturation, one child per
-    positive diamond formula per leaf, transitive closure at the end."""
+    """The completeness construction: the root saturates p, each world gets
+    one child per positive diamond formula, breadth first, and the frame is
+    the transitive closure of the tree."""
     p, sig = _ground_pair(p, sig)
     if not is_consistent(p, sig, config):
         raise PairError("cannot build a model from an inconsistent pair")
-    base_constants = tuple(
-        dict.fromkeys(
-            list(p.constants)
-            + sorted(set().union(*(constants_of(f) for f in p.formulas())) if p.formulas() else set())
-        )
-    )
-    fresh = FreshConstants(set(base_constants) | set(sig.constants))
+    formula_constants = set().union(*(constants_of(f) for f in p.formulas()))
+    constants = tuple(dict.fromkeys(list(p.constants) + sorted(formula_constants)))
+    fresh = FreshConstants(set(constants) | set(sig.constants))
     phi_set = sorted_formulas(p.formulas())
-
-    d_constants, q = lindenbaum(p, phi_set, base_constants, sig, fresh, "w0_c", config)
-    if not d_constants:
-        # degenerate pad so the root world has a nonempty domain
-        d_constants = tuple(fresh.take(1, "w0_c"))
-        q = PairPM(q.pos, q.neg, d_constants)
-    worlds: list[TermWorld] = [TermWorld(q, d_constants)]
+    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, fresh, "w0_c", config)]
     edges: list[tuple[int, int]] = []
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for wi in frontier:
-            tw = worlds[wi]
-            diamonds = [f for f in sorted_formulas(tw.pair.pos) if isinstance(f, Diamond)]
-            for dphi in diamonds:
-                vi = len(worlds)
-                _, child = pair_existence(tw, dphi, sig, fresh, f"w{vi}_c", config)
-                worlds.append(child)
-                edges.append((wi, vi))
-                next_frontier.append(vi)
-        frontier = next_frontier
+    for wi, world in enumerate(worlds):  # worlds grows as the loop runs
+        for dphi in sorted_formulas(world.pos):
+            if isinstance(dphi, Diamond):
+                edges.append((wi, len(worlds)))
+                worlds.append(pair_existence(world, dphi, sig, fresh, f"w{len(worlds)}_c", config))
 
     model = Model(
         worlds=tuple(range(len(worlds))),
         R=transitive_closure(edges),
-        domain={i: frozenset(tw.domain_constants) for i, tw in enumerate(worlds)},
-        constI={i: {c: c for c in tw.domain_constants} for i, tw in enumerate(worlds)},
-        relJ={i: _atoms_of(tw.pair) for i, tw in enumerate(worlds)},
+        domain={i: frozenset(w.constants) for i, w in enumerate(worlds)},
+        constI={i: {c: c for c in w.constants} for i, w in enumerate(worlds)},
+        relJ={i: _atoms_of(w) for i, w in enumerate(worlds)},
     )
     return TermModelResult(model, tuple(worlds))
 
@@ -334,11 +292,11 @@ def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> Tru
     checked = 0
     violations: list[tuple[int, str, str]] = []
     m = result.model
-    for i, tw in enumerate(result.worlds):
+    for i, w in enumerate(result.worlds):
         g = default_assignment(m, i)
-        for f in sorted_formulas(closure(phi_set, tw.domain_constants)):
+        for f in sorted_formulas(closure(phi_set, w.constants)):
             checked += 1
-            member = f in tw.pair.pos
+            member = f in w.pos
             forced = forces(m, i, g, f)
             if member != forced:
                 violations.append((i, pretty(f), "forced-but-negative" if forced else "positive-but-unforced"))

@@ -67,6 +67,8 @@ def test_decide_undecided_exit_code(capsys, tmp_path):
     ["prove", "T |- T", "--budget", "1"],
     ["refute", "T |- T", "--max-worlds", "1"],
     ["refute", "T |- T", "--max-domain", "1"],
+    ["termmodel", "pair.txt", "--max-worlds", "1"],
+    ["termmodel", "pair.txt", "--max-domain", "1"],
 ])
 def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)
@@ -289,6 +291,77 @@ def test_termmodel_command(capsys, tmp_path):
     assert code == 0
     assert "truth lemma" in out and "0 violations" in out
     assert "adequate: True" in out
+
+
+@pytest.mark.parametrize("command,body", [
+    ("decide", "S(c0) |- <>S(c0)\n"),
+    ("termmodel", "pos: <> S(c0)\nneg: A x . S(x)\n"),
+], ids=["decide", "termmodel"])
+def test_sig_flag_and_file_header_must_agree(capsys, tmp_path, command, body):
+    path = tmp_path / "input.txt"
+    path.write_text("# a comment\n\nsig: constants c0; relations S/1;\n" + body)
+    same = tmp_path / "same.txt"
+    same.write_text("sig: constants c0; relations S/1;\n")
+    other = tmp_path / "other.txt"
+    other.write_text("sig: relations S/1;\n")
+    code, with_same, _ = run(capsys, command, str(path), "--sig", str(same))
+    assert code == 0
+    code, without, _ = run(capsys, command, str(path))
+    assert code == 0 and with_same == without
+    assert "@c0" not in without  # c0 is the header's constant, not a free variable
+    code, out, err = run(capsys, command, str(path), "--sig", str(other))
+    assert code == 1 and out == ""
+    assert "'sig: relations S/1;'" in err and "'sig: constants c0; relations S/1;'" in err
+
+
+@pytest.mark.parametrize("command,text,line", [
+    ("decide", "S(c0) |- S(c0)\nsig: constants c0; relations S/1;\n", 2),
+    ("termmodel", "pos: S(c0)\n# comment\nsig: constants c0; relations S/1;\n", 3),
+    ("decide", "sig: constants c0; relations S/1;\nS(c0) |-\n", 2),
+    ("termmodel", "sig: constants c0; relations S/1;\n\nbox: S(c0)\n", 3),
+], ids=["decide-late-header", "termmodel-late-header", "decide-bad-item", "termmodel-bad-item"])
+def test_sequent_and_pair_file_errors_name_their_line(capsys, tmp_path, command, text, line):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("command,text,expected", [
+    ("decide", "T |- <>T\n", "underivable: T |- <>T"),
+    ("termmodel", "pos: <><>T\n", "truth lemma: 12 formulas checked, 0 violations"),
+], ids=["decide", "termmodel"])
+def test_files_without_a_signature_read_the_empty_one(capsys, tmp_path, command, text, expected):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, _ = run(capsys, command, str(path))
+    assert code == 0
+    assert expected in out
+
+
+@pytest.mark.parametrize("template", [
+    "(" * 3000 + "a = u" + ")" * 3000,
+    "E v . " * 3000 + "a = u",
+    " + ".join(["a"] * 3000) + " = u",
+], ids=["parentheses", "binders", "plus-chain"])
+def test_templates_past_the_nesting_limit_are_input_errors(capsys, tmp_path, sig_file, template):
+    real = tmp_path / "real.txt"
+    real.write_text(f"S(a) := {template}\n")
+    code, out, err = run(capsys, "translate", "S(c0) |- T", "--sig", sig_file,
+                         "--realization", str(real))
+    assert code == 1 and out == ""
+    assert err == f"error: line 1: template nested more than {MAX_NESTING} levels deep\n"
+
+
+def test_templates_at_the_nesting_limit_translate(capsys, tmp_path, sig_file):
+    real = tmp_path / "real.txt"
+    real.write_text("S(a) := " + "(" * (MAX_NESTING - 1) + "a = u" + ")" * (MAX_NESTING - 1) + "\n"
+                    + "R(a, b) := " + " + ".join(["a"] * MAX_NESTING) + " <= b\n")
+    code, out, _ = run(capsys, "translate", "S(c0) & R(c0, c1) |- T", "--sig", sig_file,
+                       "--realization", str(real), "--format", "json-lines")
+    assert code == 0
+    assert json.loads(out)["statement"].count("y0 + ") == MAX_NESTING - 1
 
 
 def test_translate_golden(capsys):

@@ -28,13 +28,12 @@ from qrc1.termmodel import (
     PairError,
     build_term_model,
     conjunction,
-    entails,
     hatR,
     is_consistent,
     lindenbaum,
+    oracle,
     pair_existence,
     truth_lemma_check,
-    TermWorld,
 )
 
 SIG = Signature(constants=("c",), relations=(("S", 1),))
@@ -57,10 +56,10 @@ def pair(pos, neg, sig=SIG) -> PairPM:
 
 
 def test_entails_basics():
-    assert entails([f("S(c)"), f("<>T")], f("S(c)"), SIG)
-    assert entails([], f("T"), SIG)
-    assert not entails([f("S(c)")], f("<>S(c)"), SIG)
-    assert entails([f("A x . S(x)")], f("S(c)"), SIG)
+    assert oracle([f("S(c)"), f("<>T")], SIG)(f("S(c)"))
+    assert oracle([], SIG)(f("T"))
+    assert not oracle([f("S(c)")], SIG)(f("<>S(c)"))
+    assert oracle([f("A x . S(x)")], SIG)(f("S(c)"))
 
 
 def test_conjunction_is_canonical():
@@ -82,7 +81,8 @@ def test_consistency():
 def test_lindenbaum_covers_closure_and_witnesses():
     p = pair({"<>S(c)"}, {"A x . S(x)"})
     phi = sorted(p.formulas(), key=str)
-    d, q = lindenbaum(p, phi, SIG.constants, SIG)
+    q = lindenbaum(p, phi, SIG)
+    d = q.constants
     # one fresh witness for the single universal level
     assert len(d) == len(SIG.constants) + 1
     assert p.pos <= q.pos and p.neg <= q.neg
@@ -92,8 +92,9 @@ def test_lindenbaum_covers_closure_and_witnesses():
         if isinstance(g, Forall):
             assert any(substitute(g.body, g.var, Const(c)) in q.neg for c in d)
     # positives really follow from the original positive part
+    entailed = oracle(p.pos, SIG)
     for g in q.pos:
-        assert entails(p.pos, g, SIG)
+        assert entailed(g)
     # modal depth of the positive part never grows
     assert set_mdepth(q.pos) <= max(set_mdepth(p.pos), set_mdepth(phi))
 
@@ -101,7 +102,7 @@ def test_lindenbaum_covers_closure_and_witnesses():
 def test_lindenbaum_rejects_open_formulas():
     p = PairPM(frozenset({f("S(x)")}), frozenset(), SIG.constants)
     with pytest.raises(PairError):
-        lindenbaum(p, [f("S(x)")], SIG.constants, SIG)
+        lindenbaum(p, [f("S(x)")], SIG)
 
 
 def test_fresh_constants_avoid_collisions():
@@ -116,21 +117,19 @@ def test_fresh_constants_avoid_collisions():
 def test_pair_existence_properties():
     p = pair({"<>S(c)"}, {"<>(A x . S(x))", "A x . S(x)"})
     phi = sorted(p.formulas(), key=str)
-    d, q0 = lindenbaum(p, phi, SIG.constants, SIG)
-    w = TermWorld(q0, d)
+    q0 = lindenbaum(p, phi, SIG)
     dphi = next(g for g in q0.pos if isinstance(g, Diamond))
-    e, child = pair_existence(w, dphi, SIG)
-    assert hatR(q0, child.pair)
-    assert dphi.body in child.pair.pos
-    assert set(child.domain_constants) >= set(d)
-    assert set_mdepth(child.pair.pos) < set_mdepth(q0.pos) or set_mdepth(q0.pos) == 0
+    child = pair_existence(q0, dphi, SIG)
+    assert hatR(q0, child)
+    assert dphi.body in child.pos
+    assert set(child.constants) >= set(q0.constants)
+    assert set_mdepth(child.pos) < set_mdepth(q0.pos) or set_mdepth(q0.pos) == 0
 
 
 def test_pair_existence_requires_positive_diamond():
     p = pair({"S(c)"}, {"<>T"})
-    w = TermWorld(p, SIG.constants)
     with pytest.raises(PairError):
-        pair_existence(w, f("<>T"), SIG)
+        pair_existence(p, f("<>T"), SIG)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +159,9 @@ def test_term_model_truth_lemma(pos, neg):
     report = truth_lemma_check(result, p, SIG)
     assert report.ok, report.violations
     # the root realizes the pair itself
-    root = result.worlds[result.root]
-    assert p.pos <= root.pair.pos
-    assert p.neg <= root.pair.neg
+    root = result.worlds[0]
+    assert p.pos <= root.pos
+    assert p.neg <= root.neg
 
 
 def test_term_model_relation_is_strict_order():
@@ -177,7 +176,7 @@ def test_term_model_empty_pair_has_one_world():
     p = PairPM(frozenset(), frozenset(), ())
     result = build_term_model(p, Signature())
     assert len(result.worlds) == 1
-    assert result.model.domain[0]  # padded to a nonempty domain
+    assert result.model.domain[0] == {"w0_c0"}  # one witness, as there are no constants
 
 
 def test_random_consistent_pairs_satisfy_truth_lemma():
@@ -250,6 +249,6 @@ def test_lindenbaum_agrees_with_one_query_entails():
     sig, pairs = _demo_pairs(150)
     for p in pairs:
         phi = sorted_formulas(p.formulas())
-        d, q = lindenbaum(p, phi, sig.constants, sig)
-        for g in closure(phi, d):
-            assert (g in q.pos) == entails(p.pos, g, sig), (p, g)
+        q = lindenbaum(p, phi, sig)
+        for g in closure(phi, q.constants):
+            assert (g in q.pos) == oracle(p.pos, sig)(g), (p, g)

@@ -1,8 +1,9 @@
-"""Derivations for the sequent calculus, a checker, derived rules, and proof search."""
+"""Derivations for the sequent calculus, a checker, derived rules, and their
+JSON form; `prove` returns the derivation `decide` reads off the canonical model."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -20,18 +21,12 @@ from .syntax import (
     TOP,
     Top,
     Var,
-    _subst,
-    formula_size,
     free_for,
     free_vars,
-    fresh_name,
     constants_of,
-    mdepth,
     parse_sequent,
     pretty,
     pretty_sequent,
-    sort_key,
-    subformulas,
     substitute,
     substitute_sequent,
 )
@@ -72,14 +67,9 @@ class Derivation:
     conclusion: Sequent
     premises: tuple["Derivation", ...] = ()
     instantiation: Optional[Instantiation] = None
-    # proof search compares sizes against its budget at every cache hit
-    _size: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_size", 1 + sum(p._size for p in self.premises))
 
     def size(self) -> int:
-        return self._size
+        return 1 + sum(p.size() for p in self.premises)
 
 
 # ---------------------------------------------------------------------------
@@ -289,240 +279,6 @@ def derived_gen_rhs(premise: Derivation, x: str, c: str) -> Derivation:
     return _forall_r(d, x)
 
 
-# ---------------------------------------------------------------------------
-# proof search
-
-
-FRESH_CONST_PREFIX = "#"
-FRESH_VAR_PREFIX = "v#"
-
-# Each of the search's two caches (proved goals, failed goals) stops growing
-# at this many entries.
-PROOF_CACHE_MAX = 200_000
-
-
-def mdepth_precheck(s: Sequent) -> bool:
-    """True when the modal-depth necessary condition already rules out
-    derivability."""
-    return mdepth(s.lhs) < mdepth(s.rhs)
-
-
-@dataclass
-class SearchStats:
-    nodes_expanded: int = 0
-
-
-class ProofSearch:
-    """Iterative-deepening backward proof search.
-
-    The search is goal-directed: at each goal it applies rule inversions, with
-    Cut restricted to a finite candidate pool that widens with the budget so
-    that every derivable sequent is reachable at some budget.
-    """
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-        self.stats = SearchStats()
-        self._proved: dict[Sequent, Derivation] = {}
-        self._failed_at: dict[Sequent, int] = {}
-
-    def prove(self, goal: Sequent, budget: int) -> Optional[Derivation]:
-        """Search for a derivation of `goal` with at most `budget` nodes."""
-        for limit in range(1, budget + 1):
-            d = self._search(goal, limit)
-            if d is not None:
-                # the checker reads only relation arities from the signature,
-                # so fresh constants of the search need no declaring
-                check_derivation(d, self.sig)
-                return d
-        return None
-
-    def _search(self, goal: Sequent, limit: int) -> Optional[Derivation]:
-        if limit <= 0:
-            return None
-        cached = self._proved.get(goal)
-        if cached is not None and cached.size() <= limit:
-            return cached
-        if self._failed_at.get(goal, 0) >= limit:
-            return None
-        if mdepth_precheck(goal):
-            # never derivable, and cheaper to test again than to store
-            return None
-        self.stats.nodes_expanded += 1
-        found = self._try_moves(goal, limit)
-        if found is not None:
-            if len(self._proved) < PROOF_CACHE_MAX:
-                self._proved[goal] = found
-        else:
-            if len(self._failed_at) < PROOF_CACHE_MAX:
-                self._failed_at[goal] = max(self._failed_at.get(goal, 0), limit)
-        return found
-
-    def _try_moves(self, goal: Sequent, limit: int) -> Optional[Derivation]:
-        phi, psi = goal.lhs, goal.rhs
-
-        # leaves
-        if psi == TOP:
-            return Derivation(TOP_I, goal)
-        if phi == psi:
-            return Derivation(ID, goal)
-        if isinstance(phi, And):
-            if phi.left == psi:
-                return Derivation(AND_E_L, goal)
-            if phi.right == psi:
-                return Derivation(AND_E_R, goal)
-        if (
-            isinstance(phi, Diamond)
-            and isinstance(phi.body, Diamond)
-            and isinstance(psi, Diamond)
-            and phi.body.body == psi.body
-        ):
-            return Derivation(TRANS_AX, goal)
-        if (
-            isinstance(phi, Diamond)
-            and isinstance(phi.body, Forall)
-            and isinstance(psi, Forall)
-            and isinstance(psi.body, Diamond)
-            and phi.body.var == psi.var
-            and phi.body.body == psi.body.body
-        ):
-            return Derivation(BARCAN_AX, goal)
-
-        if limit < 2:
-            return None
-
-        # invertible right rules first
-        if isinstance(psi, And):
-            d = self._search_pair(Sequent(phi, psi.left), Sequent(phi, psi.right), limit - 1)
-            if d is not None:
-                return Derivation(AND_I, goal, d)
-        if isinstance(psi, Forall) and psi.var not in free_vars(phi):
-            d = self._search(Sequent(phi, psi.body), limit - 1)
-            if d is not None:
-                return Derivation(FORALL_R, goal, (d,))
-        if isinstance(phi, Diamond) and isinstance(psi, Diamond):
-            d = self._search(Sequent(phi.body, psi.body), limit - 1)
-            if d is not None:
-                return Derivation(NEC, goal, (d,))
-
-        # left decomposition through cuts with projection leaves
-        if isinstance(phi, And) and limit >= 3:
-            for proj_rule, kept in ((AND_E_L, phi.left), (AND_E_R, phi.right)):
-                d = self._search(Sequent(kept, psi), limit - 2)
-                if d is not None:
-                    leaf = Derivation(proj_rule, Sequent(phi, kept))
-                    return Derivation(CUT, goal, (leaf, d))
-
-        if isinstance(phi, Forall):
-            for t in self._term_candidates(goal, limit):
-                if not free_for(t, phi.var, phi.body):
-                    continue
-                inst = _subst(phi.body, phi.var, t)
-                d = self._search(Sequent(inst, psi), limit - 1)
-                if d is not None:
-                    return Derivation(FORALL_L, goal, (d,), Instantiation(phi.var, t))
-
-        # general cut over a widening candidate pool
-        if limit >= 3:
-            for chi in self._cut_pool(goal, limit):
-                if chi == phi or chi == psi:
-                    continue
-                d = self._search_pair(Sequent(phi, chi), Sequent(chi, psi), limit - 1)
-                if d is not None:
-                    return Derivation(CUT, goal, d)
-
-        # ground a free variable with a reserved fresh constant
-        fv = sorted(free_vars(phi) | free_vars(psi))
-        if fv and limit >= 2:
-            x = fv[0]
-            c = fresh_name(FRESH_CONST_PREFIX, constants_of(phi) | constants_of(psi))
-            sub = substitute_sequent(goal, x, Const(c))
-            d = self._search(sub, limit - 1)
-            if d is not None:
-                return Derivation(CONST_GEN, goal, (d,), Instantiation(x, Const(c)))
-
-        # generalize a term away (inverse term instantiation), only at
-        # larger budgets; abstracts every occurrence of the chosen term
-        if limit >= 6:
-            x = fresh_name(FRESH_VAR_PREFIX, free_vars(phi) | free_vars(psi))
-            for t in [Const(c) for c in sorted(constants_of(phi) | constants_of(psi))]:
-                gen = Sequent(
-                    _term_to_var(phi, t, x), _term_to_var(psi, t, x)
-                )
-                if gen == goal:
-                    continue
-                if not (free_for(t, x, gen.lhs) and free_for(t, x, gen.rhs)):
-                    continue
-                if substitute_sequent(gen, x, t) != goal:
-                    continue
-                d = self._search(gen, limit - 1)
-                if d is not None:
-                    return Derivation(TERM_INST, goal, (d,), Instantiation(x, t))
-        return None
-
-    def _search_pair(
-        self, g1: Sequent, g2: Sequent, limit: int
-    ) -> Optional[tuple[Derivation, Derivation]]:
-        # limit counts nodes available for both premises together
-        d1 = self._search(g1, limit - 1)
-        if d1 is None:
-            return None
-        d2 = self._search(g2, limit - d1.size())
-        if d2 is None:
-            # retry with the order swapped in case the first proof was large
-            d2 = self._search(g2, limit - 1)
-            if d2 is None:
-                return None
-            d1b = self._search(g1, limit - d2.size())
-            if d1b is None:
-                return None
-            return (d1b, d2)
-        return (d1, d2)
-
-    def _term_candidates(self, goal: Sequent, limit: int) -> list[Term]:
-        phi = goal.lhs
-        assert isinstance(phi, Forall)
-        out: list[Term] = [Var(phi.var)]
-        for y in sorted(free_vars(goal.rhs) | free_vars(phi)):
-            out.append(Var(y))
-        for c in sorted(constants_of(goal.lhs) | constants_of(goal.rhs)):
-            out.append(Const(c))
-        seen: set[Term] = set()
-        uniq = [t for t in out if not (t in seen or seen.add(t))]
-        return uniq[: 2 + limit]
-
-    def _cut_pool(self, goal: Sequent, limit: int) -> list[Formula]:
-        """The first 2 * limit cut candidates in sort_key order, so the pool
-        widens as the budget grows, to keep the search fair. sort_key orders
-        by size first and each candidate's size is known before it is built,
-        so candidates are built one size at a time, until the prefix is whole."""
-        wanted = 2 * limit
-        subs_of_size: dict[int, list[Formula]] = {}
-        for s in subformulas(goal.lhs) | subformulas(goal.rhs):
-            subs_of_size.setdefault(formula_size(s), []).append(s)
-        terms: list[Term] = [Const(c) for c in sorted(constants_of(goal.lhs) | constants_of(goal.rhs))]
-        terms += [Var(y) for y in sorted(free_vars(goal.lhs) | free_vars(goal.rhs))]
-        renamings = [f"{FRESH_VAR_PREFIX}{k}" for k in range(2)]
-        pool: set[Formula] = set()
-        for n in range(1, max(subs_of_size) + 2):
-            # the candidates of size n: subformulas of size n, <>s for s of
-            # size n - 1, one substitution step into the body of a universal
-            # of size n + 1, and renamings of the bound variable of one of size n
-            pool.update(subs_of_size.get(n, ()))
-            pool.update(Diamond(s) for s in subs_of_size.get(n - 1, ()))
-            for s in subs_of_size.get(n + 1, ()):
-                if isinstance(s, Forall):
-                    pool.update(_subst(s.body, s.var, t) for t in terms if free_for(t, s.var, s.body))
-            for s in subs_of_size.get(n, ()):
-                if isinstance(s, Forall):
-                    for y in renamings:
-                        if y != s.var and y not in free_vars(s.body) and free_for(Var(y), s.var, s.body):
-                            pool.add(Forall(y, _subst(s.body, s.var, Var(y))))
-            if len(pool) >= wanted:
-                break
-        return sorted(pool, key=sort_key)[:wanted]
-
-
 def _term_to_var(f: Formula, t: Term, x: str) -> Formula:
     match f:
         case Top():
@@ -540,8 +296,39 @@ def _term_to_var(f: Formula, t: Term, x: str) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# ---------------------------------------------------------------------------
+# prove: decide's derivation under a node budget
+
+
+@dataclass
+class SearchStats:
+    nodes_expanded: int = 0
+
+
+class ProofSearch:
+    """decide's derivations, read off the canonical model of the left-hand
+    side, under a node budget. A left-hand side whose canonical model fills
+    its fact cap gets no derivation here, as it gets no verdict from decide.
+    """
+
+    def __init__(self, sig: Signature):
+        self.sig = sig
+        self.stats = SearchStats()
+
+    def prove(self, goal: Sequent, budget: int) -> Optional[Derivation]:
+        """decide's checked derivation of `goal` if it has at most `budget`
+        nodes, else None."""
+        from .decider import decide  # decider imports this module
+
+        sig = self.sig.with_constants(sorted(constants_of(goal.lhs) | constants_of(goal.rhs)))
+        d = decide(goal, sig).derivation
+        if d is None or d.size() > budget:
+            return None
+        self.stats.nodes_expanded += d.size()
+        return d
+
+
 def prove(s: Sequent, sig: Signature, budget: int = 12) -> Optional[Derivation]:
-    """Convenience wrapper: one-shot search with a fresh cache."""
     return ProofSearch(sig).prove(s, budget)
 
 

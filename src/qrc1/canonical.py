@@ -42,7 +42,6 @@ from .calculus import (
     CUT,
     FORALL_L,
     FORALL_R,
-    FRESH_VAR_PREFIX,
     ID,
     NEC,
     TERM_INST,
@@ -80,6 +79,9 @@ from .syntax import (
 # measured below the cap (2,128 worlds, 4,615 facts) decides and validates
 # in 0.4 s.
 CANONICAL_FACT_CAP = 10_000
+
+# the prefix of the names of M_phi's fresh elements
+FRESH_VAR_PREFIX = "v#"
 
 
 class _TooBig(Exception):

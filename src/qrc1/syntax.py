@@ -66,10 +66,11 @@ Term = Union[Var, Const]
 def _hash_once(cls):
     """Keep the dataclass's structural hash in the `_hash` field of cls.
 
-    Proof search looks the same formulas and sequents up over and over, so
-    each computes its hash once, at the first __hash__ call. A string's hash
-    differs from process to process, so pickling and copying carry only the
-    constructor fields, and the copy computes its own hash.
+    The canonical model's fact dicts and forcing memo look the same formulas
+    up again and again, so each computes its hash once, at the first
+    __hash__ call. A string's hash differs from process to process, so
+    pickling and copying carry only the constructor fields, and the copy
+    computes its own hash.
     """
     structural = cls.__hash__
 

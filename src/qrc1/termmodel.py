@@ -36,7 +36,8 @@ from .syntax import (
 
 
 class OracleUndecidedError(QRCError):
-    """The decider gave up within its budget; the construction cannot proceed."""
+    """The decider left a query undecided (its canonical model filled the fact
+    cap); the construction cannot proceed."""
 
 
 class PairError(QRCError):

@@ -12,7 +12,6 @@ from qrc1.calculus import (
     DerivationError,
     FORALL_L,
     FORALL_R,
-    FRESH_VAR_PREFIX,
     ID,
     Instantiation,
     NEC,
@@ -30,22 +29,17 @@ from qrc1.calculus import (
     derived_swap_foralls,
     prove,
 )
-from qrc1.generate import random_formula, random_sequent
+from qrc1.decider import UNDECIDED, decide
+from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.syntax import (
     Const,
-    Diamond,
     Forall,
     Sequent,
     Signature,
     Var,
-    constants_of,
-    free_for,
-    free_vars,
     mdepth,
     parse_formula,
     parse_sequent,
-    sort_key,
-    subformulas,
     substitute,
 )
 
@@ -316,41 +310,33 @@ def test_prove_derivations_never_raise_modal_depth():
     assert found > 0
 
 
-def _full_sort_cut_pool(goal: Sequent, limit: int) -> list:
-    """Reference pool: every candidate built, then all of them sorted."""
-    subs = subformulas(goal.lhs) | subformulas(goal.rhs)
-    pool = set(subs)
-    terms = [Const(c) for c in sorted(constants_of(goal.lhs) | constants_of(goal.rhs))]
-    terms += [Var(y) for y in sorted(free_vars(goal.lhs) | free_vars(goal.rhs))]
-    for s in subs:
-        pool.add(Diamond(s))
-        if isinstance(s, Forall):
-            for t in terms:
-                if free_for(t, s.var, s.body):
-                    pool.add(substitute(s.body, s.var, t))
-            for k in range(2):
-                y = f"{FRESH_VAR_PREFIX}{k}"
-                if y != s.var and y not in free_vars(s.body) and free_for(Var(y), s.var, s.body):
-                    pool.add(Forall(y, substitute(s.body, s.var, Var(y))))
-    return sorted(pool, key=sort_key)[: 2 * limit]
+def test_prove_returns_decides_derivation_under_a_node_budget():
+    # the CI corpus: scripts/gen_corpus.py --count 500 --seed 7
+    rng = random.Random(7)
+    corpus = [random_sequent(rng, DEFAULT_SIG, 2, 1, 4) for _ in range(500)]
+    search = ProofSearch(DEFAULT_SIG)
+    proved = []
+    for s in corpus:
+        d = search.prove(s, 12)
+        assert prove(s, DEFAULT_SIG) is d
+        if d is not None:
+            assert d is decide(s, DEFAULT_SIG).derivation
+            proved.append(d)
+    assert len(proved) == 197
+    assert search.stats.nodes_expanded == sum(d.size() for d in proved)
+    # every derivation above has at most 6 nodes; 167 of them at most 3
+    assert sum(prove(s, DEFAULT_SIG, budget=3) is not None for s in corpus) == 167
 
 
-def test_cut_pool_is_the_prefix_of_the_fully_sorted_pool():
-    # without constants, the generator's terms are the free variable x0
-    no_constants = Signature(relations=SIG.relations)
-    rng = random.Random(42)
-    goals = [
-        random_sequent(rng, SIG if k % 2 else no_constants, max_mdepth=2, max_udepth=2, size=6)
-        for k in range(200)
-    ]
-    search = ProofSearch(SIG)
-    for goal in goals:
-        full = _full_sort_cut_pool(goal, 42)
-        for limit in range(1, 43):
-            assert search._cut_pool(goal, limit) == full[: 2 * limit], (goal, limit)
-    quantified = [g for g in goals if any(isinstance(f, Forall) for f in subformulas(g.lhs) | subformulas(g.rhs))]
-    open_quantified = [g for g in quantified if free_vars(g.lhs) | free_vars(g.rhs)]
-    assert len(quantified) > 50 and len(open_quantified) > 10
+def test_prove_gives_nothing_where_the_canonical_model_fills_its_fact_cap():
+    # derivable in 4 nodes, but the 12 nested universals fill
+    # CANONICAL_FACT_CAP in the root world before it has a child world
+    xs = [f"x{i}" for i in range(1, 13)]
+    chain = " & ".join(f"R({a},{b})" for a, b in zip(xs, xs[1:]))
+    universals = "".join(f"A {x} . " for x in xs)
+    s = seq(f"({universals}({chain})) & <>(S(c0) & <>S(c1)) |- <><>S(c1)")
+    assert prove(s, SIG) is None
+    assert decide(s, SIG).status == UNDECIDED
 
 
 # ---------------------------------------------------------------------------

@@ -550,8 +550,9 @@ def model_to_dict(m: Model) -> dict:
 
 
 def _shaped(value, kind, what: str):
-    """value when it has the given JSON type; otherwise the document is malformed."""
-    if not isinstance(value, kind):
+    """value when it has the given JSON type; otherwise the document is malformed.
+    JSON's true and false are no integers, though Python's bool is an int."""
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ModelError(f"malformed model document: {what}")
     return value
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Container, Iterable, Mapping, Optional, TypeVar, Union
 
@@ -196,8 +197,9 @@ class Signature:
     def arities(self) -> Mapping[str, int]:
         return dict(self.relations)
 
-    def is_constant(self, name: str) -> bool:
-        return name in self.constants
+    @functools.cached_property
+    def constant_names(self) -> frozenset[str]:
+        return frozenset(self.constants)
 
     def with_constants(self, extra: Iterable[str]) -> "Signature":
         new = [c for c in extra if c not in self.constants]
@@ -488,41 +490,23 @@ def pretty_sequent(s: Sequent) -> str:
 # parsing
 
 
-_PAIR_SYMBOLS = frozenset({"|-", "<>"})
-_SINGLE_SYMBOLS = frozenset("(),.;:/&")
+# A token is an identifier, a run of letters, digits, _, #, @ and !, or one of
+# the symbols |- <> ( ) , . ; : / &, and whitespace separates tokens. The
+# lexer hands the parser the tokens' strings, then "" for the end of input.
+_SYMBOLS = frozenset({"|-", "<>", "(", ")", ",", ".", ";", ":", "/", "&"})
+_TOKEN = re.compile(r"\|-|<>|[(),.;:/&]|[\w#@!]+")
+# one character or two-character symbol per repetition, so that the match
+# ends, without backtracking, at the first character that starts no token;
+# on str patterns \s is str.isspace, and \w is str.isalnum or _
+_LEXABLE = re.compile(r"(?:\s|[\w#@!(),.;:/&]|\|-|<>)*")
 
 
-@dataclass
-class _Token:
-    kind: str  # "ident" | symbol text
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        pair = text[i:i + 2]
-        if pair in _PAIR_SYMBOLS:
-            tokens.append(_Token(pair, pair, i))
-            i += 2
-        elif ch in _SINGLE_SYMBOLS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-        elif ch.isalnum() or ch in "_#@!":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_#@!"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
+def _tokenize(text: str) -> list[str]:
+    bad = _LEXABLE.match(text).end()
+    if bad < len(text):
+        raise ParseError(f"unexpected character {text[bad]!r}", bad)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
 
 
@@ -540,118 +524,121 @@ MAX_NESTING = 100
 _MAX_OPEN = 2 * MAX_NESTING
 
 
-def _too_deep(tok: _Token, what: str) -> ParseError:
-    return ParseError(f"formula nested more than {what} deep", tok.pos)
-
-
 class _Parser:
-    """Recursive descent; each parse_* method takes the number of <>, A and (
-    open around the current token, and returns a formula and its height, the
-    number of <>, A and & on its deepest path."""
+    """Recursive descent over the token strings, self.i indexing the current
+    one; each parse_* method takes the number of <>, A and ( open around the
+    current token, and returns a formula and its height, the number of <>, A
+    and & on its deepest path."""
 
     def __init__(self, text: str, sig: Signature):
+        self.text = text
         self.tokens = _tokenize(text)
-        self.sig = sig
+        self.constants = sig.constant_names
+        self.arities = sig.arities
         self.i = 0
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.i]
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """message at the offset of token i, by default the current one; the
+        offsets are found again only here, on the way out."""
+        i = self.i if i is None else i
+        if i == len(self.tokens) - 1:
+            return ParseError(message, len(self.text))
+        match = next(itertools.islice(_TOKEN.finditer(self.text), i, None))
+        return ParseError(message, match.start())
 
-    def advance(self) -> _Token:
-        tok = self.cur
+    def expect(self, symbol: str) -> None:
+        tok = self.tokens[self.i]
+        if tok != symbol:
+            raise self.error(f"expected {symbol!r}, found {tok!r}")
+        self.i += 1
+
+    def ident(self) -> str:
+        tok = self.tokens[self.i]
+        if not tok or tok in _SYMBOLS:
+            raise self.error(f"expected 'ident', found {tok!r}")
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> _Token:
-        if self.cur.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {self.cur.text!r}", self.cur.pos)
-        return self.advance()
-
     def formula(self) -> Formula:
-        tok = self.cur
+        start = self.i
         f, height = self.parse_formula(0)
         if height > MAX_NESTING:
-            raise _too_deep(tok, f"{MAX_NESTING} levels")
+            raise self.error(f"formula nested more than {MAX_NESTING} levels deep", start)
         return f
 
-    def enter(self, tok: _Token, depth: int) -> int:
+    def enter(self, i: int, depth: int) -> int:
         # checked on the way down, so that the recursion stops in time
         if depth == _MAX_OPEN:
-            raise _too_deep(tok, f"{_MAX_OPEN} levels, counting parentheses,")
+            raise self.error(
+                f"formula nested more than {_MAX_OPEN} levels, counting parentheses, deep", i
+            )
         return depth + 1
 
     def parse_formula(self, depth: int) -> tuple[Formula, int]:
         left, height = self.parse_unary(depth)
-        while self.cur.kind == "&":
-            self.advance()
+        while self.tokens[self.i] == "&":
+            self.i += 1
             right, right_height = self.parse_unary(depth)
             left, height = And(left, right), 1 + max(height, right_height)
         return left, height
 
     def parse_unary(self, depth: int) -> tuple[Formula, int]:
-        tok = self.cur
-        if tok.kind == "<>":
-            self.advance()
-            body, height = self.parse_unary(self.enter(tok, depth))
+        i = self.i
+        tok = self.tokens[i]
+        if tok == "<>":
+            self.i += 1
+            body, height = self.parse_unary(self.enter(i, depth))
             return Diamond(body), height + 1
-        if tok.kind == "ident" and tok.text == "A":
-            self.advance()
-            var = self.expect("ident")
-            if self.sig.is_constant(var.text):
-                raise ParseError(
-                    f"declared constant {var.text!r} used as bound variable", var.pos
-                )
+        if tok == "A":
+            self.i += 1
+            var = self.ident()
+            if var in self.constants:
+                raise self.error(f"declared constant {var!r} used as bound variable", self.i - 1)
             self.expect(".")
             # the quantifier extends maximally to the right
-            body, height = self.parse_formula(self.enter(tok, depth))
-            return Forall(var.text, body), height + 1
+            body, height = self.parse_formula(self.enter(i, depth))
+            return Forall(var, body), height + 1
         return self.parse_atom(depth)
 
     def parse_atom(self, depth: int) -> tuple[Formula, int]:
-        tok = self.cur
-        if tok.kind == "(":
-            self.advance()
-            f = self.parse_formula(self.enter(tok, depth))
+        i = self.i
+        tok = self.tokens[i]
+        if tok == "(":
+            self.i += 1
+            f = self.parse_formula(self.enter(i, depth))
             self.expect(")")
             return f
-        if tok.kind == "ident":
-            if tok.text == "T":
-                self.advance()
-                return TOP, 0
-            self.advance()
-            if self.cur.kind == "(":
-                self.advance()
-                args = [self.parse_term()]
-                while self.cur.kind == ",":
-                    self.advance()
-                    args.append(self.parse_term())
-                self.expect(")")
-                return self._mk_pred(tok, tuple(args)), 0
-            # bare identifier in formula position: only a 0-ary relation fits
-            return self._mk_pred(tok, ()), 0
-        raise ParseError(f"expected a formula, found {tok.text!r}", tok.pos)
-
-    def _mk_pred(self, tok: _Token, args: tuple[Term, ...]) -> Pred:
-        arity = self.sig.arities.get(tok.text)
+        if not tok or tok in _SYMBOLS:
+            raise self.error(f"expected a formula, found {tok!r}")
+        self.i += 1
+        if tok == "T":
+            return TOP, 0
+        args: tuple[Term, ...] = ()
+        if self.tokens[self.i] == "(":
+            self.i += 1
+            terms = [self.parse_term()]
+            while self.tokens[self.i] == ",":
+                self.i += 1
+                terms.append(self.parse_term())
+            self.expect(")")
+            args = tuple(terms)
+        # bare identifier in formula position: only a 0-ary relation fits
+        arity = self.arities.get(tok)
         if arity is None:
-            raise ParseError(f"undeclared relation {tok.text!r}", tok.pos)
+            raise self.error(f"undeclared relation {tok!r}", i)
         if arity != len(args):
-            raise ParseError(
-                f"relation {tok.text!r} has arity {arity}, got {len(args)} arguments",
-                tok.pos,
-            )
-        return Pred(tok.text, args)
+            raise self.error(f"relation {tok!r} has arity {arity}, got {len(args)} arguments", i)
+        return Pred(tok, args), 0
 
     def parse_term(self) -> Term:
-        tok = self.expect("ident")
-        if tok.text in self.sig.arities:
-            raise ParseError(f"relation {tok.text!r} used in term position", tok.pos)
-        if tok.text in RESERVED_NAMES:
-            raise ParseError(f"{tok.text!r} is reserved", tok.pos)
-        if self.sig.is_constant(tok.text):
-            return Const(tok.text)
-        return Var(tok.text)
+        name = self.ident()
+        if name in self.arities:
+            raise self.error(f"relation {name!r} used in term position", self.i - 1)
+        if name in RESERVED_NAMES:
+            raise self.error(f"{name!r} is reserved", self.i - 1)
+        if name in self.constants:
+            return Const(name)
+        return Var(name)
 
     def parse_sequent(self) -> Sequent:
         lhs = self.formula()
@@ -660,8 +647,9 @@ class _Parser:
         return Sequent(lhs, rhs)
 
     def done(self) -> None:
-        if self.cur.kind != "eof":
-            raise ParseError(f"trailing input {self.cur.text!r}", self.cur.pos)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"trailing input {tok!r}")
 
 
 def parse_formula(text: str, sig: Signature) -> Formula:

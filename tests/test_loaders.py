@@ -2,14 +2,17 @@
 value or text they return a value or raise a QRCError, never anything else."""
 
 import copy
+import json
 
+import pytest
 from hypothesis import given, strategies as st
 
 from qrc1.calculus import check_derivation, derivation_from_dict, derivation_to_dict
+from qrc1.cli import main
 from qrc1.decider import decide
 from qrc1.generate import DEFAULT_SIG
-from qrc1.semantics import countermodel_from_dict, countermodel_to_dict
-from qrc1.syntax import QRCError, parse_sequent
+from qrc1.semantics import ModelError, countermodel_from_dict, countermodel_to_dict
+from qrc1.syntax import QRCError, parse_sequent, signature_str
 
 SIG = DEFAULT_SIG
 
@@ -99,3 +102,45 @@ def test_parse_sequent_is_total_on_any_text(text):
         parse_sequent(text, SIG)
     except QRCError:
         pass
+
+
+def _one_world_countermodel(element, world):
+    return {
+        "model": {"edges": [], "worlds": [
+            {"id": world, "domain": [element], "constants": {"c0": element, "c1": element},
+             "relations": {"S": [[element]]}}]},
+        "root": world,
+        "assignment": {"map": {"x": element}, "default": element},
+        "sequent": "S(c0) |- <>S(c0)",
+    }
+
+
+# JSON's true is no integer, though Python's True is an int equal to 1: with
+# true for 1 anywhere, a document that would be a valid countermodel is malformed
+BOOLEAN_PLACES = {
+    "world id": lambda d: d["model"]["worlds"][0].update(id=True),
+    "domain": lambda d: d["model"]["worlds"][0].update(domain=[True]),
+    "constant value": lambda d: d["model"]["worlds"][0]["constants"].update(c1=True),
+    "relation tuple": lambda d: d["model"]["worlds"][0]["relations"].update(S=[[True]]),
+    "root": lambda d: d.update(root=True),
+    "assigned value": lambda d: d["assignment"]["map"].update(x=True),
+    "assignment default": lambda d: d["assignment"].update(default=True),
+}
+
+
+@pytest.mark.parametrize("place", list(BOOLEAN_PLACES))
+def test_a_json_boolean_is_no_integer_in_a_model_document(place):
+    doc = _one_world_countermodel(1, 1)
+    countermodel_from_dict(doc, SIG).validate()
+    BOOLEAN_PLACES[place](doc)
+    with pytest.raises(ModelError, match="malformed model document"):
+        countermodel_from_dict(doc, SIG)
+
+
+def test_check_model_refuses_json_booleans(capsys, tmp_path):
+    doc = tmp_path / "booleans.jsonl"
+    doc.write_text(json.dumps({"countermodel": _one_world_countermodel(True, False)}) + "\n")
+    sig = tmp_path / "sig.txt"
+    sig.write_text(signature_str(SIG) + "\n")
+    assert main(["check-model", str(doc), "--sig", str(sig)]) == 2
+    assert capsys.readouterr().out.startswith("INVALID countermodel")

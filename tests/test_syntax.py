@@ -1,7 +1,10 @@
 import copy
+import hashlib
+import itertools
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from qrc1.generate import random_sequent
 from qrc1.syntax import (
     MAX_NESTING,
     And,
@@ -323,3 +327,88 @@ def test_sorted_formulas_is_deterministic():
     once = sorted_formulas(fs)
     assert sorted_formulas(reversed(fs)) == once
     assert once[0] == TOP
+
+
+# ---------------------------------------------------------------------------
+# lexing, and parse outcomes pinned by digest
+
+
+def _outcome(parse, text: str, sig: Signature = SIG) -> str:
+    try:
+        return repr(parse(text, sig))
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def _single_character_outcome(c: str) -> str:
+    return _outcome(parse_formula, c, Signature())
+
+
+def test_each_code_point_lexes_as_the_str_methods_say():
+    # identifiers are runs of str.isalnum characters and _ # @ !, and the
+    # str.isspace characters separate tokens, by the running interpreter's
+    # own Unicode tables; every other character outside the symbols is refused
+    assert _single_character_outcome("T") == "Top"
+    assert _single_character_outcome("A") == "ParseError: expected 'ident', found '' (at position 1)"
+    assert _single_character_outcome("(") == "ParseError: expected a formula, found '' (at position 1)"
+    for c in ").,;:/&":
+        assert _single_character_outcome(c) == f"ParseError: expected a formula, found {c!r} (at position 0)"
+    wrong = []
+    for code in itertools.chain(range(0x10000), range(0x10000, 0x110000, 97)):
+        c = chr(code)
+        if c in "TA(),.;:/&":
+            continue
+        if c.isalnum() or c in "_#@!":
+            expected = f"ParseError: undeclared relation {c!r} (at position 0)"
+        elif c.isspace():
+            expected = "ParseError: expected a formula, found '' (at position 1)"
+        else:
+            expected = f"ParseError: unexpected character {c!r} (at position 0)"
+        if _single_character_outcome(c) != expected:
+            wrong.append(f"U+{code:04X}")
+    assert wrong == []
+
+
+#: what a random edit inserts or puts in place of one character
+_EDITS = ["(", ")", "<>", "|-", "&", ".", ",", "A", "T", "c0", "#", "@", "!", "é", "?", " ", "\t"]
+
+
+def _edited(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + rng.choice(_EDITS) + text[i:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(_EDITS) + text[i + 1:]
+    return text
+
+
+def test_parser_outcomes_are_pinned():
+    # each parse's result or error message, with its position; a change to
+    # the lexer or parser that moves any of them changes the digest
+    rng = random.Random(12)
+    texts = [
+        _edited(rng, pretty_sequent(random_sequent(
+            rng, SIG, rng.randint(0, 4), rng.randint(0, 3), rng.randint(1, 24))))
+        for _ in range(5000)
+    ] + ["A c0 . S(c0) |- T", "A T . S(c0) |- T", "S(R) |- T", "S(A) |- T", "T |- T T"]
+    deep = [
+        "<>" * MAX_NESTING + "T",
+        "<>" * (MAX_NESTING + 1) + "T",
+        "(" * (2 * MAX_NESTING) + "T" + ")" * (2 * MAX_NESTING),
+        "(" * (2 * MAX_NESTING + 1) + "T" + ")" * (2 * MAX_NESTING + 1),
+        "A x . " * (MAX_NESTING - 1) + "<>S(x)",
+        "A x . " * (MAX_NESTING + 1) + "S(x)",
+        " & ".join(["T"] * (MAX_NESTING + 1)),
+        " & ".join(["T"] * (MAX_NESTING + 2)),
+        "<>" * MAX_NESTING + "(T & T)",
+    ]
+    lines = [_outcome(parse_sequent, t) for t in texts]
+    lines += [_outcome(parse_formula, t) for t in deep]
+    lines += [_outcome(parse_sequent, t) for t in deep for t in (t + " |- T", "T |- " + t)]
+    assert len(lines) == 5005 + 3 * len(deep)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e7869184aa094c09d4006e44eb3326160b68f3c16220acbd0dfde62b301d11cb"

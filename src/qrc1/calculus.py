@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from . import syntax
 from .syntax import (
     And,
     Const,
@@ -24,7 +25,6 @@ from .syntax import (
     free_for,
     free_vars,
     constants_of,
-    parse_sequent,
     pretty,
     pretty_sequent,
     substitute,
@@ -395,7 +395,7 @@ def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
             inst = Instantiation(_field(raw, "var", str), Const(name) if kind == "const" else Var(name))
         return Derivation(
             rule=_field(node, "rule", str),
-            conclusion=parse_sequent(_field(node, "conclusion", str), sig),
+            conclusion=syntax.parse_sequent(_field(node, "conclusion", str), sig),
             premises=tuple(build(p) for p in _field(node, "premises", list, [])),
             instantiation=inst,
         )

@@ -7,6 +7,7 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from . import syntax
 from .syntax import (
     And,
     Const,
@@ -21,7 +22,6 @@ from .syntax import (
     Top,
     constants_of,
     free_vars,
-    parse_sequent,
     pretty_sequent,
 )
 
@@ -599,9 +599,17 @@ def countermodel_to_dict(cm: Countermodel) -> dict:
 
 
 def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
-    """Rebuild a countermodel; a document of the wrong shape raises ModelError."""
+    """Rebuild a countermodel; a document of the wrong shape, or a model that
+    interprets a relation outside sig or at the wrong arity, raises ModelError."""
     doc = _shaped(doc, dict, "a countermodel must be an object")
     model = model_from_dict(doc.get("model"))
+    arity = dict(sig.relations)
+    for w in model.worlds:
+        for name, tuples in model.relJ[w].items():
+            if name not in arity:
+                raise ModelError(f"relation {name!r} at {w!r} is not in the signature")
+            if any(len(t) != arity[name] for t in tuples):
+                raise ModelError(f"a tuple of {name!r} at {w!r} does not have arity {arity[name]}")
     root = _shaped(doc.get("root"), World, "'root' must be an integer or a string")
     raw = _shaped(doc.get("assignment"), dict, "'assignment' must be an object")
     mapping = _shaped(raw.get("map"), dict, "the assignment's 'map' must be an object")
@@ -610,7 +618,7 @@ def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
         {x: _shaped(d, Element, "an assigned value must be an integer or a string") for x, d in mapping.items()},
         _shaped(raw.get("default"), Element, "the assignment's 'default' must be an integer or a string"),
     )
-    seq = parse_sequent(_shaped(doc.get("sequent"), str, "'sequent' must be a string"), sig)
+    seq = syntax.parse_sequent(_shaped(doc.get("sequent"), str, "'sequent' must be a string"), sig)
     return Countermodel(model, root, g, seq)
 
 

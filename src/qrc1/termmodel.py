@@ -1,9 +1,11 @@
 """Pairs, Lindenbaum saturation, pair existence, and term-model construction.
 
-The derivability oracle throughout is the decider module, which is total on
-its own; this module never consults the model it is building. The oracle for
-one left-hand side is built once (its conjunction, constants and signatures)
-and then asked about each formula of a closure.
+Derivability from a left-hand side is answered by `oracle`: T, members of the
+left-hand side and conjunctions by the rules of the calculus, and every other
+formula by the decider module, which is total on its own. This module never
+consults the model it is building. The oracle for one left-hand side is built
+once (its conjunction, constants, signatures and answers) and then asked about
+each formula of a closure.
 """
 
 from __future__ import annotations
@@ -85,23 +87,47 @@ def _oracle_sig(sig: Signature, formulas: Iterable[Formula]) -> Signature:
 def oracle(
     gamma: Iterable[Formula], sig: Signature, config: DeciderConfig | None = None
 ) -> Callable[[Formula], bool]:
-    """Derivability from the conjunction of gamma, asked one formula at a time;
-    the conjunction, its constants and each query signature are built once."""
+    """Derivability from the conjunction of gamma, asked one formula at a time.
+
+    The calculus settles three cases without search: T is entailed (TopI), a
+    member of gamma is entailed (Id, then AndE out of the conjunction), and
+    A & B is entailed exactly when A and B both are (AndI one way, AndE and
+    Cut the other). Every other formula is a query to decide. Answers are kept,
+    so a conjunction asks about each conjunct once. A conjunction with an
+    undecided conjunct and no refuted one is itself a query to decide."""
+    gamma = frozenset(gamma)
     lhs = conjunction(gamma)
     lhs_constants = constants_of(lhs)
     sigs: dict[frozenset[str], Signature] = {}
+    answers: dict[Formula, bool | None] = dict.fromkeys([TOP, *gamma], True)
 
-    def entailed(f: Formula) -> bool:
+    def ask(f: Formula) -> bool | None:
         extra = lhs_constants | constants_of(f)
         if extra not in sigs:
             sigs[extra] = sig.with_constants(sorted(extra))
-        seq = Sequent(lhs, f)
-        verdict = decide(seq, sigs[extra], config)
-        if verdict.status == DERIVABLE:
-            return True
-        if verdict.status == UNDERIVABLE:
-            return False
-        raise OracleUndecidedError(f"oracle undecided on {seq}")
+        status = decide(Sequent(lhs, f), sigs[extra], config).status
+        return {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
+
+    def answer(f: Formula) -> bool | None:
+        if f not in answers:
+            if isinstance(f, And):
+                left = answer(f.left)
+                right = None if left is False else answer(f.right)
+                if left is False or right is False:
+                    answers[f] = False
+                elif left and right:
+                    answers[f] = True
+                else:
+                    answers[f] = ask(f)
+            else:
+                answers[f] = ask(f)
+        return answers[f]
+
+    def entailed(f: Formula) -> bool:
+        a = answer(f)
+        if a is None:
+            raise OracleUndecidedError(f"oracle undecided on {Sequent(lhs, f)}")
+        return a
 
     return entailed
 

@@ -249,6 +249,26 @@ def test_check_model_rejects_an_assignment_outside_the_domain(capsys, tmp_path, 
     assert "not in the root's domain" in out
 
 
+@pytest.mark.parametrize("relations, error", [
+    ({"Q": [[0]]}, "relation 'Q' at 0 is not in the signature"),
+    ({"S": [[0, 0]]}, "a tuple of 'S' at 0 does not have arity 1"),
+])
+def test_check_model_rejects_relations_outside_the_signature(capsys, tmp_path, sig_file, relations, error):
+    # T |- S(c0) is underivable, and S stays empty in either model
+    forged = {"countermodel": {
+        "assignment": {"default": 0, "map": {}},
+        "model": {"edges": [], "worlds": [
+            {"constants": {"c0": 0}, "domain": [0], "id": 0, "relations": relations}]},
+        "root": 0,
+        "sequent": "T |- S(c0)",
+    }}
+    doc_path = tmp_path / "forged.jsonl"
+    doc_path.write_text(json.dumps(forged) + "\n")
+    code, out, _ = run(capsys, "check-model", str(doc_path), "--sig", sig_file)
+    assert code == 2
+    assert out.startswith("INVALID countermodel") and error in out
+
+
 @pytest.mark.parametrize("command", ["check-derivation", "check-model"])
 def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
     doc_path = tmp_path / "deep.jsonl"

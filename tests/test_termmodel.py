@@ -1,17 +1,22 @@
 import hashlib
+import json
 import random
 
 import pytest
 
 import qrc1.termmodel as termmodel
 
+from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, Verdict, decide
 from qrc1.generate import random_formula
 from qrc1.semantics import check_adequate
 from qrc1.syntax import (
+    And,
     Diamond,
     Forall,
+    Sequent,
     Signature,
     closure,
+    constants_of,
     free_vars,
     parse_formula,
     parse_signature,
@@ -24,6 +29,7 @@ from qrc1.syntax import (
 )
 from qrc1.termmodel import (
     FreshConstants,
+    OracleUndecidedError,
     PairPM,
     PairError,
     build_term_model,
@@ -223,11 +229,13 @@ def _demo_pairs(count: int):
 
 
 def test_oracle_queries_are_pinned(monkeypatch):
-    """Building and checking term models asks the decider exactly the queries
-    (sequent, signature, order) recorded before the per-left-hand-side oracle,
-    and gets the same verdicts."""
+    """Building and checking term models gives the models recorded before the
+    oracle settled T, conjunctions and members of the left-hand side by rule,
+    and asks the decider exactly the queries (sequent, signature, order)
+    recorded since, with the same verdicts."""
     sig, pairs = _demo_pairs(150)
-    digest = hashlib.sha256()
+    queries = hashlib.sha256()
+    models = hashlib.sha256()
     calls = 0
     original = termmodel.decide
 
@@ -235,20 +243,55 @@ def test_oracle_queries_are_pinned(monkeypatch):
         nonlocal calls
         verdict = original(s, query_sig, config)
         calls += 1
-        digest.update(f"{pretty_sequent(s)}\t{signature_str(query_sig)}\t{verdict.status}\n".encode())
+        queries.update(f"{pretty_sequent(s)}\t{signature_str(query_sig)}\t{verdict.status}\n".encode())
         return verdict
 
     monkeypatch.setattr(termmodel, "decide", recording_decide)
     for p in pairs:
-        truth_lemma_check(build_term_model(p, sig), p, sig)
-    assert calls == 1252
-    assert digest.hexdigest() == "af45f8ae63a6c933eb77558461cd6b69b1114d4b406696824f3f2d3bc9033aeb"
+        result = build_term_model(p, sig)
+        truth_lemma_check(result, p, sig)
+        models.update(json.dumps([result.annotations(), sorted(result.model.R)]).encode())
+    assert models.hexdigest() == "fd0d054472a84dd477210ae2bdd3afa229b758aefa0f13a22881ae024bc02de2"
+    assert calls == 688
+    assert queries.hexdigest() == "e27286f56f6268917c10c3fcbcd7d4341e33c49f0b9de5b023f0217bf2fbdccc"
 
 
 def test_lindenbaum_agrees_with_one_query_entails():
+    """Saturation, a fresh oracle asked once, and decide on the whole sequent
+    agree on every closure formula, though the oracle settles T, conjunctions
+    and members of the left-hand side by rule."""
     sig, pairs = _demo_pairs(150)
     for p in pairs:
         phi = sorted_formulas(p.formulas())
+        lhs = conjunction(p.pos)
         q = lindenbaum(p, phi, sig)
         for g in closure(phi, q.constants):
-            assert (g in q.pos) == oracle(p.pos, sig)(g), (p, g)
+            query_sig = sig.with_constants(sorted(constants_of(lhs) | constants_of(g)))
+            by_decide = decide(Sequent(lhs, g), query_sig).status == DERIVABLE
+            assert (g in q.pos) == oracle(p.pos, sig)(g) == by_decide, (p, g)
+
+
+def test_oracle_asks_decide_about_a_conjunction_with_an_undecided_conjunct(monkeypatch):
+    a, b = f("S(c)"), f("<>S(c)")
+    status = {a: UNDECIDED, b: DERIVABLE, And(a, b): DERIVABLE}
+    asked = []
+
+    def fake_decide(s, query_sig, config=None):
+        asked.append(s.rhs)
+        return Verdict(status[s.rhs])
+
+    monkeypatch.setattr(termmodel, "decide", fake_decide)
+    gamma = [f("<>T & S(c)")]
+    assert oracle(gamma, SIG)(f("T")) and oracle(gamma, SIG)(gamma[0])
+    assert asked == []
+    assert oracle(gamma, SIG)(And(a, b))
+    assert asked == [a, b, And(a, b)]
+    with pytest.raises(OracleUndecidedError):
+        oracle(gamma, SIG)(a)
+    status[And(a, b)] = UNDECIDED
+    with pytest.raises(OracleUndecidedError):
+        oracle(gamma, SIG)(And(a, b))
+    status[b] = UNDERIVABLE  # a refuted conjunct settles the conjunction
+    asked.clear()
+    assert not oracle(gamma, SIG)(And(a, b))
+    assert asked == [a, b]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -101,26 +102,28 @@ def _emit(doc: dict, text: str, fmt: str, out) -> None:
 # decide / prove / refute
 
 
-def _decide_one(payload: tuple[Sequent, Signature, DeciderConfig]):
-    s, sig, config = payload
-    return decide(s, sig, config)
+def _verdicts(sequents: list[Sequent], sig: Signature, config: DeciderConfig, jobs: int):
+    """decide's verdicts in input order, each yielded as soon as it is ready,
+    so that the caller can print it and let its certificate go."""
+    inputs = (sequents, itertools.repeat(sig), itertools.repeat(config))
+    if jobs > 1 and len(sequents) > 1:
+        # about four tasks per worker: one sequent per task costs more in
+        # pickling and scheduling than deciding a fast sequent does
+        chunk = max(1, len(sequents) // (4 * jobs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(decide, *inputs, chunksize=chunk)
+    else:
+        yield from map(decide, *inputs)
 
 
 def cmd_decide(args, out) -> int:
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
     config = DeciderConfig(max_worlds=args.max_worlds, max_domain=args.max_domain)
-    payloads = [(s, sig, config) for s in sequents]
-    if args.jobs > 1 and len(sequents) > 1:
-        # about four tasks per worker: one sequent per task costs more in
-        # pickling and scheduling than deciding a fast sequent does
-        chunk = max(1, len(payloads) // (4 * args.jobs))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            verdicts = list(pool.map(_decide_one, payloads, chunksize=chunk))
-    else:
-        verdicts = [_decide_one(p) for p in payloads]
     status = EXIT_OK
-    for s, v in zip(sequents, verdicts):
+    verdicts = _verdicts(sequents, sig, config, args.jobs)
+    # strict: zip runs the generator to its end, which shuts the pool down
+    for s, v in zip(sequents, verdicts, strict=True):
         doc = verdict_to_dict(v, sig)
         doc["sequent"] = pretty_sequent(s)
         _emit(doc, f"{v.status}: {pretty_sequent(s)}", args.format, out)
@@ -251,6 +254,7 @@ def cmd_termmodel(args, out) -> int:
         "edges": sorted(result.model.R),
         "domains": {str(w): sorted(result.model.domain[w]) for w in result.model.worlds},
         "adequate": adequacy.adequate,
+        "oracle_answers": result.oracle_answers,
         "truth_lemma": {
             "checked": report.checked,
             "violations": [

@@ -94,28 +94,10 @@ def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signatur
     return grounded, sig.with_constants(c for _, c in pairs), pairs
 
 
-_DECIDE_CACHE: dict[tuple, Verdict] = {}
-_DECIDE_CACHE_MAX = 100_000
-
-
-def clear_cache() -> None:
-    _DECIDE_CACHE.clear()
-
-
 def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
-    """Decide derivability, returning a validated certificate either way."""
+    """Decide derivability, returning a validated certificate either way. A
+    pure function: it keeps nothing between calls."""
     config = config or _DEFAULT_CONFIG
-    cache_key = (s, sig.constants, sig.relations, config)
-    cached = _DECIDE_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    verdict = _decide(s, sig, config)
-    if len(_DECIDE_CACHE) < _DECIDE_CACHE_MAX:
-        _DECIDE_CACHE[cache_key] = verdict
-    return verdict
-
-
-def _decide(s: Sequent, sig: Signature, config: DeciderConfig) -> Verdict:
     # the canonical model takes free variables as fresh constants, refute as
     # assignment values
     grounded, gsig, ground_pairs = ground_free_variables(s, sig)

@@ -5,12 +5,14 @@ left-hand side and conjunctions by the rules of the calculus, and every other
 formula by the decider module, which is total on its own. This module never
 consults the model it is building. The oracle for one left-hand side is built
 once (its conjunction, constants, signatures and answers) and then asked about
-each formula of a closure.
+each formula of a closure. Its queries to the decider repeat across oracles,
+and the answers (not the certificates) are kept in one process-wide memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import decider
@@ -77,50 +79,70 @@ def conjunction(gamma: Iterable[Formula]) -> Formula:
     return out
 
 
-def _oracle_sig(sig: Signature, formulas: Iterable[Formula]) -> Signature:
-    extra: set[str] = set()
-    for f in formulas:
-        extra.update(constants_of(f))
-    return sig.with_constants(sorted(extra))
+# (query sequent, signature constants, signature relations, config) -> True,
+# False, or None for undecided. decide is a pure function of these, so an
+# answer never goes stale; entries past the cap are not kept.
+_MEMO: dict[tuple, bool | None] = {}
+_MEMO_MAX = 100_000
 
 
 def oracle(
-    gamma: Iterable[Formula], sig: Signature, config: DeciderConfig | None = None
+    gamma: Iterable[Formula],
+    sig: Signature,
+    config: DeciderConfig | None = None,
+    tally: Counter | None = None,
 ) -> Callable[[Formula], bool]:
     """Derivability from the conjunction of gamma, asked one formula at a time.
 
     The calculus settles three cases without search: T is entailed (TopI), a
     member of gamma is entailed (Id, then AndE out of the conjunction), and
     A & B is entailed exactly when A and B both are (AndI one way, AndE and
-    Cut the other). Every other formula is a query to decide. Answers are kept,
-    so a conjunction asks about each conjunct once. A conjunction with an
-    undecided conjunct and no refuted one is itself a query to decide."""
+    Cut the other). Every other formula is a query, answered from the memo or
+    by decide. Answers are kept, so a conjunction asks about each conjunct
+    once. A conjunction with an undecided conjunct and no refuted one is
+    itself a query. `tally` counts the answers by source: "rule", "memo" and
+    "decide"."""
     gamma = frozenset(gamma)
     lhs = conjunction(gamma)
     lhs_constants = constants_of(lhs)
+    config = config or DeciderConfig()
+    tally = Counter() if tally is None else tally
     sigs: dict[frozenset[str], Signature] = {}
-    answers: dict[Formula, bool | None] = dict.fromkeys([TOP, *gamma], True)
+    truths = gamma | {TOP}
+    answers: dict[Formula, bool | None] = {}
 
     def ask(f: Formula) -> bool | None:
         extra = lhs_constants | constants_of(f)
         if extra not in sigs:
             sigs[extra] = sig.with_constants(sorted(extra))
-        status = decide(Sequent(lhs, f), sigs[extra], config).status
-        return {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
+        query, query_sig = Sequent(lhs, f), sigs[extra]
+        key = (query, query_sig.constants, query_sig.relations, config)
+        a = _MEMO.get(key, _MEMO)  # the memo itself marks a miss
+        if a is not _MEMO:
+            tally["memo"] += 1
+            return a
+        tally["decide"] += 1
+        status = decide(query, query_sig, config).status
+        a = {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
+        if len(_MEMO) < _MEMO_MAX:
+            _MEMO[key] = a
+        return a
 
     def answer(f: Formula) -> bool | None:
         if f not in answers:
-            if isinstance(f, And):
+            a = True if f in truths else None
+            if a is None and isinstance(f, And):
                 left = answer(f.left)
                 right = None if left is False else answer(f.right)
                 if left is False or right is False:
-                    answers[f] = False
+                    a = False
                 elif left and right:
-                    answers[f] = True
-                else:
-                    answers[f] = ask(f)
+                    a = True
+            if a is None:
+                a = ask(f)
             else:
-                answers[f] = ask(f)
+                tally["rule"] += 1
+            answers[f] = a
         return answers[f]
 
     def entailed(f: Formula) -> bool:
@@ -132,8 +154,10 @@ def oracle(
     return entailed
 
 
-def is_consistent(p: PairPM, sig: Signature, config: DeciderConfig | None = None) -> bool:
-    entailed = oracle(p.pos, sig, config)
+def is_consistent(
+    p: PairPM, sig: Signature, config: DeciderConfig | None = None, tally: Counter | None = None
+) -> bool:
+    entailed = oracle(p.pos, sig, config, tally)
     return all(not entailed(delta) for delta in sorted_formulas(p.neg))
 
 
@@ -161,6 +185,7 @@ def lindenbaum(
     fresh: FreshConstants | None = None,
     fresh_prefix: str | None = None,
     config: DeciderConfig | None = None,
+    tally: Counter | None = None,
 ) -> PairPM:
     """Extend p to a maximal consistent, fully witnessed pair over the closure
     of phi_set under p's constants plus udepth-many fresh witnesses (one when
@@ -177,7 +202,7 @@ def lindenbaum(
     d_constants = constants + tuple(witnesses)
     pos = set(p.pos)
     neg = set(p.neg)
-    entailed = oracle(p.pos, sig, config)
+    entailed = oracle(p.pos, sig, config, tally)
     for f in sorted_formulas(closure(phi_set, d_constants)):
         if entailed(f):
             pos.add(f)
@@ -202,6 +227,7 @@ def pair_existence(
     fresh: FreshConstants | None = None,
     fresh_prefix: str | None = None,
     config: DeciderConfig | None = None,
+    tally: Counter | None = None,
 ) -> PairPM:
     """Build a successor pair for a positive diamond formula of a saturated
     pair p.
@@ -218,7 +244,7 @@ def pair_existence(
             seed_neg.add(f)
             seed_neg.add(f.body)
     seed = PairPM(frozenset({dphi.body}), frozenset(seed_neg), p.constants)
-    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh, fresh_prefix, config)
+    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh, fresh_prefix, config, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +255,8 @@ def pair_existence(
 class TermModelResult:
     model: Model
     worlds: tuple[PairPM, ...]  # indexed by model world id; the root is 0
+    # the oracle's answers while building, by source: "rule", "memo", "decide"
+    oracle_answers: dict[str, int] = field(default_factory=dict, compare=False)
 
     def annotations(self) -> list[dict]:
         return [
@@ -241,10 +269,12 @@ class TermModelResult:
         ]
 
 
-def _ground_pair(p: PairPM, sig: Signature) -> tuple[PairPM, Signature]:
+def _ground_pair(p: PairPM) -> PairPM:
+    """p with each free variable x replaced by the constant @x, which joins
+    p's constants."""
     fv = sorted(set().union(*(free_vars(f) for f in p.formulas())) if p.formulas() else set())
     if not fv:
-        return p, _oracle_sig(sig, p.formulas())
+        return p
     sub_pos, sub_neg = set(p.pos), set(p.neg)
     consts = list(p.constants)
     for x in fv:
@@ -252,8 +282,7 @@ def _ground_pair(p: PairPM, sig: Signature) -> tuple[PairPM, Signature]:
         sub_pos = {substitute(f, x, c) for f in sub_pos}
         sub_neg = {substitute(f, x, c) for f in sub_neg}
         consts.append(c.name)
-    q = PairPM(frozenset(sub_pos), frozenset(sub_neg), tuple(dict.fromkeys(consts)))
-    return q, _oracle_sig(sig, q.formulas()).with_constants(consts)
+    return PairPM(frozenset(sub_pos), frozenset(sub_neg), tuple(dict.fromkeys(consts)))
 
 
 def build_term_model(
@@ -262,20 +291,22 @@ def build_term_model(
     """The completeness construction: the root saturates p, each world gets
     one child per positive diamond formula, breadth first, and the frame is
     the transitive closure of the tree."""
-    p, sig = _ground_pair(p, sig)
-    if not is_consistent(p, sig, config):
-        raise PairError("cannot build a model from an inconsistent pair")
+    p = _ground_pair(p)
     formula_constants = set().union(*(constants_of(f) for f in p.formulas()))
+    sig = sig.with_constants(sorted(formula_constants))
+    tally: Counter = Counter()
+    if not is_consistent(p, sig, config, tally):
+        raise PairError("cannot build a model from an inconsistent pair")
     constants = tuple(dict.fromkeys(list(p.constants) + sorted(formula_constants)))
     fresh = FreshConstants(set(constants) | set(sig.constants))
     phi_set = sorted_formulas(p.formulas())
-    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, fresh, "w0_c", config)]
+    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, fresh, "w0_c", config, tally)]
     edges: list[tuple[int, int]] = []
     for wi, world in enumerate(worlds):  # worlds grows as the loop runs
         for dphi in sorted_formulas(world.pos):
             if isinstance(dphi, Diamond):
                 edges.append((wi, len(worlds)))
-                worlds.append(pair_existence(world, dphi, sig, fresh, f"w{len(worlds)}_c", config))
+                worlds.append(pair_existence(world, dphi, sig, fresh, f"w{len(worlds)}_c", config, tally))
 
     model = Model(
         worlds=tuple(range(len(worlds))),
@@ -284,7 +315,7 @@ def build_term_model(
         constI={i: {c: c for c in w.constants} for i, w in enumerate(worlds)},
         relJ={i: _atoms_of(w) for i, w in enumerate(worlds)},
     )
-    return TermModelResult(model, tuple(worlds))
+    return TermModelResult(model, tuple(worlds), {k: tally[k] for k in ("rule", "memo", "decide")})
 
 
 def _atoms_of(p: PairPM) -> dict[str, frozenset[tuple[str, ...]]]:
@@ -314,8 +345,7 @@ class TruthLemmaReport:
 def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> TruthLemmaReport:
     """Forcing at each world must coincide with positive membership for every
     formula in that world's closure."""
-    p, _ = _ground_pair(p, sig)
-    phi_set = sorted_formulas(p.formulas())
+    phi_set = sorted_formulas(_ground_pair(p).formulas())
     checked = 0
     violations: list[tuple[int, str, str]] = []
     m = result.model

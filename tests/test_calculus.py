@@ -318,9 +318,9 @@ def test_prove_returns_decides_derivation_under_a_node_budget():
     proved = []
     for s in corpus:
         d = search.prove(s, 12)
-        assert prove(s, DEFAULT_SIG) is d
+        assert prove(s, DEFAULT_SIG) == d
         if d is not None:
-            assert d is decide(s, DEFAULT_SIG).derivation
+            assert d == decide(s, DEFAULT_SIG).derivation
             proved.append(d)
     assert len(proved) == 197
     assert search.stats.nodes_expanded == sum(d.size() for d in proved)

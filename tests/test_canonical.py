@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from qrc1 import canonical, decider, semantics
+from qrc1 import canonical, semantics
 from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
@@ -80,7 +80,6 @@ def test_every_stats_key_on_both_paths(monkeypatch):
         assert stats.keys() == STATS_KEYS
         assert stats["canonical_fallback"] == 0
     monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
-    monkeypatch.setattr(decider, "_DECIDE_CACHE", {})  # so that no cached verdict answers
     v = decide(seq("<>S(c0) |- S(c0)"), SIG)
     assert v.stats.keys() == STATS_KEYS
     assert v.stats["canonical_fallback"] == 1

@@ -1,9 +1,11 @@
+import io
 import json
 
 import pytest
 
+from qrc1 import cli
 from qrc1.calculus import derivation_to_dict
-from qrc1.cli import main
+from qrc1.cli import build_parser, main
 from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, decide
 from qrc1.semantics import countermodel_to_dict
 from qrc1.syntax import MAX_NESTING, parse_sequent_file, pretty_sequent
@@ -83,6 +85,22 @@ def test_decide_jobs_preserve_order(capsys, tmp_path):
     code2, out2, _ = run(capsys, "decide", str(corpus), "--format", "json-lines", "--jobs", "2")
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical, order matches input
+
+
+def test_decide_prints_each_verdict_before_deciding_the_next(monkeypatch, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(SIG_TEXT + "T |- T\nT |- <>T\n")
+    out = io.StringIO()
+    printed = []
+
+    def recording_decide(s, sig, config=None):
+        printed.append(out.getvalue())
+        return decide(s, sig, config)
+
+    monkeypatch.setattr(cli, "decide", recording_decide)
+    assert cli.cmd_decide(build_parser().parse_args(["decide", str(corpus)]), out) == 0
+    assert printed == ["", "derivable: T |- T\n"]
+    assert out.getvalue() == "derivable: T |- T\nunderivable: T |- <>T\n"
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +329,9 @@ def test_termmodel_command(capsys, tmp_path):
     assert code == 0
     assert "truth lemma" in out and "0 violations" in out
     assert "adequate: True" in out
+    code, out, _ = run(capsys, "termmodel", str(pair), "--format", "json-lines")
+    answers = json.loads(out)["oracle_answers"]
+    assert answers.keys() == {"rule", "memo", "decide"} and answers["rule"] > 0
 
 
 @pytest.mark.parametrize("command,body", [

@@ -1,8 +1,10 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from qrc1 import canonical, decider, semantics
+from qrc1 import canonical, semantics
 from qrc1.calculus import check_derivation
 from qrc1.decider import (
     DERIVABLE,
@@ -68,11 +70,13 @@ def test_decide_underivable_with_validated_countermodel(text):
     v.countermodel.validate()
 
 
-def test_decide_is_cached():
-    config = DeciderConfig()
-    a = decide(seq("T |- T"), SIG, config)
-    b = decide(seq("T |- T"), SIG, config)
-    assert a is b
+def test_decide_retains_no_verdict():
+    v = decide(seq("T |- <>T"), SIG)
+    assert v.countermodel is not None
+    ref = weakref.ref(v)
+    del v
+    gc.collect()
+    assert ref() is None
 
 
 def test_cache_key_covers_the_proof_budget():
@@ -104,7 +108,6 @@ def test_truncated_implicants_are_reported(monkeypatch):
     # implicants of <>S(x) at a reflexive root
     monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
     monkeypatch.setattr(semantics, "IMPLICANT_CAP", 1)
-    monkeypatch.setattr(decider, "_DECIDE_CACHE", {})
     v = decide(seq("A x . <>S(x) |- <>(A x . S(x)) & <>S(c1)"), SIG)
     assert v.stats["canonical_fallback"] == 1
     assert v.stats["refute_truncated"] > 0

@@ -6,7 +6,7 @@ import pytest
 
 import qrc1.termmodel as termmodel
 
-from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, Verdict, decide
+from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, Verdict, decide
 from qrc1.generate import random_formula
 from qrc1.semantics import check_adequate
 from qrc1.syntax import (
@@ -231,9 +231,11 @@ def _demo_pairs(count: int):
 def test_oracle_queries_are_pinned(monkeypatch):
     """Building and checking term models gives the models recorded before the
     oracle settled T, conjunctions and members of the left-hand side by rule,
-    and asks the decider exactly the queries (sequent, signature, order)
-    recorded since, with the same verdicts."""
+    and asks the decider exactly the distinct queries (sequent, signature,
+    first-seen order) it asked before the oracle kept a memo, with the same
+    verdicts."""
     sig, pairs = _demo_pairs(150)
+    monkeypatch.setattr(termmodel, "_MEMO", {})
     queries = hashlib.sha256()
     models = hashlib.sha256()
     calls = 0
@@ -252,8 +254,43 @@ def test_oracle_queries_are_pinned(monkeypatch):
         truth_lemma_check(result, p, sig)
         models.update(json.dumps([result.annotations(), sorted(result.model.R)]).encode())
     assert models.hexdigest() == "fd0d054472a84dd477210ae2bdd3afa229b758aefa0f13a22881ae024bc02de2"
-    assert calls == 688
-    assert queries.hexdigest() == "e27286f56f6268917c10c3fcbcd7d4341e33c49f0b9de5b023f0217bf2fbdccc"
+    assert calls == 393
+    assert queries.hexdigest() == "d900db1660d427eecc1d4cdf659e5169d6eb6f7acbb1a9b50f8adad18903f841"
+
+
+def test_oracle_memo_asks_each_query_once(monkeypatch):
+    """A query is decided once across oracles and term-model builds, and again
+    under another signature or config; build_term_model counts its answers by
+    source."""
+    monkeypatch.setattr(termmodel, "_MEMO", {})
+    asked = []
+    original = termmodel.decide
+
+    def recording_decide(s, query_sig, config=None):
+        asked.append((s, query_sig, config))
+        return original(s, query_sig, config)
+
+    monkeypatch.setattr(termmodel, "decide", recording_decide)
+    gamma, query = [f("<>S(c)")], f("<>T")
+    assert oracle(gamma, SIG)(query) and oracle(gamma, SIG)(query)
+    assert len(asked) == 1
+    other_sig = Signature(constants=("c", "d"), relations=(("S", 1),))
+    assert oracle(gamma, other_sig)(query)
+    assert oracle(gamma, SIG, DeciderConfig(max_worlds=3))(query)
+    assert [(s_sig, config) for _, s_sig, config in asked[1:]] == [
+        (other_sig, DeciderConfig()), (SIG, DeciderConfig(max_worlds=3))]
+
+    p = pair(["<>S(c)"], ["A x . S(x)"])
+    asked.clear()
+    first = build_term_model(p, SIG)
+    decided = len(asked)
+    assert decided > 0 and first.oracle_answers["decide"] == decided
+    second = build_term_model(p, SIG)
+    assert len(asked) == decided
+    assert second.oracle_answers["decide"] == 0
+    assert second.oracle_answers["memo"] == first.oracle_answers["memo"] + decided
+    assert second.oracle_answers["rule"] == first.oracle_answers["rule"] > 0
+    assert second == first
 
 
 def test_lindenbaum_agrees_with_one_query_entails():
@@ -281,6 +318,7 @@ def test_oracle_asks_decide_about_a_conjunction_with_an_undecided_conjunct(monke
         return Verdict(status[s.rhs])
 
     monkeypatch.setattr(termmodel, "decide", fake_decide)
+    monkeypatch.setattr(termmodel, "_MEMO", {})
     gamma = [f("<>T & S(c)")]
     assert oracle(gamma, SIG)(f("T")) and oracle(gamma, SIG)(gamma[0])
     assert asked == []
@@ -289,9 +327,11 @@ def test_oracle_asks_decide_about_a_conjunction_with_an_undecided_conjunct(monke
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, SIG)(a)
     status[And(a, b)] = UNDECIDED
+    termmodel._MEMO.clear()  # the memo keeps the answers of the phase before
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, SIG)(And(a, b))
     status[b] = UNDERIVABLE  # a refuted conjunct settles the conjunction
+    termmodel._MEMO.clear()
     asked.clear()
     assert not oracle(gamma, SIG)(And(a, b))
     assert asked == [a, b]

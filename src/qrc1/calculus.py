@@ -320,8 +320,7 @@ class ProofSearch:
         nodes, else None."""
         from .decider import decide  # decider imports this module
 
-        sig = self.sig.with_constants(sorted(constants_of(goal.lhs) | constants_of(goal.rhs)))
-        d = decide(goal, sig).derivation
+        d = decide(goal, self.sig).derivation
         if d is None or d.size() > budget:
             return None
         self.stats.nodes_expanded += d.size()

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .arith import arith_sequent, arith_to_dict, default_realization, parse_realization, render
 from .calculus import DerivationError, check_derivation, derivation_from_dict, derivation_to_dict
-from .decider import DeciderConfig, UNDECIDED, decide, verdict_to_dict
+from .decider import UNDECIDED, decide, verdict_to_dict
 from .semantics import (
     ModelError,
     check_adequate,
@@ -102,14 +102,20 @@ def _emit(doc: dict, text: str, fmt: str, out) -> None:
 # decide / prove / refute
 
 
-def _verdicts(sequents: list[Sequent], sig: Signature, config: DeciderConfig, jobs: int):
+# The most sequents one pool task decides. A worker keeps each verdict of its
+# task, certificate included, until the whole task is done, so this bounds a
+# worker's memory whatever the length of the batch.
+MAX_CHUNK = 64
+
+
+def _verdicts(sequents: list[Sequent], sig: Signature, jobs: int):
     """decide's verdicts in input order, each yielded as soon as it is ready,
     so that the caller can print it and let its certificate go."""
-    inputs = (sequents, itertools.repeat(sig), itertools.repeat(config))
+    inputs = (sequents, itertools.repeat(sig))
     if jobs > 1 and len(sequents) > 1:
-        # about four tasks per worker: one sequent per task costs more in
+        # up to four tasks per worker: one sequent per task costs more in
         # pickling and scheduling than deciding a fast sequent does
-        chunk = max(1, len(sequents) // (4 * jobs))
+        chunk = max(1, min(MAX_CHUNK, len(sequents) // (4 * jobs)))
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(decide, *inputs, chunksize=chunk)
     else:
@@ -119,9 +125,8 @@ def _verdicts(sequents: list[Sequent], sig: Signature, config: DeciderConfig, jo
 def cmd_decide(args, out) -> int:
     sig = _load_signature(args)
     sig, sequents = _load_sequents(args.input, sig)
-    config = DeciderConfig(max_worlds=args.max_worlds, max_domain=args.max_domain)
     status = EXIT_OK
-    verdicts = _verdicts(sequents, sig, config, args.jobs)
+    verdicts = _verdicts(sequents, sig, args.jobs)
     # strict: zip runs the generator to its end, which shuts the pool down
     for s, v in zip(sequents, verdicts, strict=True):
         doc = verdict_to_dict(v, sig)
@@ -343,10 +348,6 @@ def build_parser() -> _Parser:
     p.add_argument("input", help="sequent file, - for stdin, or an inline `lhs |- rhs`")
     p.add_argument("--jobs", type=_positive, default=1, help="parallel workers for batch input")
     _add_common(p)
-    p.add_argument("--max-worlds", type=_positive, metavar="N",
-                   help="stop building the canonical model past N worlds (default: its fact cap)")
-    p.add_argument("--max-domain", type=_positive, metavar="N",
-                   help="stop building the canonical model past N elements (default: its fact cap)")
     p.set_defaults(func=cmd_decide)
 
     for name, kind in (("prove", "derivation"), ("refute", "countermodel")):

@@ -11,7 +11,7 @@ a countermodel or leaves the sequent undecided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .calculus import (
     CONST_GEN,
@@ -32,6 +32,7 @@ from .syntax import (
     Const,
     Sequent,
     Signature,
+    constants_of,
     free_vars,
     substitute_sequent,
 )
@@ -79,13 +80,18 @@ class DeciderConfig:
 _DEFAULT_CONFIG = DeciderConfig()
 
 
+def grounding(variables: Iterable[str]) -> list[tuple[str, str]]:
+    """(variable, constant) pairs naming each variable x, in sorted order,
+    by the constant @x."""
+    return [(x, f"{GROUND_PREFIX}{x}") for x in sorted(variables)]
+
+
 def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signature, list[tuple[str, str]]]:
     """Replace free variables by fresh constants for the canonical model;
     returns the grounded sequent, the extended signature, and the (variable,
     constant) pairs in order. reattach_free_variables turns a derivation of
     the grounded sequent back into one of s."""
-    fv = sorted(free_vars(s.lhs) | free_vars(s.rhs))
-    pairs = [(x, f"{GROUND_PREFIX}{x}") for x in fv]
+    pairs = grounding(free_vars(s.lhs) | free_vars(s.rhs))
     if not pairs:
         return s, sig, pairs
     grounded = s
@@ -96,8 +102,10 @@ def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signatur
 
 def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
     """Decide derivability, returning a validated certificate either way. A
-    pure function: it keeps nothing between calls."""
+    pure function: it keeps nothing between calls. Constants of s that sig
+    does not declare join it, so that a countermodel interprets them."""
     config = config or _DEFAULT_CONFIG
+    sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
     # the canonical model takes free variables as fresh constants, refute as
     # assignment values
     grounded, gsig, ground_pairs = ground_free_variables(s, sig)

@@ -203,7 +203,7 @@ class Signature:
 
     def with_constants(self, extra: Iterable[str]) -> "Signature":
         new = [c for c in extra if c not in self.constants]
-        return Signature(self.constants + tuple(new), self.relations)
+        return Signature(self.constants + tuple(new), self.relations) if new else self
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,9 @@ Derivability from a left-hand side is answered by `oracle`: T, members of the
 left-hand side and conjunctions by the rules of the calculus, and every other
 formula by the decider module, which is total on its own. This module never
 consults the model it is building. The oracle for one left-hand side is built
-once (its conjunction, constants, signatures and answers) and then asked about
-each formula of a closure. Its queries to the decider repeat across oracles,
-and the answers (not the certificates) are kept in one process-wide memo.
+once (its conjunction and answers) and then asked about each formula of a
+closure. Its queries to the decider repeat across oracles, and the answers
+(not the certificates) are kept in one process-wide memo.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from . import decider
-from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide
+from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide, grounding
 from .semantics import Model, default_assignment, forces, transitive_closure
 from .syntax import (
     And,
@@ -79,9 +78,9 @@ def conjunction(gamma: Iterable[Formula]) -> Formula:
     return out
 
 
-# (query sequent, signature constants, signature relations, config) -> True,
-# False, or None for undecided. decide is a pure function of these, so an
-# answer never goes stale; entries past the cap are not kept.
+# (query sequent, signature, config) -> True, False, or None for undecided.
+# decide is a pure function of these, so an answer never goes stale; entries
+# past the cap are not kept.
 _MEMO: dict[tuple, bool | None] = {}
 _MEMO_MAX = 100_000
 
@@ -104,25 +103,20 @@ def oracle(
     "decide"."""
     gamma = frozenset(gamma)
     lhs = conjunction(gamma)
-    lhs_constants = constants_of(lhs)
     config = config or DeciderConfig()
     tally = Counter() if tally is None else tally
-    sigs: dict[frozenset[str], Signature] = {}
     truths = gamma | {TOP}
     answers: dict[Formula, bool | None] = {}
 
     def ask(f: Formula) -> bool | None:
-        extra = lhs_constants | constants_of(f)
-        if extra not in sigs:
-            sigs[extra] = sig.with_constants(sorted(extra))
-        query, query_sig = Sequent(lhs, f), sigs[extra]
-        key = (query, query_sig.constants, query_sig.relations, config)
+        query = Sequent(lhs, f)
+        key = (query, sig, config)
         a = _MEMO.get(key, _MEMO)  # the memo itself marks a miss
         if a is not _MEMO:
             tally["memo"] += 1
             return a
         tally["decide"] += 1
-        status = decide(query, query_sig, config).status
+        status = decide(query, sig, config).status
         a = {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
         if len(_MEMO) < _MEMO_MAX:
             _MEMO[key] = a
@@ -161,35 +155,20 @@ def is_consistent(
     return all(not entailed(delta) for delta in sorted_formulas(p.neg))
 
 
-class FreshConstants:
-    """Deterministic source of globally fresh constant names."""
-
-    def __init__(self, used: Iterable[str], prefix: str = "n"):
-        self.used = set(used)
-        self.prefix = prefix
-
-    def take(self, count: int, prefix: str | None = None) -> list[str]:
-        prefix = prefix if prefix is not None else self.prefix
-        out: list[str] = []
-        for _ in range(count):
-            name = fresh_name(prefix, self.used)
-            self.used.add(name)
-            out.append(name)
-        return out
-
-
 def lindenbaum(
     p: PairPM,
     phi_set: Iterable[Formula],
     sig: Signature,
-    fresh: FreshConstants | None = None,
-    fresh_prefix: str | None = None,
+    fresh_prefix: str = "n",
     config: DeciderConfig | None = None,
     tally: Counter | None = None,
 ) -> PairPM:
     """Extend p to a maximal consistent, fully witnessed pair over the closure
-    of phi_set under p's constants plus udepth-many fresh witnesses (one when
-    p has no constants, so that the domain is never empty).
+    of phi_set under p's constants plus udepth-many witnesses (one when p has
+    no constants, so that the domain is never empty). The witnesses are the
+    first names fresh_prefix0, fresh_prefix1, ... that are neither p's nor
+    sig's constants. A pair whose positive side entails a member of its
+    negative side in that closure is inconsistent and raises PairError.
 
     The modal depth of the positive part is preserved exactly.
     """
@@ -197,17 +176,22 @@ def lindenbaum(
     _check_closed(phi_set)
     _check_closed(p.formulas())
     constants = tuple(dict.fromkeys(p.constants))
-    fresh = fresh or FreshConstants(set(constants) | set(sig.constants))
-    witnesses = fresh.take(max(set_udepth(phi_set), 0 if constants else 1), fresh_prefix)
+    used = set(constants) | set(sig.constants)
+    witnesses: list[str] = []
+    for _ in range(max(set_udepth(phi_set), 0 if constants else 1)):
+        witnesses.append(fresh_name(fresh_prefix, used))
+        used.add(witnesses[-1])
     d_constants = constants + tuple(witnesses)
     pos = set(p.pos)
     neg = set(p.neg)
     entailed = oracle(p.pos, sig, config, tally)
     for f in sorted_formulas(closure(phi_set, d_constants)):
-        if entailed(f):
-            pos.add(f)
-        else:
+        if not entailed(f):
             neg.add(f)
+        elif f in p.neg:
+            raise PairError(f"inconsistent pair: its positive side entails {pretty(f)}")
+        else:
+            pos.add(f)
     return PairPM(frozenset(pos), frozenset(neg), d_constants)
 
 
@@ -224,8 +208,7 @@ def pair_existence(
     p: PairPM,
     dphi: Formula,
     sig: Signature,
-    fresh: FreshConstants | None = None,
-    fresh_prefix: str | None = None,
+    fresh_prefix: str = "n",
     config: DeciderConfig | None = None,
     tally: Counter | None = None,
 ) -> PairPM:
@@ -244,7 +227,7 @@ def pair_existence(
             seed_neg.add(f)
             seed_neg.add(f.body)
     seed = PairPM(frozenset({dphi.body}), frozenset(seed_neg), p.constants)
-    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh, fresh_prefix, config, tally)
+    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh_prefix, config, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -270,43 +253,40 @@ class TermModelResult:
 
 
 def _ground_pair(p: PairPM) -> PairPM:
-    """p with each free variable x replaced by the constant @x, which joins
-    p's constants."""
-    fv = sorted(set().union(*(free_vars(f) for f in p.formulas())) if p.formulas() else set())
-    if not fv:
+    """p with each free variable grounded as decide grounds it, by a constant
+    that joins p's constants."""
+    pairs = grounding(set().union(*(free_vars(f) for f in p.formulas())))
+    if not pairs:
         return p
-    sub_pos, sub_neg = set(p.pos), set(p.neg)
-    consts = list(p.constants)
-    for x in fv:
-        c = Const(f"{decider.GROUND_PREFIX}{x}")
-        sub_pos = {substitute(f, x, c) for f in sub_pos}
-        sub_neg = {substitute(f, x, c) for f in sub_neg}
-        consts.append(c.name)
-    return PairPM(frozenset(sub_pos), frozenset(sub_neg), tuple(dict.fromkeys(consts)))
+
+    def ground(f: Formula) -> Formula:
+        for x, c in pairs:
+            f = substitute(f, x, Const(c))
+        return f
+
+    return PairPM(frozenset(map(ground, p.pos)), frozenset(map(ground, p.neg)),
+                  tuple(dict.fromkeys(p.constants + tuple(c for _, c in pairs))))
 
 
 def build_term_model(
     p: PairPM, sig: Signature, config: DeciderConfig | None = None
 ) -> TermModelResult:
-    """The completeness construction: the root saturates p, each world gets
-    one child per positive diamond formula, breadth first, and the frame is
-    the transitive closure of the tree."""
+    """The completeness construction: the root saturates p (an inconsistent
+    p raises PairError), each world gets one child per positive diamond
+    formula, breadth first, and the frame is the transitive closure of the
+    tree. World i names its witnesses w{i}_c0, w{i}_c1, ..."""
     p = _ground_pair(p)
     formula_constants = set().union(*(constants_of(f) for f in p.formulas()))
-    sig = sig.with_constants(sorted(formula_constants))
-    tally: Counter = Counter()
-    if not is_consistent(p, sig, config, tally):
-        raise PairError("cannot build a model from an inconsistent pair")
-    constants = tuple(dict.fromkeys(list(p.constants) + sorted(formula_constants)))
-    fresh = FreshConstants(set(constants) | set(sig.constants))
+    constants = tuple(dict.fromkeys(p.constants + tuple(sorted(formula_constants))))
     phi_set = sorted_formulas(p.formulas())
-    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, fresh, "w0_c", config, tally)]
+    tally: Counter = Counter()
+    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, "w0_c", config, tally)]
     edges: list[tuple[int, int]] = []
     for wi, world in enumerate(worlds):  # worlds grows as the loop runs
         for dphi in sorted_formulas(world.pos):
             if isinstance(dphi, Diamond):
                 edges.append((wi, len(worlds)))
-                worlds.append(pair_existence(world, dphi, sig, fresh, f"w{len(worlds)}_c", config, tally))
+                worlds.append(pair_existence(world, dphi, sig, f"w{len(worlds)}_c", config, tally))
 
     model = Model(
         worlds=tuple(range(len(worlds))),
@@ -322,9 +302,7 @@ def _atoms_of(p: PairPM) -> dict[str, frozenset[tuple[str, ...]]]:
     out: dict[str, set[tuple[str, ...]]] = {}
     for f in p.pos:
         if isinstance(f, Pred):
-            args = tuple(t.name for t in f.args if isinstance(t, Const))
-            if len(args) == len(f.args):
-                out.setdefault(f.name, set()).add(args)
+            out.setdefault(f.name, set()).add(tuple(t.name for t in f.args))
     return {s: frozenset(ts) for s, ts in out.items()}
 
 

@@ -87,7 +87,7 @@ def test_every_stats_key_on_both_paths(monkeypatch):
     v.countermodel.validate()
 
 
-def test_config_bounds_below_the_canonical_model_run_the_dovetail():
+def test_config_bounds_below_the_canonical_model_run_the_fallback():
     s = seq("A x . <>S(x) |- <>A x . S(x)")  # 2 worlds, 2 elements
     for config in (DeciderConfig(max_worlds=1), DeciderConfig(max_domain=1)):
         stats = decide(s, SIG, config).stats

@@ -52,18 +52,21 @@ def test_decide_file_json_lines(capsys, tmp_path, sig_file):
     assert all(d["certificate"] is not None for d in docs)
 
 
-def test_decide_undecided_exit_code(capsys, tmp_path):
-    sig = tmp_path / "sig.txt"
-    sig.write_text("sig: relations S/1;\n")
-    code, out, _ = run(
-        capsys, "decide", "A x . <>S(x) |- <>(A x . S(x))",
-        "--sig", str(sig), "--max-worlds", "1", "--max-domain", "1",
-    )
+def test_decide_undecided_exit_code(capsys, sig_file):
+    # the 12 nested universals fill CANONICAL_FACT_CAP in the root world, and
+    # the one-element fallback finds no countermodel
+    xs = [f"x{i}" for i in range(1, 13)]
+    universals = "".join(f"A {x} . " for x in xs)
+    chain = " & ".join(f"R({a},{b})" for a, b in zip(xs, xs[1:]))
+    code, out, _ = run(capsys, "decide", f"({universals}({chain})) & <><>S(c0) |- <>S(c1)",
+                       "--sig", sig_file)
     assert code == 3
     assert out.startswith("undecided:")
 
 
 @pytest.mark.parametrize("argv", [
+    ["decide", "T |- T", "--max-worlds", "1"],
+    ["decide", "T |- T", "--max-domain", "1"],
     ["prove", "T |- T", "--max-worlds", "1"],
     ["decide", "T |- T", "--budget", "1"],
     ["prove", "T |- T", "--budget", "1"],

@@ -79,7 +79,7 @@ def test_decide_retains_no_verdict():
     assert ref() is None
 
 
-def test_cache_key_covers_the_proof_budget():
+def test_max_domain_below_the_root_leaves_a_derivable_sequent_undecided():
     # the canonical model's root has 4 elements, so under max_domain=1 none of
     # it is built, and the one-element search finds no countermodel of this
     # derivable sequent
@@ -113,7 +113,7 @@ def test_truncated_implicants_are_reported(monkeypatch):
     assert v.stats["refute_truncated"] > 0
 
 
-def test_modal_depth_precheck():
+def test_a_deeper_right_hand_side_is_underivable():
     assert decide(seq("T |- <><>T"), SIG).status == UNDERIVABLE
 
 
@@ -154,6 +154,26 @@ def test_decide_random_sequents_always_certified():
             assert mdepth(s.lhs) >= mdepth(s.rhs)
         else:
             v.countermodel.validate()
+
+
+@pytest.mark.parametrize("text,status", [
+    ("A x . S(x) |- S(d)", DERIVABLE),
+    ("S(d) |- S(e) & <>T", UNDERIVABLE),
+])
+def test_decide_adopts_undeclared_constants(text, status):
+    sig = Signature(relations=(("S", 1),))
+    s = parse_sequent(text, Signature(constants=("d", "e"), relations=sig.relations))
+    v = decide(s, sig)
+    assert v.status == status
+    if status == DERIVABLE:
+        assert check_derivation(v.derivation, sig.with_constants(["d"])) == s
+        doc = verdict_to_dict(v, sig)["certificate"]["derivation"]
+        assert doc["extra_constants"] == ["d"]
+    else:
+        assert v.countermodel.sequent == s
+        assert {"d", "e"} <= v.countermodel.model.constI[0].keys()
+        doc = verdict_to_dict(v, sig)["certificate"]["countermodel"]
+        semantics.countermodel_from_dict(doc, sig).validate()
 
 
 def test_conservativity_under_fresh_constants():

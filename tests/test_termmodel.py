@@ -28,7 +28,6 @@ from qrc1.syntax import (
     Const,
 )
 from qrc1.termmodel import (
-    FreshConstants,
     OracleUndecidedError,
     PairPM,
     PairError,
@@ -111,9 +110,18 @@ def test_lindenbaum_rejects_open_formulas():
         lindenbaum(p, [f("S(x)")], SIG)
 
 
-def test_fresh_constants_avoid_collisions():
-    fresh = FreshConstants({"n0", "n2"})
-    assert fresh.take(3) == ["n1", "n3", "n4"]
+def test_lindenbaum_witnesses_skip_the_pairs_and_the_signatures_constants():
+    sig = Signature(constants=("n3",), relations=(("S", 1),))
+    p = PairPM(frozenset(), frozenset(), ("n0", "n2"))
+    q = lindenbaum(p, [f("A x . A y . A z . T", sig)], sig)  # udepth 3: three witnesses
+    assert q.constants == ("n0", "n2", "n1", "n4", "n5")
+
+
+@pytest.mark.parametrize("pos,neg", [({"S(c)"}, {"S(c)", "<>T"}), ({"A x . S(x)"}, {"S(c)"})])
+def test_lindenbaum_rejects_inconsistent_pairs(pos, neg):
+    p = pair(pos, neg)
+    with pytest.raises(PairError, match="inconsistent pair"):
+        lindenbaum(p, sorted_formulas(p.formulas()), SIG)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +239,10 @@ def _demo_pairs(count: int):
 def test_oracle_queries_are_pinned(monkeypatch):
     """Building and checking term models gives the models recorded before the
     oracle settled T, conjunctions and members of the left-hand side by rule,
-    and asks the decider exactly the distinct queries (sequent, signature,
-    first-seen order) it asked before the oracle kept a memo, with the same
-    verdicts."""
+    and asks the decider exactly the distinct queries it asked before the
+    oracle kept a memo, with the same verdicts. The digest pins each query
+    (sequent, signature as decide extends it by the sequent's constants,
+    verdict) in first-seen order, which saturates each root once."""
     sig, pairs = _demo_pairs(150)
     monkeypatch.setattr(termmodel, "_MEMO", {})
     queries = hashlib.sha256()
@@ -245,7 +254,8 @@ def test_oracle_queries_are_pinned(monkeypatch):
         nonlocal calls
         verdict = original(s, query_sig, config)
         calls += 1
-        queries.update(f"{pretty_sequent(s)}\t{signature_str(query_sig)}\t{verdict.status}\n".encode())
+        extended = query_sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+        queries.update(f"{pretty_sequent(s)}\t{signature_str(extended)}\t{verdict.status}\n".encode())
         return verdict
 
     monkeypatch.setattr(termmodel, "decide", recording_decide)
@@ -255,7 +265,7 @@ def test_oracle_queries_are_pinned(monkeypatch):
         models.update(json.dumps([result.annotations(), sorted(result.model.R)]).encode())
     assert models.hexdigest() == "fd0d054472a84dd477210ae2bdd3afa229b758aefa0f13a22881ae024bc02de2"
     assert calls == 393
-    assert queries.hexdigest() == "d900db1660d427eecc1d4cdf659e5169d6eb6f7acbb1a9b50f8adad18903f841"
+    assert queries.hexdigest() == "ce3d415857554fc71334409e339eb1740de6e0dc18eb9f79754639eec688660b"
 
 
 def test_oracle_memo_asks_each_query_once(monkeypatch):

@@ -6,6 +6,7 @@ Quoted formulas stay opaque (no numbering is computed).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -592,38 +593,28 @@ class _ArithParser:
             inner, height = self.term(self.enter(depth))
             self.take(")")
             return inner, height + 1
-        if tok.isdigit():
-            return ANum(int(tok)), 0
+        if tok.isascii() and tok.isdigit():  # str.isdigit alone takes ² too, which int refuses
+            try:
+                return ANum(int(tok)), 0
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(f"line {self.line}: numeral of {len(tok)} digits is too long") from None
         if tok.replace("_", "").isalnum():
             return AVar(tok), 0
         raise ParseError(f"line {self.line}: bad term token {tok!r}")
 
 
-_ARITH_PUNCT = ("<=", ":=", "(", ")", ",", ".", "&", "|", "=", "+", "*")
+# A token is a run of letters, digits and _, or one of <= := ( ) , . & | = + *,
+# and whitespace separates tokens; as in syntax._TOKEN, \w is str.isalnum or
+# _, and _ARITH_LEXABLE's match ends at the first character that starts no token.
+_ARITH_TOKEN = re.compile(r"<=|:=|[(),.&|=+*]|\w+")
+_ARITH_LEXABLE = re.compile(r"(?:\s|[\w(),.&|=+*]|<=|:=)*")
 
 
 def _tokenize_arith(text: str, line: int) -> list[str]:
-    toks: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        for p in _ARITH_PUNCT:
-            if text.startswith(p, i):
-                toks.append(p)
-                i += len(p)
-                break
-        else:
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i:
-                raise ParseError(f"line {line}: bad character {ch!r} in template")
-            toks.append(text[i:j])
-            i = j
-    return toks
+    bad = _ARITH_LEXABLE.match(text).end()
+    if bad < len(text):
+        raise ParseError(f"line {line}: bad character {text[bad]!r} in template")
+    return _ARITH_TOKEN.findall(text)
 
 
 def parse_realization(text: str) -> tuple[Realization, list[str]]:

@@ -32,8 +32,7 @@ has a derivation read off it.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Optional
+from typing import Container, Optional
 
 from .calculus import (
     AND_E_L,
@@ -67,7 +66,7 @@ from .syntax import (
     _subst,
     constants_of,
     free_vars,
-    subformulas,
+    fresh_names,
     udepth,
 )
 
@@ -127,17 +126,17 @@ def _generic(world: _World, b: Formula) -> Var:
 
 
 class CanonicalModel:
-    """M_phi for a sequent without free variables. Building stops before a
-    world past max_worlds or an element past max_domain, and once there are
-    CANONICAL_FACT_CAP facts; the model is then not complete."""
+    """M_phi for a sequent without free variables, whose fresh elements are
+    named v#0, v#1, ... past the names in used, which holds every name of
+    the sequent. Building stops before a world past max_worlds or an element
+    past max_domain, and once there are CANONICAL_FACT_CAP facts; the model
+    is then not complete."""
 
-    def __init__(self, s: Sequent, max_worlds: int | None = None, max_domain: int | None = None):
+    def __init__(
+        self, s: Sequent, used: Container[str], max_worlds: int | None = None, max_domain: int | None = None
+    ):
         k = udepth(s.rhs)
-        used = constants_of(s.lhs) | constants_of(s.rhs)
-        used |= {g.var for f in (s.lhs, s.rhs) for g in subformulas(f) if isinstance(g, Forall)}
-        self._names: Iterator[str] = (
-            name for name in (f"{FRESH_VAR_PREFIX}{i}" for i in itertools.count()) if name not in used
-        )
+        self._names = fresh_names(FRESH_VAR_PREFIX, used)
         self._max_worlds = max_worlds
         self._max_domain = max_domain
         self._forced: dict[tuple[int, Formula], bool] = {}

@@ -24,15 +24,9 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .arith import arith_sequent, arith_to_dict, default_realization, parse_realization, render
-from .calculus import DerivationError, check_derivation, derivation_from_dict, derivation_to_dict
+from .calculus import DerivationError, check_derivation, derivation_from_dict
 from .decider import UNDECIDED, decide, verdict_to_dict
-from .semantics import (
-    ModelError,
-    check_adequate,
-    countermodel_from_dict,
-    countermodel_to_dict,
-    model_text,
-)
+from .semantics import ModelError, check_adequate, countermodel_from_dict, model_text
 from .syntax import (
     Formula,
     ParseError,
@@ -153,12 +147,9 @@ def cmd_certificate(args, out) -> int:
                   f"no {kind} ({v.status}): {label}", args.format, out)
             status = EXIT_UNDECIDED
             continue
-        if kind == "derivation":
-            body = derivation_to_dict(cert, sig)
-            text = f"proved: {label} ({cert.size()} rule applications)"
-        else:
-            body = countermodel_to_dict(cert)
-            text = f"refuted: {label}\n{model_text(cert.model)}"
+        body = verdict_to_dict(v, sig)["certificate"][kind]
+        text = (f"proved: {label} ({cert.size()} rule applications)" if kind == "derivation"
+                else f"refuted: {label}\n{model_text(cert.model)}")
         _emit({"sequent": label, "status": v.status, kind: body}, text, args.format, out)
     return status
 
@@ -196,42 +187,43 @@ def _extract(doc: dict, kind: str) -> Optional[dict]:
     return None
 
 
-def cmd_check_derivation(args, out) -> int:
+def _checked_derivation(inner, sig: Signature) -> Sequent:
+    return check_derivation(derivation_from_dict(inner, sig), sig)  # the checker reads only relation arities
+
+
+def _checked_countermodel(inner, sig: Signature) -> Sequent:
+    cm = countermodel_from_dict(inner, sig)
+    cm.validate()
+    return cm.sequent
+
+
+# per certificate kind: the field of the certificate that names its sequent,
+# the check returning the sequent it certifies, and the text of a valid one
+_CHECKS = {
+    "derivation": ("conclusion", _checked_derivation, "valid derivation of {}"),
+    "countermodel": ("sequent", _checked_countermodel, "valid countermodel for {}"),
+}
+
+
+def cmd_check(args, out) -> int:
+    """check-derivation and check-model: re-validate each `args.kind`
+    certificate, exit 2 if any is invalid."""
+    kind = args.kind
+    field, checked, valid_text = _CHECKS[kind]
     sig = _load_signature(args) or Signature()
     status = EXIT_OK
     for doc in _certificate_docs(_read_text(args.input)):
-        inner = _extract(doc, "derivation")
+        inner = _extract(doc, kind)
         if inner is None:
-            raise QRCError("document carries no derivation")
-        label = doc.get("sequent", inner.get("conclusion", "?") if isinstance(inner, dict) else "?")
+            raise QRCError(f"document carries no {kind}")
+        label = doc.get("sequent", inner.get(field, "?") if isinstance(inner, dict) else "?")
         try:
-            d = derivation_from_dict(inner, sig)
-            concluded = check_derivation(d, sig)  # the checker reads only relation arities
+            concluded = checked(inner, sig)
             _emit({"sequent": label, "valid": True},
-                  f"valid derivation of {pretty_sequent(concluded)}", args.format, out)
-        except (DerivationError, ParseError, KeyError) as e:
+                  valid_text.format(pretty_sequent(concluded)), args.format, out)
+        except (DerivationError, ModelError, ParseError, KeyError) as e:
             _emit({"sequent": label, "valid": False, "error": str(e)},
-                  f"INVALID derivation ({label}): {e}", args.format, out)
-            status = EXIT_INVALID_CERTIFICATE
-    return status
-
-
-def cmd_check_model(args, out) -> int:
-    sig = _load_signature(args) or Signature()
-    status = EXIT_OK
-    for doc in _certificate_docs(_read_text(args.input)):
-        inner = _extract(doc, "countermodel")
-        if inner is None:
-            raise QRCError("document carries no countermodel")
-        label = doc.get("sequent", inner.get("sequent", "?") if isinstance(inner, dict) else "?")
-        try:
-            cm = countermodel_from_dict(inner, sig)
-            cm.validate()
-            _emit({"sequent": label, "valid": True},
-                  f"valid countermodel for {pretty_sequent(cm.sequent)}", args.format, out)
-        except (ModelError, ParseError) as e:
-            _emit({"sequent": label, "valid": False, "error": str(e)},
-                  f"INVALID countermodel ({label}): {e}", args.format, out)
+                  f"INVALID {kind} ({label}): {e}", args.format, out)
             status = EXIT_INVALID_CERTIFICATE
     return status
 
@@ -356,15 +348,11 @@ def build_parser() -> _Parser:
         _add_common(p)
         p.set_defaults(func=cmd_certificate, kind=kind)
 
-    p = sub.add_parser("check-derivation", help="re-validate derivation documents")
-    p.add_argument("input", help="json-lines file of derivation documents, - for stdin")
-    _add_common(p)
-    p.set_defaults(func=cmd_check_derivation)
-
-    p = sub.add_parser("check-model", help="re-validate countermodel documents")
-    p.add_argument("input", help="json-lines file of countermodel documents, - for stdin")
-    _add_common(p)
-    p.set_defaults(func=cmd_check_model)
+    for name, kind in (("check-derivation", "derivation"), ("check-model", "countermodel")):
+        p = sub.add_parser(name, help=f"re-validate {kind} documents")
+        p.add_argument("input", help=f"json-lines file of {kind} documents, - for stdin")
+        _add_common(p)
+        p.set_defaults(func=cmd_check, kind=kind)
 
     p = sub.add_parser("termmodel", help="build the saturation model of a pair file")
     p.add_argument("input", help="pair file (sig:/pos:/neg: lines), - for stdin")

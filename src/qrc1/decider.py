@@ -11,7 +11,7 @@ a countermodel or leaves the sequent undecided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .calculus import (
     CONST_GEN,
@@ -30,10 +30,14 @@ from .semantics import (
 )
 from .syntax import (
     Const,
+    Formula,
     Sequent,
     Signature,
     constants_of,
     free_vars,
+    fresh_names,
+    names_of,
+    substitute,
     substitute_sequent,
 )
 
@@ -80,24 +84,22 @@ class DeciderConfig:
 _DEFAULT_CONFIG = DeciderConfig()
 
 
-def grounding(variables: Iterable[str]) -> list[tuple[str, str]]:
-    """(variable, constant) pairs naming each variable x, in sorted order,
-    by the constant @x."""
-    return [(x, f"{GROUND_PREFIX}{x}") for x in sorted(variables)]
-
-
-def ground_free_variables(s: Sequent, sig: Signature) -> tuple[Sequent, Signature, list[tuple[str, str]]]:
-    """Replace free variables by fresh constants for the canonical model;
-    returns the grounded sequent, the extended signature, and the (variable,
-    constant) pairs in order. reattach_free_variables turns a derivation of
-    the grounded sequent back into one of s."""
-    pairs = grounding(free_vars(s.lhs) | free_vars(s.rhs))
-    if not pairs:
-        return s, sig, pairs
-    grounded = s
+def ground(formulas: Sequence[Formula], used: set[str]) -> tuple[list[Formula], list[tuple[str, str]]]:
+    """Name each free variable x of formulas, in sorted order, by the constant
+    @x, or by the first fresh @x0, @x1, ... when used holds @x; each constant
+    joins used. Returns the formulas with the constants put for their
+    variables, and the (variable, constant) pairs in order."""
+    pairs = []
+    for x in sorted(set().union(*map(free_vars, formulas))):
+        c = f"{GROUND_PREFIX}{x}"
+        if c in used:
+            c = next(fresh_names(c, used))
+        used.add(c)
+        pairs.append((x, c))
+    grounded = list(formulas)
     for x, c in pairs:
-        grounded = substitute_sequent(grounded, x, Const(c))
-    return grounded, sig.with_constants(c for _, c in pairs), pairs
+        grounded = [substitute(f, x, Const(c)) for f in grounded]
+    return grounded, pairs
 
 
 def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
@@ -106,10 +108,14 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
     does not declare join it, so that a countermodel interprets them."""
     config = config or _DEFAULT_CONFIG
     sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+    # every name of the sequent and the signature, so that the names grounding
+    # and M_phi invent parse back as what they stand for
+    used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
     # the canonical model takes free variables as fresh constants, refute as
     # assignment values
-    grounded, gsig, ground_pairs = ground_free_variables(s, sig)
-    canon = CanonicalModel(grounded, config.max_worlds, config.max_domain)
+    (lhs, rhs), ground_pairs = ground((s.lhs, s.rhs), used)
+    grounded = Sequent(lhs, rhs) if ground_pairs else s
+    canon = CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
     stats = {
         "canonical_worlds": len(canon.worlds),
         "canonical_elements": canon.elements,
@@ -123,7 +129,7 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
     # a derivation reads off whatever the part of M_phi built forces
     if canon.worlds and canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
-        check_derivation(d, gsig)
+        check_derivation(d, sig)
         return _verdict(DERIVABLE, stats, derivation=d)
     if canon.complete:
         cm = canon.countermodel(s, sig, ground_pairs)

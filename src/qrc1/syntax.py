@@ -10,7 +10,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Mapping, Optional, TypeVar, Union
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 
 class QRCError(Exception):
@@ -210,13 +210,13 @@ class Signature:
 # basic syntactic operations
 
 
-def fresh_name(prefix: str, used: Container[str]) -> str:
-    """The first of prefix0, prefix1, ... that is not in used."""
+def fresh_names(prefix: str, used: Container[str]) -> Iterator[str]:
+    """prefix0, prefix1, ... in order, skipping the names in used. Every name
+    the decider and the term model invent comes from here."""
     for k in itertools.count():
         name = f"{prefix}{k}"
         if name not in used:
-            return name
-    raise AssertionError
+            yield name
 
 
 @functools.lru_cache(maxsize=None)
@@ -246,6 +246,23 @@ def constants_of(f: Formula) -> frozenset[str]:
             return constants_of(l) | constants_of(r)
         case Diamond(b) | Forall(_, b):
             return constants_of(b)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def names_of(f: Formula) -> frozenset[str]:
+    """Every constant and variable name of f, free or bound."""
+    match f:
+        case Top():
+            return frozenset()
+        case Pred(_, args):
+            return frozenset(t.name for t in args)
+        case And(l, r):
+            return names_of(l) | names_of(r)
+        case Diamond(b):
+            return names_of(b)
+        case Forall(x, b):
+            return names_of(b) | {x}
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -11,15 +11,15 @@ closure. Its queries to the decider repeat across oracles, and the answers
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide, grounding
+from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide, ground
 from .semantics import Model, default_assignment, forces, transitive_closure
 from .syntax import (
     And,
-    Const,
     Diamond,
     Formula,
     Pred,
@@ -30,11 +30,11 @@ from .syntax import (
     closure,
     constants_of,
     free_vars,
-    fresh_name,
+    fresh_names,
+    names_of,
     pretty,
     set_udepth,
     sorted_formulas,
-    substitute,
 )
 
 
@@ -176,12 +176,9 @@ def lindenbaum(
     _check_closed(phi_set)
     _check_closed(p.formulas())
     constants = tuple(dict.fromkeys(p.constants))
-    used = set(constants) | set(sig.constants)
-    witnesses: list[str] = []
-    for _ in range(max(set_udepth(phi_set), 0 if constants else 1)):
-        witnesses.append(fresh_name(fresh_prefix, used))
-        used.add(witnesses[-1])
-    d_constants = constants + tuple(witnesses)
+    witnesses = fresh_names(fresh_prefix, {*constants, *sig.constants})
+    count = max(set_udepth(phi_set), 0 if constants else 1)
+    d_constants = constants + tuple(itertools.islice(witnesses, count))
     pos = set(p.pos)
     neg = set(p.neg)
     entailed = oracle(p.pos, sig, config, tally)
@@ -252,19 +249,15 @@ class TermModelResult:
         ]
 
 
-def _ground_pair(p: PairPM) -> PairPM:
-    """p with each free variable grounded as decide grounds it, by a constant
-    that joins p's constants."""
-    pairs = grounding(set().union(*(free_vars(f) for f in p.formulas())))
+def _ground_pair(p: PairPM, sig: Signature) -> PairPM:
+    """p with each free variable grounded by decider.ground, past every name
+    of p and sig, by a constant that joins p's constants."""
+    pos, neg = list(p.pos), list(p.neg)
+    used = {*p.constants, *sig.constants}.union(*map(names_of, pos + neg))
+    grounded, pairs = ground(pos + neg, used)
     if not pairs:
         return p
-
-    def ground(f: Formula) -> Formula:
-        for x, c in pairs:
-            f = substitute(f, x, Const(c))
-        return f
-
-    return PairPM(frozenset(map(ground, p.pos)), frozenset(map(ground, p.neg)),
+    return PairPM(frozenset(grounded[:len(pos)]), frozenset(grounded[len(pos):]),
                   tuple(dict.fromkeys(p.constants + tuple(c for _, c in pairs))))
 
 
@@ -275,7 +268,7 @@ def build_term_model(
     p raises PairError), each world gets one child per positive diamond
     formula, breadth first, and the frame is the transitive closure of the
     tree. World i names its witnesses w{i}_c0, w{i}_c1, ..."""
-    p = _ground_pair(p)
+    p = _ground_pair(p, sig)
     formula_constants = set().union(*(constants_of(f) for f in p.formulas()))
     constants = tuple(dict.fromkeys(p.constants + tuple(sorted(formula_constants))))
     phi_set = sorted_formulas(p.formulas())
@@ -323,7 +316,7 @@ class TruthLemmaReport:
 def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> TruthLemmaReport:
     """Forcing at each world must coincide with positive membership for every
     formula in that world's closure."""
-    phi_set = sorted_formulas(_ground_pair(p).formulas())
+    phi_set = sorted_formulas(_ground_pair(p, sig).formulas())
     checked = 0
     violations: list[tuple[int, str, str]] = []
     m = result.model

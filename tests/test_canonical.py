@@ -11,11 +11,11 @@ from qrc1.decider import (
     UNDERIVABLE,
     DeciderConfig,
     decide,
-    ground_free_variables,
+    ground,
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Signature, parse_sequent
+from qrc1.syntax import Sequent, Signature, names_of, parse_sequent
 
 SIG = DEFAULT_SIG
 STATS_KEYS = {
@@ -66,8 +66,7 @@ def test_derivations_read_off_the_canonical_model_check(text):
     assert v.status == DERIVABLE
     assert v.stats["canonical_fallback"] == 0
     assert v.derivation.conclusion == s
-    _, gsig, _ = ground_free_variables(s, SIG)
-    check_derivation(v.derivation, gsig)
+    check_derivation(v.derivation, SIG)  # the checker reads only relation arities
     # fresh variables print and parse back as variables
     doc = json.loads(json.dumps(verdict_to_dict(v, SIG)))["certificate"]["derivation"]
     reloaded = derivation_from_dict(doc, SIG)
@@ -192,8 +191,11 @@ def test_generic_instance_forcing_equals_forcing():
     corpus += [(random_sequent(rng, free_sig, 2, 2, 5), free_sig) for _ in range(100)]
     forced = set()
     for s, sig in corpus:
-        grounded, _, pairs = ground_free_variables(s, sig)
-        canon = canonical.CanonicalModel(grounded)
+        # as decide grounds the sequent and names M_phi's fresh elements
+        used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
+        (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
+        grounded = Sequent(lhs, rhs)
+        canon = canonical.CanonicalModel(grounded, used)
         assert canon.complete
         cm = canon.countermodel(s, sig, pairs)
         assert semantics.forces(cm.model, 0, cm.assignment, s.lhs)

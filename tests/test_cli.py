@@ -321,6 +321,30 @@ def test_certificates_of_free_variable_sequents_check(capsys, tmp_path, sig_file
         assert text in out2
 
 
+# The names decide invents, M_phi's fresh v#i and the @x naming a free
+# variable x, skip the signature's constants and every name of the sequent,
+# so that the certificate parses back under the same signature.
+NAME_COLLISIONS = [
+    ("sig: constants v#0; relations S/1;", "A x . S(x) |- A y . S(y)", "check-derivation"),
+    ("sig: constants @x; relations S/1;", "S(@x) |- S(x)", "check-model"),
+    ("sig: relations S/1;", "S(@x) & S(x) |- S(x)", "check-derivation"),
+]
+
+
+@pytest.mark.parametrize("header, text, check", NAME_COLLISIONS,
+                         ids=["declared-v#0", "declared-@x", "free-@x"])
+def test_invented_names_never_meet_declared_or_occurring_names(capsys, tmp_path, header, text, check):
+    sig = tmp_path / "sig.txt"
+    sig.write_text(header + "\n")
+    code, out, err = run(capsys, "decide", text, "--sig", str(sig), "--format", "json-lines")
+    assert code == 0, err
+    doc_path = tmp_path / "verdict.jsonl"
+    doc_path.write_text(out)
+    code, out, _ = run(capsys, check, str(doc_path), "--sig", str(sig))
+    assert code == 0, out
+    assert text in out
+
+
 # ---------------------------------------------------------------------------
 # termmodel / translate / closure
 
@@ -406,6 +430,20 @@ def test_templates_at_the_nesting_limit_translate(capsys, tmp_path, sig_file):
                        "--realization", str(real), "--format", "json-lines")
     assert code == 0
     assert json.loads(out)["statement"].count("y0 + ") == MAX_NESTING - 1
+
+
+@pytest.mark.parametrize("numeral, code, err", [
+    # str.isdigit takes ², so it was a numeral that int refused; it is a name
+    ("²", 0, ""),
+    # past CPython's 4,300-digit limit on converting a string to an int
+    ("7" * 5000, 1, "error: line 1: numeral of 5000 digits is too long\n"),
+], ids=["superscript-two", "5000-digits"])
+def test_hostile_numerals_translate_or_are_input_errors(capsys, tmp_path, sig_file, numeral, code, err):
+    real = tmp_path / "real.txt"
+    real.write_text(f"S(a) := a = {numeral}\n")
+    got_code, _, got_err = run(capsys, "translate", "S(c0) |- T", "--sig", sig_file,
+                               "--realization", str(real))
+    assert (got_code, got_err) == (code, err)
 
 
 def test_translate_golden(capsys):

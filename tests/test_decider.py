@@ -1,22 +1,24 @@
 import gc
+import json
 import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qrc1 import canonical, semantics
-from qrc1.calculus import check_derivation
+from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
     DeciderConfig,
     UNDECIDED,
     UNDERIVABLE,
     decide,
-    ground_free_variables,
+    ground,
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Sequent, Signature, free_vars, mdepth, parse_sequent
+from qrc1.syntax import Const, Pred, Sequent, Signature, free_vars, mdepth, parse_sequent
 
 SIG = DEFAULT_SIG
 
@@ -119,10 +121,17 @@ def test_a_deeper_right_hand_side_is_underivable():
 
 def test_grounding_free_variables():
     s = seq("R(x,y) |- S(x)")
-    grounded, gsig, pairs = ground_free_variables(s, SIG)
+    used = {"x", "y", "c0", "c1"}
+    (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
     assert pairs == [("x", "@x"), ("y", "@y")]
-    assert not (free_vars(grounded.lhs) | free_vars(grounded.rhs))
-    assert set(gsig.constants) >= {"@x", "@y", "c0", "c1"}
+    assert not (free_vars(lhs) | free_vars(rhs))
+    assert used >= {"@x", "@y", "c0", "c1"}
+    # a name in use is skipped, and so is a name already taken for a variable
+    # sorted before: x takes @x0, so x0 takes @x00
+    s = seq("R(x,x0) |- S(y)")
+    (lhs, rhs), pairs = ground((s.lhs, s.rhs), {"@x", "@y0"})
+    assert pairs == [("x", "@x0"), ("x0", "@x00"), ("y", "@y")]
+    assert lhs == Pred("R", (Const("@x0"), Const("@x00")))
 
 
 def test_undecided_when_bounds_are_too_small():
@@ -181,3 +190,55 @@ def test_conservativity_under_fresh_constants():
     for text in DERIVABLE_CASES[:4] + UNDERIVABLE_CASES[:4]:
         s = seq(text)
         assert decide(s, SIG).status == decide(s, extended).status, text
+
+
+# names decide could invent: fresh elements of M_phi, and the constants that
+# name the free variables x and y
+INVENTED_NAMES = ("v#0", "v#1", "@x", "@y")
+
+
+@st.composite
+def sequents_near_invented_names(draw):
+    """A signature that declares some of INVENTED_NAMES, and the text of a
+    sequent over it whose free variables are among x, y and @x and whose
+    right-hand side holds a universal. Half the left-hand sides hold the
+    same universal under another binder, which the right-hand one is then
+    derived from at a fresh element of M_phi."""
+    declared = draw(st.lists(st.sampled_from(INVENTED_NAMES + ("c0",)), unique=True))
+    sig = Signature(tuple(declared), (("S", 1), ("R", 2)))
+    # % stands for the variable a universal binds, and for x elsewhere
+    terms = st.sampled_from(sorted({*declared, "x", "y", "@x", "%"}))
+    binders = st.sampled_from([v for v in ("x", "y", "z", "v#0", "@x") if v not in declared])
+    atoms = st.one_of(
+        st.just("T"),
+        terms.map("S({})".format),
+        st.tuples(terms, terms).map(lambda ts: "R({},{})".format(*ts)),
+    )
+    formulas = st.recursive(atoms, lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda fs: "({} & {})".format(*fs)),
+        inner.map("<>({})".format),
+        st.tuples(binders, inner).map(lambda bf: "(A {} . {})".format(*bf)),
+    ), max_leaves=5)
+    b, c = draw(binders), draw(binders)
+    body, side, rest = draw(formulas), draw(formulas), draw(formulas)
+    lhs = draw(st.sampled_from([side, f"(A {c} . {body.replace('%', c)}) & {side}"]))
+    text = f"{lhs} |- (A {b} . {body.replace('%', b)}) & {rest}"
+    return sig, text.replace("%", "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequents_near_invented_names())
+def test_certificates_check_after_the_json_round_trip_whatever_names_are_declared(case):
+    # as `qrc1 decide --format json-lines` prints a certificate and
+    # `qrc1 check-*` reads it back under the same signature
+    sig, text = case
+    s = parse_sequent(text, sig)
+    v = decide(s, sig)
+    cert = json.loads(json.dumps(verdict_to_dict(v, sig), sort_keys=True))["certificate"]
+    if v.status == DERIVABLE:
+        d = derivation_from_dict(cert["derivation"], sig)
+        assert check_derivation(d, sig) == s
+    elif v.status == UNDERIVABLE:
+        cm = semantics.countermodel_from_dict(cert["countermodel"], sig)
+        cm.validate()
+        assert cm.sequent == s

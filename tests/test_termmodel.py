@@ -178,6 +178,15 @@ def test_term_model_truth_lemma(pos, neg):
     assert p.neg <= root.neg
 
 
+def test_term_model_grounds_a_free_variable_past_the_signatures_constants():
+    # x is grounded by @x0, since @x is declared: S(@x) and S(x) stay apart
+    sig = Signature(constants=("@x",), relations=(("S", 1),))
+    p = pair({"S(@x)"}, {"S(x)"}, sig)
+    result = build_term_model(p, sig)
+    assert result.model.domain[0] == {"@x", "@x0"}
+    assert truth_lemma_check(result, p, sig).ok
+
+
 def test_term_model_relation_is_strict_order():
     p = pair({"<><>S(c)"}, set())
     result = build_term_model(p, SIG)

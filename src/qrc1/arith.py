@@ -617,6 +617,21 @@ def _tokenize_arith(text: str, line: int) -> list[str]:
     return _ARITH_TOKEN.findall(text)
 
 
+def _free_names(f: ArithFormula | ATerm) -> set[str]:
+    """The names a parsed template or term leaves unbound."""
+    match f:
+        case AVar(name):
+            return {name}
+        case AOp(_, l, r) | Cmp(_, l, r) | OrA(l, r) | AndA(l, r):
+            return _free_names(l) | _free_names(r)
+        case Exists(v, b):
+            return _free_names(b) - {v}
+        case BoundedForall(v, bound, b):
+            return _free_names(bound) | (_free_names(b) - {v})
+        case _:
+            return set()
+
+
 def parse_realization(text: str) -> tuple[Realization, list[str]]:
     """Parse a realization file; returns the realization and any shape
     warnings, keyed by relation."""
@@ -639,6 +654,11 @@ def parse_realization(text: str) -> tuple[Realization, list[str]]:
         if "u" in params:
             raise ParseError(f"line {lineno}: u is reserved for the axiom code")
         body = _ArithParser(_tokenize_arith(body_src, lineno), lineno).template()
+        # a free name would leave the translation an open formula, not a sentence
+        free = sorted(_free_names(body) - {*params, "u"})
+        if free:
+            raise ParseError(f"line {lineno}: {free[0]!r} in the template for {name} "
+                             "is neither a parameter, u, nor bound")
         if name in templates:
             raise ParseError(f"line {lineno}: duplicate template for {name}")
         templates[name] = (params, body)

@@ -5,7 +5,8 @@ left-hand side (canonical.py). If M_phi forces the right-hand side, it reads
 off a checked derivation. Otherwise, if M_phi is complete, M_phi is the
 countermodel. A build stopped at a bound leaves one fallback: a countermodel
 search over frames of at most two worlds and one element, which either finds
-a countermodel or leaves the sequent undecided.
+a countermodel or leaves the sequent undecided. `entails` takes the first
+step alone and returns only the answer, with no certificate.
 """
 
 from __future__ import annotations
@@ -102,11 +103,11 @@ def ground(formulas: Sequence[Formula], used: set[str]) -> tuple[list[Formula], 
     return grounded, pairs
 
 
-def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
-    """Decide derivability, returning a validated certificate either way. A
-    pure function: it keeps nothing between calls. Constants of s that sig
-    does not declare join it, so that a countermodel interprets them."""
-    config = config or _DEFAULT_CONFIG
+def _canonical(
+    s: Sequent, sig: Signature, config: DeciderConfig
+) -> tuple[Signature, Sequent, list[tuple[str, str]], CanonicalModel]:
+    """sig extended by the constants of s, s grounded, its grounding pairs,
+    and the canonical model of the grounded sequent."""
     sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
     # every name of the sequent and the signature, so that the names grounding
     # and M_phi invent parse back as what they stand for
@@ -115,7 +116,26 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
     # assignment values
     (lhs, rhs), ground_pairs = ground((s.lhs, s.rhs), used)
     grounded = Sequent(lhs, rhs) if ground_pairs else s
-    canon = CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
+    return sig, grounded, ground_pairs, CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
+
+
+def entails(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> bool | None:
+    """Whether s is derivable, read off M_phi alone: True when M_phi forces the
+    right-hand side, False when M_phi is complete and does not, None when the
+    build stopped short of that. No certificate is built; where this answers,
+    decide's status agrees, and where it gives None, decide runs its fallback."""
+    _, grounded, _, canon = _canonical(s, sig, config or _DEFAULT_CONFIG)
+    if canon.worlds and canon.forces(0, grounded.rhs):
+        return True
+    return False if canon.complete else None
+
+
+def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
+    """Decide derivability, returning a validated certificate either way. A
+    pure function: it keeps nothing between calls. Constants of s that sig
+    does not declare join it, so that a countermodel interprets them."""
+    config = config or _DEFAULT_CONFIG
+    sig, grounded, ground_pairs, canon = _canonical(s, sig, config)
     stats = {
         "canonical_worlds": len(canon.worlds),
         "canonical_elements": canon.elements,

@@ -2,11 +2,16 @@
 
 Derivability from a left-hand side is answered by `oracle`: T, members of the
 left-hand side and conjunctions by the rules of the calculus, and every other
-formula by the decider module, which is total on its own. This module never
+formula by whether the canonical model M_Gamma of the left-hand side forces
+it (decider.entails), which by completeness is derivability. Only when the
+build of M_Gamma stops at a bound does the oracle ask `decide`, whose
+fallback search may still refute the query. So an oracle answer has no
+checked certificate behind it; the term model built from the answers is
+checked instead, by `truth_lemma_check` and adequacy. This module never
 consults the model it is building. The oracle for one left-hand side is built
 once (its conjunction and answers) and then asked about each formula of a
-closure. Its queries to the decider repeat across oracles, and the answers
-(not the certificates) are kept in one process-wide memo.
+closure. Its queries repeat across oracles, and the answers are kept in one
+process-wide memo.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide, ground
+from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide, entails, ground
 from .semantics import Model, default_assignment, forces, transitive_closure
 from .syntax import (
     And,
@@ -79,8 +84,8 @@ def conjunction(gamma: Iterable[Formula]) -> Formula:
 
 
 # (query sequent, signature, config) -> True, False, or None for undecided.
-# decide is a pure function of these, so an answer never goes stale; entries
-# past the cap are not kept.
+# entails and decide are pure functions of these, so an answer never goes
+# stale; entries past the cap are not kept.
 _MEMO: dict[tuple, bool | None] = {}
 _MEMO_MAX = 100_000
 
@@ -96,11 +101,12 @@ def oracle(
     The calculus settles three cases without search: T is entailed (TopI), a
     member of gamma is entailed (Id, then AndE out of the conjunction), and
     A & B is entailed exactly when A and B both are (AndI one way, AndE and
-    Cut the other). Every other formula is a query, answered from the memo or
-    by decide. Answers are kept, so a conjunction asks about each conjunct
-    once. A conjunction with an undecided conjunct and no refuted one is
-    itself a query. `tally` counts the answers by source: "rule", "memo" and
-    "decide"."""
+    Cut the other). Every other formula is a query, answered from the memo,
+    by entails (whether M_Gamma forces it), or, where the build of M_Gamma
+    stopped, by decide's status. Answers are kept, so a conjunction asks
+    about each conjunct once. A conjunction with an undecided conjunct and no
+    refuted one is itself a query. `tally` counts the answers by source:
+    "rule", "memo", "model" and "decide"."""
     gamma = frozenset(gamma)
     lhs = conjunction(gamma)
     config = config or DeciderConfig()
@@ -115,9 +121,13 @@ def oracle(
         if a is not _MEMO:
             tally["memo"] += 1
             return a
-        tally["decide"] += 1
-        status = decide(query, sig, config).status
-        a = {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
+        a = entails(query, sig, config)
+        if a is None:
+            tally["decide"] += 1
+            status = decide(query, sig, config).status
+            a = {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
+        else:
+            tally["model"] += 1
         if len(_MEMO) < _MEMO_MAX:
             _MEMO[key] = a
         return a
@@ -235,7 +245,7 @@ def pair_existence(
 class TermModelResult:
     model: Model
     worlds: tuple[PairPM, ...]  # indexed by model world id; the root is 0
-    # the oracle's answers while building, by source: "rule", "memo", "decide"
+    # the oracle's answers while building, by source: "rule", "memo", "model", "decide"
     oracle_answers: dict[str, int] = field(default_factory=dict, compare=False)
 
     def annotations(self) -> list[dict]:
@@ -288,7 +298,7 @@ def build_term_model(
         constI={i: {c: c for c in w.constants} for i, w in enumerate(worlds)},
         relJ={i: _atoms_of(w) for i, w in enumerate(worlds)},
     )
-    return TermModelResult(model, tuple(worlds), {k: tally[k] for k in ("rule", "memo", "decide")})
+    return TermModelResult(model, tuple(worlds), {k: tally[k] for k in ("rule", "memo", "model", "decide")})
 
 
 def _atoms_of(p: PairPM) -> dict[str, frozenset[tuple[str, ...]]]:

@@ -166,6 +166,16 @@ def test_parse_realization_rejects_bad_heads():
         parse_realization("S(a) := u = u\nS(a) := u = u")
 
 
+@pytest.mark.parametrize("template, name", [
+    ("a = b", "b"),
+    ("E v . a = v | v = u", "v"),  # the existential binds only its own unit
+    ("A w <= w . a = w", "w"),  # the bound lies outside the binder's scope
+], ids=["unbound", "out-of-scope", "in-the-bound"])
+def test_parse_realization_rejects_free_names(template, name):
+    with pytest.raises(ParseError, match=f"^line 1: '{name}' in the template for S is neither"):
+        parse_realization(f"S(a) := {template}")
+
+
 def test_sigma1_lint_flags_unbounded_universals():
     r, warnings = parse_realization("S(a) := E v . a = v")
     assert warnings == []

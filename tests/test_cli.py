@@ -358,7 +358,7 @@ def test_termmodel_command(capsys, tmp_path):
     assert "adequate: True" in out
     code, out, _ = run(capsys, "termmodel", str(pair), "--format", "json-lines")
     answers = json.loads(out)["oracle_answers"]
-    assert answers.keys() == {"rule", "memo", "decide"} and answers["rule"] > 0
+    assert answers.keys() == {"rule", "memo", "model", "decide"} and answers["rule"] > 0
 
 
 @pytest.mark.parametrize("command,body", [
@@ -433,8 +433,9 @@ def test_templates_at_the_nesting_limit_translate(capsys, tmp_path, sig_file):
 
 
 @pytest.mark.parametrize("numeral, code, err", [
-    # str.isdigit takes ², so it was a numeral that int refused; it is a name
-    ("²", 0, ""),
+    # str.isdigit takes ², so it was a numeral that int refused; it is a name,
+    # and a free one
+    ("²", 1, "error: line 1: '²' in the template for S is neither a parameter, u, nor bound\n"),
     # past CPython's 4,300-digit limit on converting a string to an int
     ("7" * 5000, 1, "error: line 1: numeral of 5000 digits is too long\n"),
 ], ids=["superscript-two", "5000-digits"])
@@ -444,6 +445,16 @@ def test_hostile_numerals_translate_or_are_input_errors(capsys, tmp_path, sig_fi
     got_code, _, got_err = run(capsys, "translate", "S(c0) |- T", "--sig", sig_file,
                                "--realization", str(real))
     assert (got_code, got_err) == (code, err)
+
+
+@pytest.mark.parametrize("name", ["b", "12abc"])
+def test_templates_with_free_names_are_input_errors(capsys, tmp_path, sig_file, name):
+    real = tmp_path / "real.txt"
+    real.write_text(f"S(a) := a = {name}\n")
+    code, out, err = run(capsys, "translate", "S(c0) |- T", "--sig", sig_file,
+                         "--realization", str(real))
+    assert code == 1 and out == ""
+    assert err == f"error: line 1: {name!r} in the template for S is neither a parameter, u, nor bound\n"
 
 
 def test_translate_golden(capsys):

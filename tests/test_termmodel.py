@@ -1,13 +1,15 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
+import qrc1.canonical as canonical
 import qrc1.termmodel as termmodel
 
-from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, Verdict, decide
-from qrc1.generate import random_formula
+from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, Verdict, decide, entails
+from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.semantics import check_adequate
 from qrc1.syntax import (
     And,
@@ -245,28 +247,44 @@ def _demo_pairs(count: int):
     return sig, pairs
 
 
+# the status decide gives where entails answers
+STATUS = {True: DERIVABLE, False: UNDERIVABLE}
+
+
 def test_oracle_queries_are_pinned(monkeypatch):
     """Building and checking term models gives the models recorded before the
     oracle settled T, conjunctions and members of the left-hand side by rule,
-    and asks the decider exactly the distinct queries it asked before the
-    oracle kept a memo, with the same verdicts. The digest pins each query
-    (sequent, signature as decide extends it by the sequent's constants,
-    verdict) in first-seen order, which saturates each root once."""
+    and asks exactly the distinct queries it asked before the oracle kept a
+    memo, with the same answers. The digest pins each query (sequent,
+    signature as decide extends it by the sequent's constants, status) in
+    first-seen order, which saturates each root once. A query is recorded
+    where the oracle asks entails; one that entails leaves open takes the
+    status of the decide that follows."""
     sig, pairs = _demo_pairs(150)
     monkeypatch.setattr(termmodel, "_MEMO", {})
     queries = hashlib.sha256()
     models = hashlib.sha256()
     calls = 0
-    original = termmodel.decide
+    original_entails, original_decide = termmodel.entails, termmodel.decide
+
+    def record(s, query_sig, status):
+        extended = query_sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+        queries.update(f"{pretty_sequent(s)}\t{signature_str(extended)}\t{status}\n".encode())
+
+    def recording_entails(s, query_sig, config=None):
+        nonlocal calls
+        a = original_entails(s, query_sig, config)
+        calls += 1
+        if a is not None:
+            record(s, query_sig, STATUS[a])
+        return a
 
     def recording_decide(s, query_sig, config=None):
-        nonlocal calls
-        verdict = original(s, query_sig, config)
-        calls += 1
-        extended = query_sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
-        queries.update(f"{pretty_sequent(s)}\t{signature_str(extended)}\t{verdict.status}\n".encode())
+        verdict = original_decide(s, query_sig, config)
+        record(s, query_sig, verdict.status)
         return verdict
 
+    monkeypatch.setattr(termmodel, "entails", recording_entails)
     monkeypatch.setattr(termmodel, "decide", recording_decide)
     for p in pairs:
         result = build_term_model(p, sig)
@@ -278,18 +296,18 @@ def test_oracle_queries_are_pinned(monkeypatch):
 
 
 def test_oracle_memo_asks_each_query_once(monkeypatch):
-    """A query is decided once across oracles and term-model builds, and again
+    """A query is answered once across oracles and term-model builds, and again
     under another signature or config; build_term_model counts its answers by
     source."""
     monkeypatch.setattr(termmodel, "_MEMO", {})
     asked = []
-    original = termmodel.decide
+    original = termmodel.entails
 
-    def recording_decide(s, query_sig, config=None):
+    def recording_entails(s, query_sig, config=None):
         asked.append((s, query_sig, config))
         return original(s, query_sig, config)
 
-    monkeypatch.setattr(termmodel, "decide", recording_decide)
+    monkeypatch.setattr(termmodel, "entails", recording_entails)
     gamma, query = [f("<>S(c)")], f("<>T")
     assert oracle(gamma, SIG)(query) and oracle(gamma, SIG)(query)
     assert len(asked) == 1
@@ -302,14 +320,66 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     p = pair(["<>S(c)"], ["A x . S(x)"])
     asked.clear()
     first = build_term_model(p, SIG)
-    decided = len(asked)
-    assert decided > 0 and first.oracle_answers["decide"] == decided
+    answered = len(asked)
+    assert answered > 0 and first.oracle_answers["model"] == answered
+    assert first.oracle_answers["decide"] == 0
     second = build_term_model(p, SIG)
-    assert len(asked) == decided
-    assert second.oracle_answers["decide"] == 0
-    assert second.oracle_answers["memo"] == first.oracle_answers["memo"] + decided
+    assert len(asked) == answered
+    assert second.oracle_answers["model"] == second.oracle_answers["decide"] == 0
+    assert second.oracle_answers["memo"] == first.oracle_answers["memo"] + answered
     assert second.oracle_answers["rule"] == first.oracle_answers["rule"] > 0
     assert second == first
+
+
+def test_entails_agrees_with_decide(monkeypatch):
+    """entails, which builds M_Gamma and no certificate, gives decide's status
+    wherever it answers, and leaves open only what decide does not derive: on
+    random sequents, closed and (over no constants) open, and on every query
+    the oracle asks while building term models of the demo pairs."""
+    rng = random.Random(17)
+    open_sig = parse_signature("sig: relations S/1 R/2;")
+    sequents = [(random_sequent(rng, query_sig, 3, 2, 6), query_sig)
+                for query_sig in [DEFAULT_SIG] * 1000 + [open_sig] * 300]
+    assert any(free_vars(s.lhs) | free_vars(s.rhs) for s, _ in sequents)
+    sig, pairs = _demo_pairs(150)
+    monkeypatch.setattr(termmodel, "_MEMO", {})
+    asked = []
+    original = termmodel.entails
+
+    def recording_entails(s, query_sig, config=None):
+        asked.append((s, query_sig))
+        return original(s, query_sig, config)
+
+    monkeypatch.setattr(termmodel, "entails", recording_entails)
+    for p in pairs:
+        build_term_model(p, sig)
+    assert len(asked) > 100
+    for s, query_sig in sequents + asked:
+        a = entails(s, query_sig)
+        status = decide(s, query_sig).status
+        assert status == STATUS[a] if a is not None else status != DERIVABLE, pretty_sequent(s)
+
+
+def test_oracle_falls_back_to_decide_where_the_build_stops(monkeypatch):
+    """Where M_Gamma is built in full, entails answers; with the fact cap at 1
+    the build stops at the root's own formula, entails leaves the query open,
+    and the oracle takes the status of decide, whose fallback search refutes
+    it."""
+    monkeypatch.setattr(termmodel, "_MEMO", {})
+    gamma, query = [f("<>S(c)")], f("S(c)")
+    s = Sequent(conjunction(gamma), query)
+    tally = Counter()
+    assert entails(s, SIG) is False
+    assert not oracle(gamma, SIG, tally=tally)(query)
+    assert tally == Counter(model=1)
+
+    monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
+    termmodel._MEMO.clear()
+    tally.clear()
+    assert entails(s, SIG) is None
+    assert decide(s, SIG).status == UNDERIVABLE
+    assert not oracle(gamma, SIG, tally=tally)(query)
+    assert tally == Counter(decide=1)
 
 
 def test_lindenbaum_agrees_with_one_query_entails():
@@ -336,6 +406,8 @@ def test_oracle_asks_decide_about_a_conjunction_with_an_undecided_conjunct(monke
         asked.append(s.rhs)
         return Verdict(status[s.rhs])
 
+    # entails leaves every query open, so each comes to decide
+    monkeypatch.setattr(termmodel, "entails", lambda s, query_sig, config=None: None)
     monkeypatch.setattr(termmodel, "decide", fake_decide)
     monkeypatch.setattr(termmodel, "_MEMO", {})
     gamma = [f("<>T & S(c)")]

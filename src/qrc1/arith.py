@@ -598,7 +598,7 @@ class _ArithParser:
                 return ANum(int(tok)), 0
             except ValueError:  # more digits than the interpreter converts
                 raise ParseError(f"line {self.line}: numeral of {len(tok)} digits is too long") from None
-        if tok.replace("_", "").isalnum():
+        if _is_name(tok):
             return AVar(tok), 0
         raise ParseError(f"line {self.line}: bad term token {tok!r}")
 
@@ -608,6 +608,11 @@ class _ArithParser:
 # _, and _ARITH_LEXABLE's match ends at the first character that starts no token.
 _ARITH_TOKEN = re.compile(r"<=|:=|[(),.&|=+*]|\w+")
 _ARITH_LEXABLE = re.compile(r"(?:\s|[\w(),.&|=+*]|<=|:=)*")
+
+
+def _is_name(tok: str) -> bool:
+    """A variable or parameter: a run of letters, digits and _ other than a numeral."""
+    return tok.replace("_", "").isalnum() and not (tok.isascii() and tok.isdigit())
 
 
 def _tokenize_arith(text: str, line: int) -> list[str]:
@@ -644,11 +649,13 @@ def parse_realization(text: str) -> tuple[Realization, list[str]]:
         if ":=" not in stripped:
             raise ParseError(f"line {lineno}: expected `relation(params) := template`")
         head, body_src = stripped.split(":=", 1)
-        head_toks = _tokenize_arith(head, lineno)
-        if len(head_toks) < 3 or head_toks[1] != "(" or head_toks[-1] != ")":
+        # name(p1, ..., pn): names separated by single commas, or name()
+        name, *rest = _tokenize_arith(head, lineno) or [""]
+        params = tuple(rest[1:-1:2])
+        separated = [tok for p in params for tok in (",", p)][1:]
+        if (not re.fullmatch(r"\w+", name) or rest != ["(", *separated, ")"]
+                or not all(map(_is_name, params))):
             raise ParseError(f"line {lineno}: bad template head {head.strip()!r}")
-        name = head_toks[0]
-        params = tuple(t for t in head_toks[2:-1] if t != ",")
         if len(set(params)) != len(params):
             raise ParseError(f"line {lineno}: repeated parameter in template for {name}")
         if "u" in params:

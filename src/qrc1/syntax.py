@@ -2,6 +2,10 @@
 
 The language is strictly positive: top, n-ary predicates over variables and
 constants, conjunction, diamond, and universal quantification. Nothing else.
+
+Terms, formulas and sequents are hash-consed: equal ones are one object, so
+equality is identity and hashing is by id. A set of them iterates in memory
+order, so code whose output depends on the order sorts first (sorted_formulas).
 """
 
 from __future__ import annotations
@@ -9,8 +13,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, TypeVar, Union
+from dataclasses import dataclass
+from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar, Union
 
 
 class QRCError(Exception):
@@ -38,20 +42,57 @@ class ClosureError(QRCError):
 
 
 # ---------------------------------------------------------------------------
-# terms
+# terms and formulas
+
+#: every node built, keyed by its class and fields; it lives as long as the process
+_TABLE: dict[tuple, "_Node"] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class _Node:
+    """A hash-consed node: building one whose class and fields equal an
+    existing node's returns that node. So equal nodes are one object, and
+    __eq__ and __hash__ are object's, by identity."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _TABLE.get(key)
+        if node is None:
+            if len(fields) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            # setdefault, so that two threads building one node keep one copy
+            node = _TABLE.setdefault(key, node)
+        return node
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # unpickling builds through the constructor, so the copy is interned
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
 
     def __repr__(self) -> str:
         return f"Var({self.name})"
 
 
-@dataclass(frozen=True, slots=True)
-class Const:
-    name: str
+class Const(_Node):
+    __slots__ = __match_args__ = ("name",)
 
     def __repr__(self) -> str:
         return f"Const({self.name})"
@@ -60,91 +101,44 @@ class Const:
 Term = Union[Var, Const]
 
 
-# ---------------------------------------------------------------------------
-# formulas
-
-
-def _hash_once(cls):
-    """Keep the dataclass's structural hash in the `_hash` field of cls.
-
-    The canonical model's fact dicts and forcing memo look the same formulas
-    up again and again, so each computes its hash once, at the first
-    __hash__ call. A string's hash differs from process to process, so
-    pickling and copying carry only the constructor fields, and the copy
-    computes its own hash.
-    """
-    structural = cls.__hash__
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        return cls, tuple(getattr(self, name) for name in cls.__match_args__)
-
-    cls.__hash__ = __hash__
-    cls.__reduce__ = __reduce__
-    return cls
-
-
-def _hash_slot():
-    return field(default=None, init=False, repr=False, compare=False)
-
-
-class Formula:
+class Formula(_Node):
     __slots__ = ()
 
     def __and__(self, other: "Formula") -> "And":
         return And(self, other)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Top(Formula):
     def __repr__(self) -> str:
         return "Top"
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True, repr=False)
 class Pred(Formula):
-    name: str
-    args: tuple[Term, ...] = ()
-    _hash: Optional[int] = _hash_slot()
+    __slots__ = __match_args__ = ("name", "args")
+
+    def __new__(cls, name: str, args: Iterable[Term] = ()):
+        return super().__new__(cls, name, tuple(args))
 
     def __repr__(self) -> str:
         return f"Pred({self.name}, {list(self.args)})"
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True, repr=False)
 class And(Formula):
-    left: Formula
-    right: Formula
-    _hash: Optional[int] = _hash_slot()
+    __slots__ = __match_args__ = ("left", "right")
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True, repr=False)
 class Diamond(Formula):
-    body: Formula
-    _hash: Optional[int] = _hash_slot()
+    __slots__ = __match_args__ = ("body",)
 
     def __repr__(self) -> str:
         return f"Diamond({self.body!r})"
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True, repr=False)
 class Forall(Formula):
-    var: str
-    body: Formula
-    _hash: Optional[int] = _hash_slot()
+    __slots__ = __match_args__ = ("var", "body")
 
     def __repr__(self) -> str:
         return f"Forall({self.var}, {self.body!r})"
@@ -153,12 +147,11 @@ class Forall(Formula):
 TOP = Top()
 
 
-@_hash_once
-@dataclass(frozen=True, slots=True)
-class Sequent:
-    lhs: Formula
-    rhs: Formula
-    _hash: Optional[int] = _hash_slot()
+class Sequent(_Node):
+    __slots__ = __match_args__ = ("lhs", "rhs")
+
+    def __repr__(self) -> str:
+        return f"Sequent(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
     def __str__(self) -> str:
         return f"{pretty(self.lhs)} |- {pretty(self.rhs)}"
@@ -379,7 +372,7 @@ def _subst(f: Formula, x: str, t: Term) -> Formula:
             return f
         case Pred(name, args):
             if any(isinstance(a, Var) and a.name == x for a in args):
-                return Pred(name, tuple(t if isinstance(a, Var) and a.name == x else a for a in args))
+                return Pred(name, (t if isinstance(a, Var) and a.name == x else a for a in args))
             return f
         case And(l, r):
             return And(_subst(l, x, t), _subst(r, x, t))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from qrc1.arith import (
@@ -164,6 +166,22 @@ def test_parse_realization_rejects_bad_heads():
         parse_realization("S(u) := u = u")
     with pytest.raises(ParseError):
         parse_realization("S(a) := u = u\nS(a) := u = u")
+
+
+@pytest.mark.parametrize("head", [
+    "S((a))", "S(a b)", "S(a,)", "S(,a)", "S(a,,b)", "S(3)", "S(a)(b)", "(a)", "S(",
+])
+def test_parse_realization_wants_names_separated_by_single_commas(head):
+    with pytest.raises(ParseError, match=rf"^line 2: bad template head {re.escape(repr(head))}$"):
+        parse_realization(f"R(a, b) := a = b\n{head} := u = u")
+
+
+@pytest.mark.parametrize("head, params", [
+    ("S()", ()), ("S(a)", ("a",)), ("S( a ,b )", ("a", "b")), ("S(a_1, b, c)", ("a_1", "b", "c")),
+])
+def test_parse_realization_reads_the_head_parameters(head, params):
+    r, _ = parse_realization(f"{head} := u = u")
+    assert r.templates["S"][0] == params
 
 
 @pytest.mark.parametrize("template, name", [

@@ -457,6 +457,16 @@ def test_templates_with_free_names_are_input_errors(capsys, tmp_path, sig_file, 
     assert err == f"error: line 1: {name!r} in the template for S is neither a parameter, u, nor bound\n"
 
 
+@pytest.mark.parametrize("head", ["S((a))", "S(a b)"])
+def test_templates_with_bad_heads_are_input_errors(capsys, tmp_path, sig_file, head):
+    real = tmp_path / "real.txt"
+    real.write_text(f"{head} := a = u\n")
+    code, out, err = run(capsys, "translate", "S(c0) |- T", "--sig", sig_file,
+                         "--realization", str(real))
+    assert code == 1 and out == ""
+    assert err == f"error: line 1: bad template head {head!r}\n"
+
+
 def test_translate_golden(capsys):
     code, out, _ = run(capsys, "translate", "<><>T |- <>T")
     assert code == 0

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from qrc1.generate import random_sequent
+from qrc1.generate import random_formula, random_sequent
 from qrc1.syntax import (
     MAX_NESTING,
     And,
@@ -43,6 +43,7 @@ from qrc1.syntax import (
     set_udepth,
     signature_str,
     sorted_formulas,
+    subformulas,
     substitute,
     udepth,
 )
@@ -89,13 +90,60 @@ print(json.dumps({
     assert json.loads(checks) == {"equal": True, "hash": True, "in set": True, "dict key": True}
 
 
-def test_unhashed_formula_pickles_and_copies():
+def test_pickles_and_copies_are_the_interned_node():
     f = parse_formula("A x . <>(R(x,c0) & S(c1))", SIG)
-    assert f._hash is None  # never hashed
-    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
-        assert g == f and hash(g) == hash(f)
     s = Sequent(f, TOP)
-    assert pickle.loads(pickle.dumps(s)) == s == copy.deepcopy(s)
+    for node in (f, s):
+        assert pickle.loads(pickle.dumps(node)) is node
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+    # a pickle of a node built in another process interns on load too
+    dumped = _python(_PARSE + "sys.stdout.buffer.write(pickle.dumps(f))", hash_seed=1)
+    assert pickle.loads(dumped) is parse_formula("A x . <>(R(x,c0) & S(y))", SIG)
+
+
+def test_nodes_are_immutable():
+    f = parse_formula("S(c0) & T", SIG)
+    with pytest.raises(AttributeError):
+        f.left = TOP
+    with pytest.raises(AttributeError):
+        del f.left
+    with pytest.raises(TypeError):
+        Var()
+
+
+def _rebuilt(f):
+    """f built again, node by node, from its fields."""
+    match f:
+        case Pred(name, args):
+            return Pred(name, tuple(type(a)(a.name) for a in args))
+        case And(l, r):
+            return And(_rebuilt(l), _rebuilt(r))
+        case Diamond(b):
+            return Diamond(_rebuilt(b))
+        case Forall(x, b):
+            return Forall(x, _rebuilt(b))
+    return type(f)()
+
+
+@pytest.mark.parametrize("scope", [[], ["y", "z"]], ids=["closed", "free-variables"])
+def test_equal_formulas_are_one_object(scope):
+    for seed in range(300):
+        draw = lambda: random_formula(random.Random(seed), SIG, 3, 2, 12, list(scope))
+        f = draw()
+        assert draw() is f and _rebuilt(f) is f
+        assert parse_formula(pretty(f), SIG) is f
+        for x in sorted(free_vars(f)):
+            # the draws name their variables x0, x1, ..., y and z, so w is fresh
+            renamed = substitute(f, x, Var("w"))
+            assert substitute(renamed, "w", Var(x)) is f
+            assert substitute(renamed, "w", Const("c0")) is substitute(f, x, Const("c0"))
+        for g in subformulas(f):
+            if isinstance(g, Pred):
+                assert Pred(g.name, list(g.args)) is g
+        s = random_sequent(random.Random(seed), SIG, 3, 2, 12)
+        assert random_sequent(random.Random(seed), SIG, 3, 2, 12) is s
+        assert Sequent(f, s.rhs) is Sequent(f, s.rhs)
 
 
 def test_signature_rejects_duplicates_and_reserved_names():

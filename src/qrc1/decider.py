@@ -3,10 +3,10 @@
 decide takes three steps. It builds the canonical model M_phi of the
 left-hand side (canonical.py). If M_phi forces the right-hand side, it reads
 off a checked derivation. Otherwise, if M_phi is complete, M_phi is the
-countermodel. A build stopped at a bound leaves one fallback: a countermodel
-search over frames of at most two worlds and one element, which either finds
-a countermodel or leaves the sequent undecided. `entails` takes the first
-step alone and returns only the answer, with no certificate.
+countermodel. A build stopped at a bound leaves one fallback, `refute`: the
+canonical model M_phi^1 of the sequent with every element collapsed into
+one, which either refutes the sequent or leaves it undecided. `entails`
+takes the first step alone and returns only the answer, with no certificate.
 """
 
 from __future__ import annotations
@@ -21,19 +21,18 @@ from .calculus import (
     check_derivation,
     derivation_to_dict,
 )
-from .canonical import CanonicalModel
-from .semantics import (
-    Countermodel,
-    RefuteBounds,
-    RefuteStats,
-    countermodel_to_dict,
-    refute,
-)
+from .canonical import FRESH_VAR_PREFIX, CanonicalModel
+from .semantics import Countermodel, countermodel_to_dict
 from .syntax import (
+    And,
     Const,
+    Diamond,
+    Forall,
     Formula,
+    Pred,
     Sequent,
     Signature,
+    Var,
     constants_of,
     free_vars,
     fresh_names,
@@ -43,10 +42,6 @@ from .syntax import (
 )
 
 GROUND_PREFIX = "@"
-
-# When M_phi is not built in full and its part does not force the right-hand
-# side, decide searches frames of at most this many worlds and one element.
-FALLBACK_WORLDS = 2
 
 SCHEMA_VERSION = 1
 
@@ -81,6 +76,10 @@ class DeciderConfig:
     max_worlds: Optional[int] = None
     max_domain: Optional[int] = None
 
+    def __post_init__(self):
+        if any(b is not None and b < 1 for b in (self.max_worlds, self.max_domain)):
+            raise ValueError("bounds must be at least 1")
+
 
 _DEFAULT_CONFIG = DeciderConfig()
 
@@ -112,8 +111,7 @@ def _canonical(
     # every name of the sequent and the signature, so that the names grounding
     # and M_phi invent parse back as what they stand for
     used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
-    # the canonical model takes free variables as fresh constants, refute as
-    # assignment values
+    # the canonical model takes free variables as fresh constants
     (lhs, rhs), ground_pairs = ground((s.lhs, s.rhs), used)
     grounded = Sequent(lhs, rhs) if ground_pairs else s
     return sig, grounded, ground_pairs, CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
@@ -141,9 +139,6 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
         "canonical_elements": canon.elements,
         "canonical_facts": canon.facts,
         "canonical_fallback": 0,
-        "frames_examined": 0,
-        "refute_candidates": 0,
-        "refute_truncated": 0,
         "certificate_size": 0,
     }
     # a derivation reads off whatever the part of M_phi built forces
@@ -155,17 +150,45 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
         cm = canon.countermodel(s, sig, ground_pairs)
         cm.validate()
         return _verdict(UNDERIVABLE, stats, countermodel=cm)
-    # With one element each universal has a single instance, so this search
-    # stays cheap whatever the left-hand side; its cost grows as
-    # (elements)^(nested universals). refute validates what it returns.
     stats["canonical_fallback"] = 1
-    refute_stats = RefuteStats()
-    worlds = min(FALLBACK_WORLDS, config.max_worlds or FALLBACK_WORLDS)
-    cm = refute(s, sig, RefuteBounds(worlds, 1), refute_stats)
-    stats["frames_examined"] = refute_stats.frames
-    stats["refute_candidates"] = refute_stats.candidates
-    stats["refute_truncated"] = refute_stats.truncated
+    cm = refute(s, sig, config)
     return _verdict(UNDECIDED if cm is None else UNDERIVABLE, stats, countermodel=cm)
+
+
+def _collapse(f: Formula, e: Var) -> Formula:
+    """f with every term read as e and each universal as its body."""
+    match f:
+        case Pred(name, args):
+            return Pred(name, (e,) * len(args))
+        case And(l, r):
+            return And(_collapse(l, e), _collapse(r, e))
+        case Diamond(b):
+            return Diamond(_collapse(b, e))
+        case Forall(_, b):
+            return _collapse(b, e)
+    return f
+
+
+def refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Optional[Countermodel]:
+    """A validated countermodel to s of one element, or None. It is M_phi^1,
+    the image of M_phi with every element collapsed into one: the canonical
+    model of s with every term read as that element and each universal as its
+    body, whose size is linear in s. Every one-element model of the left-hand
+    side is an image of M_phi^1, so M_phi^1 refutes s exactly when some
+    one-element model does. None when M_phi^1 forces the right-hand side or
+    its build stops under config's bounds."""
+    config = config or _DEFAULT_CONFIG
+    sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+    # the root's one fresh element when no other name is in use; with no
+    # universal on the right, no child world adds another
+    e = Var(next(fresh_names(FRESH_VAR_PREFIX, ())))
+    collapsed = Sequent(_collapse(s.lhs, e), _collapse(s.rhs, e))
+    canon = CanonicalModel(collapsed, (), config.max_worlds, config.max_domain)
+    if not canon.complete or canon.forces(0, collapsed.rhs):
+        return None
+    cm = canon.countermodel(s, sig, [])
+    cm.validate()
+    return cm
 
 
 def _verdict(status: str, stats: dict, **certificate) -> Verdict:

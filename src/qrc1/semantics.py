@@ -1,4 +1,4 @@
-"""Adequate relational models, forcing, model surgery, and countermodel search."""
+"""Adequate relational models, forcing, model surgery, countermodels, and model enumeration."""
 
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ from .syntax import (
     Signature,
     Term,
     Top,
-    constants_of,
-    free_vars,
     pretty_sequent,
 )
 
@@ -263,8 +261,8 @@ def enumerate_models(
     max_worlds: int,
     max_domain: int,
 ) -> Iterator[Model]:
-    """Deterministic stream of adequate models rooted at world 0, on the
-    frames that refute searches.
+    """Deterministic stream of adequate models rooted at world 0, over every
+    rooted frame within the bounds.
 
     Every adequate model within the bounds, restricted to one of its worlds
     and the worlds that world sees, appears rooted at 0 at least once up to
@@ -283,100 +281,6 @@ def enumerate_models(
             for k in range(len(atoms) + 1):
                 for chosen in itertools.combinations(atoms, k):
                     yield _model_from_atoms(frame, cmap, frozenset(chosen))
-
-
-# ---------------------------------------------------------------------------
-# refutation search
-
-
-@dataclass
-class RefuteBounds:
-    """Search frames of at most max_worlds worlds and max_domain elements."""
-
-    max_worlds: int
-    max_domain: int
-
-    def __post_init__(self):
-        if self.max_worlds < 1 or self.max_domain < 1:
-            raise ModelError("bounds must be at least 1")
-
-
-@dataclass
-class RefuteStats:
-    frames: int = 0
-    candidates: int = 0
-    truncated: int = 0  # implicant lists cut at IMPLICANT_CAP: the search was not complete
-
-
-# Past this many minimal implicants a universal's list is cut short, and
-# countermodels that need the rest are not found.
-IMPLICANT_CAP = 4096
-
-
-def _forcing_implicants(
-    m_frame: "_Frame", w: int, g: dict[str, int], f: Formula, cmap: dict[str, int], stats: RefuteStats
-) -> list[frozenset[tuple]] | None:
-    """Minimal sets of relation atoms that force f at w, or None if unforceable.
-
-    The forcing condition of a strictly positive formula is a monotone AND/OR
-    combination of atoms (world, relation, tuple), so its minimal models are a
-    finite antichain computed structurally.
-    """
-    match f:
-        case Top():
-            return [frozenset()]
-        case Pred(name, args):
-            vals = []
-            for t in args:
-                if isinstance(t, Const):
-                    v = cmap.get(t.name)
-                    if v is None:
-                        return None
-                    vals.append(v)
-                else:
-                    vals.append(g[t.name])
-            return [frozenset({(w, name, tuple(vals))})]
-        case And(l, r):
-            li = _forcing_implicants(m_frame, w, g, l, cmap, stats)
-            if li is None:
-                return None
-            ri = _forcing_implicants(m_frame, w, g, r, cmap, stats)
-            if ri is None:
-                return None
-            return _minimize([a | b for a in li for b in ri])
-        case Diamond(b):
-            out: list[frozenset[tuple]] = []
-            for v in m_frame.successors[w]:
-                vi = _forcing_implicants(m_frame, v, g, b, cmap, stats)
-                if vi:
-                    out.extend(vi)
-            return _minimize(out) if out else None
-        case Forall(x, b):
-            if x not in free_vars(b):
-                # domains are nonempty and b's implicants are the same for every d
-                return _forcing_implicants(m_frame, w, g, b, cmap, stats)
-            acc: list[frozenset[tuple]] = [frozenset()]
-            for d in sorted(m_frame.domains[w]):
-                g2 = dict(g)
-                g2[x] = d
-                bi = _forcing_implicants(m_frame, w, g2, b, cmap, stats)
-                if bi is None:
-                    return None
-                acc = _minimize([a | c for a in acc for c in bi])
-                if len(acc) > IMPLICANT_CAP:
-                    acc = acc[:IMPLICANT_CAP]
-                    stats.truncated += 1
-            return acc
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _minimize(sets: list[frozenset]) -> list[frozenset]:
-    sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-    out: list[frozenset] = []
-    for s in sets:
-        if not any(o <= s for o in out):
-            out.append(s)
-    return out
 
 
 @dataclass
@@ -450,52 +354,6 @@ def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
                         domains = tuple(frozenset(i for i, m in enumerate(profiles) if m >> w & 1)
                                         for w in range(n))
                         yield _Frame(n, r.rel, domains, r.successors)
-
-
-def refute(
-    s: Sequent,
-    sig: Signature,
-    bounds: RefuteBounds,
-    stats: RefuteStats | None = None,
-) -> Optional[Countermodel]:
-    """Search for an adequate countermodel to s within the bounds.
-
-    Complete within the bounds unless stats.truncated grows: frames are
-    enumerated exhaustively up to isomorphism, constant values and free
-    variable assignments over the root domain up to renaming of the root
-    elements, and per frame only minimal
-    relation interpretations forcing the lhs need testing against the rhs
-    (forcing is monotone in the relation tables).
-    """
-    stats = stats if stats is not None else RefuteStats()
-    # only constants occurring in the sequent constrain the search; the rest
-    # are interpreted uniformly at the root element afterwards
-    occurring = constants_of(s.lhs) | constants_of(s.rhs)
-    constants = sorted(c for c in sig.constants if c in occurring)
-    padding = sorted(c for c in sig.constants if c not in occurring)
-    fvars = sorted(free_vars(s.lhs) | free_vars(s.rhs))
-    for frame in _rooted_frames(bounds.max_worlds, bounds.max_domain):
-        stats.frames += 1
-        root_domain = sorted(frame.domains[0])
-        for picks in _root_choices(len(root_domain), len(constants) + len(fvars)):
-            values = [root_domain[i] for i in picks]
-            cmap = dict(zip(constants, values))
-            g = dict(zip(fvars, values[len(constants):]))
-            implicants = _forcing_implicants(frame, 0, g, s.lhs, cmap, stats)
-            if implicants is None:
-                continue
-            for atoms in implicants:
-                stats.candidates += 1
-                full_cmap = dict(cmap)
-                for c in padding:
-                    full_cmap[c] = root_domain[0]
-                model = _model_from_atoms(frame, full_cmap, atoms)
-                assignment = Assignment(0, g, root_domain[0])
-                if not forces(model, 0, assignment, s.rhs):
-                    cm = Countermodel(model, 0, assignment, s)
-                    cm.validate()
-                    return cm
-    return None
 
 
 def _root_choices(m: int, length: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:

@@ -5,7 +5,7 @@ left-hand side and conjunctions by the rules of the calculus, and every other
 formula by whether the canonical model M_Gamma of the left-hand side forces
 it (decider.entails), which by completeness is derivability. Only when the
 build of M_Gamma stops at a bound does the oracle ask `decide`, whose
-fallback search may still refute the query. So an oracle answer has no
+one-element fallback may still refute the query. So an oracle answer has no
 checked certificate behind it; the term model built from the answers is
 checked instead, by `truth_lemma_check` and adequacy. This module never
 consults the model it is building. The oracle for one left-hand side is built

@@ -8,6 +8,7 @@ from qrc1 import canonical, semantics
 from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
+    UNDECIDED,
     UNDERIVABLE,
     DeciderConfig,
     decide,
@@ -18,10 +19,7 @@ from qrc1.generate import DEFAULT_SIG, random_sequent
 from qrc1.syntax import Sequent, Signature, names_of, parse_sequent
 
 SIG = DEFAULT_SIG
-STATS_KEYS = {
-    "canonical_worlds", "canonical_elements", "canonical_facts", "canonical_fallback",
-    "frames_examined", "refute_candidates", "refute_truncated", "certificate_size",
-}
+STATS_KEYS = {"canonical_worlds", "canonical_elements", "canonical_facts", "canonical_fallback", "certificate_size"}
 
 
 def seq(text: str):
@@ -73,13 +71,13 @@ def test_derivations_read_off_the_canonical_model_check(text):
     assert check_derivation(reloaded, SIG.with_constants(doc.get("extra_constants", ()))) == s
 
 
-def test_every_stats_key_on_both_paths(monkeypatch):
+def test_every_stats_key_on_both_paths():
     for text in ("T |- <>T", "T |- T"):
         stats = decide(seq(text), SIG).stats
         assert stats.keys() == STATS_KEYS
         assert stats["canonical_fallback"] == 0
-    monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
-    v = decide(seq("<>S(c0) |- S(c0)"), SIG)
+    # M_phi's root holds c0 and a fresh element, one past the bound
+    v = decide(seq("<>S(c0) |- S(c0)"), SIG, DeciderConfig(max_domain=1))
     assert v.stats.keys() == STATS_KEYS
     assert v.stats["canonical_fallback"] == 1
     assert v.status == UNDERIVABLE
@@ -119,6 +117,39 @@ def test_canonical_status_equals_the_dovetail_status():
         assert letters[v.status] == expected, s
 
 
+# The statuses decide gave the corpus below under DeciderConfig(max_domain=1)
+# when its fallback searched frames of at most two worlds and one element:
+# D derivable, U underivable, X undecided.
+TWO_WORLD_FALLBACK_STATUSES = (
+    "XDUDXUUUUUDDUUUUXUUUXDXUXUUUUUXXUXXXXDXDDXUUUUXDUUXDUUXUUUUUDXXDUUXUXDXUUUUUUUXU"
+    "UUXUUUUUUUUDUUUXUXUUUUDUXUDUDUDUUDUXUXXUUUUUUUUUUUUUXUUUUUUDXUUUUUUXUXDXUDUDUXUU"
+    "DXXUDUDUDXDDUUUUXUUUUXXUUUXXUUXUXUUXDXXUDUUDXUXUDUUUUUDDXXDUDUDDDUXUUUUXXXUDDDDU"
+    "XUUUXUXUUUXUXUUXUUXXUXXDUUUDUUDUDDXUUXUUXXUUUXUUDUDXUXDXUUXXXUUDUUUUDDXUUUUUUXUU"
+    "UXXUUUXXUUDUUDXUUUUUDXUUUUXUXXUDDUUXUXXUUUDUUUDUUUDXUUUXXDUUUDUUXDDUDXUUDUXUUXXX"
+)
+
+
+def test_the_one_element_fallback_decides_what_the_two_world_search_did():
+    # M_phi^1 decides every sequent the two-world search decided, the same
+    # way, and refutes one more, whose countermodel has three worlds
+    rng = random.Random(7)
+    free_sig = Signature(relations=SIG.relations)
+    corpus = [(random_sequent(rng, SIG, 2, 2, 5), SIG) for _ in range(300)]
+    corpus += [(random_sequent(rng, free_sig, 2, 2, 5), free_sig) for _ in range(100)]
+    letters = {DERIVABLE: "D", UNDERIVABLE: "U", UNDECIDED: "X"}
+    newly_refuted = 0
+    for (s, sig), before in zip(corpus, TWO_WORLD_FALLBACK_STATUSES, strict=True):
+        v = decide(s, sig, DeciderConfig(max_domain=1))
+        if before == "X" and v.status == UNDERIVABLE:
+            newly_refuted += 1
+        else:
+            assert letters[v.status] == before, s
+        if v.countermodel is not None:
+            assert v.countermodel.sequent == s
+            v.countermodel.validate()
+    assert newly_refuted == 1
+
+
 NESTED = "A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . A x7 . A x8 . (R(x1,x2) & R(x3,x4) & R(x5,x6) & R(x7,x8))"
 
 
@@ -147,16 +178,18 @@ def test_large_canonical_models_are_bounded(text, facts):
     "text, worlds",
     [
         pytest.param("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
-                     " |- A y0 . A y1 . A y3 . <>A y2 . <>S(y2)", 1, id="one-world"),
+                     " |- A y0 . A y1 . A y3 . <>A y2 . <>S(y2)", 5, id="one-world"),
         pytest.param("A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . (R(x1,x2) & R(x3,x4) & R(x5,x6))"
                      " |- A y1 . A y2 . A y3 . A y4 . A y5 . A y6 . S(y1)", 1, id="six-universals"),
         pytest.param("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
-                     " |- A y0 . A y1 . A y2 . A y3 . R(c0,c0)", 2, id="two-worlds"),
+                     " |- A y0 . A y1 . A y2 . A y3 . R(c0,c0)", 5, id="two-worlds"),
     ],
 )
 def test_the_fallback_refutes_past_the_cap(text, worlds):
     # M_phi passes the cap and its part does not force the right-hand side,
-    # but a countermodel of one element exists
+    # but the one-element canonical model M_phi^1 refutes it; it has one world
+    # per diamond of the left-hand side, while the ids name the smallest
+    # countermodel
     s = seq(text)
     v = decide(s, SIG)
     assert v.stats["canonical_facts"] == canonical.CANONICAL_FACT_CAP

@@ -5,14 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrc1 import semantics
+from qrc1.decider import UNDERIVABLE, decide, refute
 from qrc1.generate import DEFAULT_SIG, random_adequate_model, random_formula
 from qrc1.semantics import (
     Assignment,
     Model,
     ModelError,
-    RefuteBounds,
-    RefuteStats,
     _rooted_frames,
     check_adequate,
     countermodel_from_dict,
@@ -22,7 +20,6 @@ from qrc1.semantics import (
     forces,
     model_from_dict,
     model_to_dict,
-    refute,
     reinterpret_constant,
     restrict,
     validate_model,
@@ -312,38 +309,43 @@ def test_enumeration_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# refutation search
+# refutation by the one-element canonical model
 
 
 def test_refute_diamond_top():
     s = parse_sequent("T |- <>T", SIG)
-    cm = refute(s, SIG, RefuteBounds(2, 2))
+    cm = refute(s, SIG)
     assert cm is not None
     cm.validate()
     assert len(cm.model.worlds) == 1
 
 
 def test_refute_converse_of_quantified_modal_axiom():
+    # every one-element model forces the right-hand side; decide finds two elements
     sig = Signature(constants=(), relations=(("S", 1),))
     s = parse_sequent("A x . <>S(x) |- <>(A x . S(x))", sig)
-    cm = refute(s, sig, RefuteBounds(3, 3))
-    assert cm is not None
-    cm.validate()
-    assert len(cm.model.worlds) <= 2
+    assert refute(s, sig) is None
+    v = decide(s, sig)
+    assert v.status == UNDERIVABLE
+    v.countermodel.validate()
+    assert len(v.countermodel.model.worlds) <= 2
 
 
 def test_refute_returns_none_on_derivable_sequents():
     for text in ["<><>S(c0) |- <>S(c0)", "A x . S(x) |- S(c0)",
                  "<>(A x . S(x)) |- A x . <>S(x)", "S(c0) & T |- S(c0)"]:
         s = parse_sequent(text, SIG)
-        assert refute(s, SIG, RefuteBounds(3, 3)) is None, text
+        assert refute(s, SIG) is None, text
 
 
 def test_refute_handles_free_variables_via_assignment():
+    # x and c0 must be two elements, so decide refutes it and refute does not
     s = parse_sequent("S(x) |- S(c0)", SIG)
-    cm = refute(s, SIG, RefuteBounds(2, 2))
-    assert cm is not None
-    cm.validate()
+    assert refute(s, SIG) is None
+    v = decide(s, SIG)
+    assert v.status == UNDERIVABLE
+    assert v.countermodel.assignment("x") != v.countermodel.model.const_value(0, "c0")
+    v.countermodel.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -357,39 +359,9 @@ def test_model_round_trip():
 
 def test_countermodel_round_trip():
     s = parse_sequent("T |- <>T", SIG)
-    cm = refute(s, SIG, RefuteBounds(2, 2))
+    cm = refute(s, SIG)
     back = countermodel_from_dict(countermodel_to_dict(cm), SIG)
     back.validate()
-
-
-def test_refute_counts_truncated_implicants(monkeypatch):
-    sig = Signature(constants=(), relations=(("S", 1),))
-    s = parse_sequent("A x . <>S(x) |- <>(A x . S(x))", sig)
-    stats = RefuteStats()
-    refute(s, sig, RefuteBounds(3, 2), stats)
-    assert stats.truncated == 0
-    monkeypatch.setattr(semantics, "IMPLICANT_CAP", 1)
-    refute(s, sig, RefuteBounds(3, 2), stats)
-    assert stats.truncated > 0
-
-
-def test_vacuous_universals_are_not_expanded_per_element(monkeypatch):
-    # A x1 . A x2 . S(x0) binds nothing that occurs in S(x0): its implicants
-    # are S(x0)'s, found once rather than once per element per quantifier
-    frame = next(f for f in _rooted_frames(1, 3) if len(f.domains[0]) == 3)
-    f = parse_formula("A x0 . A x1 . A x2 . S(x0)", SIG)
-    calls = 0
-    implicants = semantics._forcing_implicants
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return implicants(*args)
-
-    monkeypatch.setattr(semantics, "_forcing_implicants", counted)
-    got = counted(frame, 0, {}, f, {}, RefuteStats())
-    assert got == [frozenset((0, "S", (d,)) for d in range(3))]
-    assert calls == 1 + 3 * 3  # the expanded universal, then per element its two vacuous ones and S(x0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +460,22 @@ def _countermodel_boxes(s, rooted):
 
 
 def test_refute_agrees_with_a_labeled_brute_force_search():
-    rooted = _labeled_rooted_models([(2, 2), (3, 1)])
+    # refute finds a countermodel wherever some one-element model of at most
+    # 3 worlds refutes the sequent, and each it returns is such a model when
+    # it has at most 3 worlds
+    rooted = _labeled_rooted_models([(3, 1)])
     rng = random.Random(3)
     found = 0
     for _ in range(100):
         s = Sequent(*(random_formula(rng, ORACLE_SIG, max_mdepth=2, max_udepth=1, size=3, scope=["x"])
                       for _ in "lr"))
         boxes = _countermodel_boxes(s, rooted)
-
-        def within(bounds):
-            return any(w <= bounds[0] and d <= bounds[1] for w, d in boxes)
-
-        for bounds in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
-            cm = refute(s, ORACLE_SIG, RefuteBounds(*bounds))
-            assert (cm is not None) == within(bounds), (pretty_sequent(s), bounds)
-            found += cm is not None
+        cm = refute(s, ORACLE_SIG)
+        assert cm is not None or not boxes, pretty_sequent(s)
+        if cm is not None:
+            cm.validate()
+            assert set().union(*cm.model.domain.values()) == {0}
+            worlds = len(cm.model.worlds)
+            assert worlds > 3 or (worlds, 1) in boxes, pretty_sequent(s)
+            found += 1
     assert found

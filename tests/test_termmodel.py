@@ -5,7 +5,6 @@ from collections import Counter
 
 import pytest
 
-import qrc1.canonical as canonical
 import qrc1.termmodel as termmodel
 
 from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, Verdict, decide, entails
@@ -361,10 +360,10 @@ def test_entails_agrees_with_decide(monkeypatch):
 
 
 def test_oracle_falls_back_to_decide_where_the_build_stops(monkeypatch):
-    """Where M_Gamma is built in full, entails answers; with the fact cap at 1
-    the build stops at the root's own formula, entails leaves the query open,
-    and the oracle takes the status of decide, whose fallback search refutes
-    it."""
+    """Where M_Gamma is built in full, entails answers; under max_domain=1
+    the build stops before the root, whose c and fresh element pass the bound,
+    entails leaves the query open, and the oracle takes the status of decide,
+    whose one-element fallback refutes it."""
     monkeypatch.setattr(termmodel, "_MEMO", {})
     gamma, query = [f("<>S(c)")], f("S(c)")
     s = Sequent(conjunction(gamma), query)
@@ -373,12 +372,12 @@ def test_oracle_falls_back_to_decide_where_the_build_stops(monkeypatch):
     assert not oracle(gamma, SIG, tally=tally)(query)
     assert tally == Counter(model=1)
 
-    monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", 1)
+    config = DeciderConfig(max_domain=1)
     termmodel._MEMO.clear()
     tally.clear()
-    assert entails(s, SIG) is None
-    assert decide(s, SIG).status == UNDERIVABLE
-    assert not oracle(gamma, SIG, tally=tally)(query)
+    assert entails(s, SIG, config) is None
+    assert decide(s, SIG, config).status == UNDERIVABLE
+    assert not oracle(gamma, SIG, config, tally=tally)(query)
     assert tally == Counter(decide=1)
 
 

@@ -9,7 +9,7 @@ For every sequent of a seeded random corpus:
   - underivable verdicts must come with a validated countermodel.
 
 Example:
-    python scripts/soundness_sweep.py --count 300 --max-worlds 3 --max-domain 2
+    python scripts/soundness_sweep.py --count 300 --max-worlds 3 --max-domain 3
 """
 
 import argparse
@@ -28,7 +28,7 @@ def main() -> int:
     ap.add_argument("--count", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-worlds", type=int, default=3)
-    ap.add_argument("--max-domain", type=int, default=2)
+    ap.add_argument("--max-domain", type=int, default=3)
     ap.add_argument("--sig", help="signature header line (default: constants c0; relations S/1)")
     args = ap.parse_args()
 

@@ -3,8 +3,9 @@ JSON form; `prove` returns the derivation `decide` reads off the canonical model
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import syntax
 from .syntax import (
@@ -80,7 +81,15 @@ def _fail(d: Derivation, msg: str) -> None:
     raise DerivationError(f"{d.rule} concluding '{pretty_sequent(d.conclusion)}': {msg}")
 
 
+@functools.lru_cache(maxsize=None)
+def _relations(f: Formula) -> frozenset[tuple[str, int]]:
+    """The name and arity of every atom of f, found once per formula."""
+    return frozenset((g.name, len(g.args)) for g in syntax.subformulas(f) if isinstance(g, Pred))
+
+
 def _well_formed(f: Formula, sig: Signature, d: Derivation) -> None:
+    if _relations(f) <= sig.arities.items():  # one set comparison, else find the atom at fault
+        return
     match f:
         case Top():
             pass
@@ -350,8 +359,8 @@ def derivation_constants(d: Derivation) -> frozenset[str]:
     return frozenset(out)
 
 
-def _node_to_dict(d: Derivation) -> dict:
-    doc: dict = {"rule": d.rule, "conclusion": pretty_sequent(d.conclusion)}
+def _node_to_dict(d: Derivation, text: Callable[[Formula], str]) -> dict:
+    doc: dict = {"rule": d.rule, "conclusion": f"{text(d.conclusion.lhs)} |- {text(d.conclusion.rhs)}"}
     if d.instantiation is not None:
         t = d.instantiation.term
         doc["instantiation"] = {
@@ -360,13 +369,14 @@ def _node_to_dict(d: Derivation) -> dict:
             "kind": "const" if isinstance(t, Const) else "var",
         }
     if d.premises:
-        doc["premises"] = [_node_to_dict(p) for p in d.premises]
+        doc["premises"] = [_node_to_dict(p, text) for p in d.premises]
     return doc
 
 
 def derivation_to_dict(d: Derivation, sig: Signature) -> dict:
     extra = sorted(derivation_constants(d) - set(sig.constants))
-    doc = _node_to_dict(d)
+    texts: dict[Formula, str] = {}  # each distinct formula is printed once
+    doc = _node_to_dict(d, lambda f: texts.get(f) or texts.setdefault(f, pretty(f)))
     if extra:
         doc["extra_constants"] = extra
     return doc
@@ -380,7 +390,19 @@ def _field(node: dict, key: str, kind: type, default=None):
 
 
 def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
-    """Rebuild a derivation; a document of the wrong shape raises DerivationError."""
+    """Rebuild a derivation; a document of the wrong shape raises DerivationError.
+    Each distinct side text of its conclusions is parsed once."""
+    sides: dict[str, Formula] = {}
+
+    def conclusion(text: str) -> Sequent:
+        # no token holds |-, so the sides of a sequent that parses parse alone as within it
+        lhs, _, rhs = (part.strip() for part in text.partition("|-"))
+        try:
+            sides.update((s, syntax.parse_formula(s, sig)) for s in {lhs, rhs} if s not in sides)
+        except syntax.ParseError:  # raised again, at its offset in the whole text
+            return syntax.parse_sequent(text, sig)
+        return Sequent(sides[lhs], sides[rhs])
+
     def build(node: dict) -> Derivation:
         if not isinstance(node, dict):
             raise DerivationError("malformed derivation document: a node must be an object")
@@ -394,7 +416,7 @@ def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
             inst = Instantiation(_field(raw, "var", str), Const(name) if kind == "const" else Var(name))
         return Derivation(
             rule=_field(node, "rule", str),
-            conclusion=syntax.parse_sequent(_field(node, "conclusion", str), sig),
+            conclusion=conclusion(_field(node, "conclusion", str)),
             premises=tuple(build(p) for p in _field(node, "premises", list, [])),
             instantiation=inst,
         )

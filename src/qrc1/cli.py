@@ -221,7 +221,7 @@ def cmd_check(args, out) -> int:
             concluded = checked(inner, sig)
             _emit({"sequent": label, "valid": True},
                   valid_text.format(pretty_sequent(concluded)), args.format, out)
-        except (DerivationError, ModelError, ParseError, KeyError) as e:
+        except (DerivationError, ModelError, ParseError, KeyError, RecursionError) as e:
             _emit({"sequent": label, "valid": False, "error": str(e)},
                   f"INVALID {kind} ({label}): {e}", args.format, out)
             status = EXIT_INVALID_CERTIFICATE

@@ -66,28 +66,34 @@ class Model:
         except KeyError:
             raise ModelError(f"constant {c!r} is not interpreted at world {w!r}") from None
 
+    @functools.cached_property
+    def _defect(self) -> Optional[str]:
+        """What makes the model ill-formed, or None; loading and validating ask."""
+        wset = set(self.worlds)
+        if len(wset) != len(self.worlds):
+            return "duplicate world ids"
+        if not wset:
+            return "a model needs at least one world"
+        for (w, u) in self.R:
+            if w not in wset or u not in wset:
+                return f"edge ({w!r}, {u!r}) mentions an unknown world"
+        for w in self.worlds:
+            dom = self.domain.get(w)
+            if not dom:
+                return f"world {w!r} has an empty domain"
+            for c, d in self.constI.get(w, {}).items():
+                if d not in dom:
+                    return f"constant {c!r} at {w!r} maps outside the domain"
+            for s, tuples in self.relJ.get(w, {}).items():
+                for tup in tuples:
+                    if not dom.issuperset(tup):
+                        return f"tuple {tup!r} of {s!r} at {w!r} leaves the domain"
+
 
 def validate_model(m: Model) -> None:
     """Structural well-formedness; adequacy is checked separately."""
-    wset = set(m.worlds)
-    if len(wset) != len(m.worlds):
-        raise ModelError("duplicate world ids")
-    if not wset:
-        raise ModelError("a model needs at least one world")
-    for (w, u) in m.R:
-        if w not in wset or u not in wset:
-            raise ModelError(f"edge ({w!r}, {u!r}) mentions an unknown world")
-    for w in m.worlds:
-        dom = m.domain.get(w)
-        if not dom:
-            raise ModelError(f"world {w!r} has an empty domain")
-        for c, d in m.constI.get(w, {}).items():
-            if d not in dom:
-                raise ModelError(f"constant {c!r} at {w!r} maps outside the domain")
-        for s, tuples in m.relJ.get(w, {}).items():
-            for tup in tuples:
-                if any(d not in dom for d in tup):
-                    raise ModelError(f"tuple {tup!r} of {s!r} at {w!r} leaves the domain")
+    if m._defect is not None:
+        raise ModelError(m._defect)
 
 
 @dataclass(frozen=True)
@@ -151,23 +157,54 @@ def default_assignment(m: Model, w: World) -> Assignment:
 
 
 def forces(m: Model, w: World, g: Assignment, f: Formula) -> bool:
-    """Truth at a world under an assignment (actualist quantification)."""
+    """Truth at a world under an assignment (actualist quantification), with bounded
+    variables (Vardi, PODS 1995): a diamond or universal with fewer free variables than the
+    universals entered around it keeps its result for the call, by world, subformula and values."""
     if w not in m.domain:
         raise ModelError(f"unknown world {w!r}")
-    match f:
-        case Top():
+    domain, relJ, successors = m.domain, m.relJ, m._successors
+    env, default, memo = dict(g.mapping), g.default, {}
+
+    def holds(w: World, f: Formula, entered: int) -> bool:
+        kind = type(f)
+        if kind is Pred:
+            values = []
+            for t in f.args:
+                values.append(m.const_value(w, t.name) if type(t) is Const else env.get(t.name, default))
+            return tuple(values) in relJ.get(w, {}).get(f.name, ())
+        if kind is And:
+            return holds(w, f.left, entered) and holds(w, f.right, entered)
+        if kind is Top:
             return True
-        case Pred(name, args):
-            tup = tuple(g.value(m, w, t) for t in args)
-            return tup in m.relJ.get(w, {}).get(name, frozenset())
-        case And(l, r):
-            return forces(m, w, g, l) and forces(m, w, g, r)
-        case Diamond(b):
-            # the inclusion coercion: g's values are read at v unchanged
-            return any(forces(m, v, g, b) for v in m.successors(w))
-        case Forall(x, b):
-            return all(forces(m, w, g.set(x, d), b) for d in m.domain[w])
-    raise TypeError(f"not a formula: {f!r}")
+        if kind is not Diamond and kind is not Forall:
+            raise TypeError(f"not a formula: {f!r}")
+        fv = syntax.free_vars(f) if entered else ()
+        key = (w, f, *[env.get(x, default) for x in fv]) if len(fv) < entered else None
+        if key in memo:
+            return memo[key]
+        result = kind is Forall
+        if kind is Diamond:  # the inclusion coercion: values are read at v unchanged
+            for v in successors.get(w, ()):
+                if v not in domain:
+                    raise ModelError(f"unknown world {v!r}")
+                if holds(v, f.body, entered):
+                    result = True
+                    break
+        else:  # an unset variable reads as the default, so it is restored as one
+            x, outer = f.var, env.get(f.var, default)
+            for d in domain[w]:
+                env[x] = d
+                if not holds(w, f.body, entered + 1):
+                    result = False
+                    break
+            env[x] = outer
+        if key is not None:
+            memo[key] = result
+        return result
+
+    result = holds(w, f, 0)
+    del holds  # it refers to itself: unless this breaks the cycle, only the collector frees it
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +453,9 @@ def _shaped(value, kind, what: str):
 
 
 def _ids(values, what: str) -> tuple[Element, ...]:
-    return tuple(_shaped(d, Element, f"{what} must hold integers or strings")
-                 for d in _shaped(values, list, f"{what} must be a list"))
+    if {*map(type, _shaped(values, list, f"{what} must be a list"))} <= {int, str}:  # no bool
+        return tuple(values)
+    raise ModelError(f"malformed model document: {what} must hold integers or strings")
 
 
 def model_from_dict(doc: dict) -> Model:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qrc1 import syntax
 from qrc1.calculus import (
     AND_E_L,
     AND_I,
@@ -34,6 +35,7 @@ from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.syntax import (
     Const,
     Forall,
+    ParseError,
     Sequent,
     Signature,
     Var,
@@ -349,3 +351,43 @@ def test_derivation_round_trip():
     doc = derivation_to_dict(d, SIG)
     back = derivation_from_dict(doc, SIG)
     assert check_derivation(back, SIG.with_constants(doc.get("extra_constants", ()))) == s
+
+
+def test_derivation_documents_parse_each_distinct_side_once(monkeypatch):
+    s = seq("<>(A x . S(x)) & R(c0,c1) |- A x . <>S(x) & R(c0,c1)")
+    d = decide(s, SIG).derivation
+    doc = derivation_to_dict(d, SIG)
+    sides, stack = set(), [doc]
+    while stack:
+        node = stack.pop()
+        sides.update(side.strip() for side in node["conclusion"].split("|-"))
+        stack.extend(node.get("premises", []))
+    calls = {"parse_formula": 0, "parse_sequent": 0}
+    for name in calls:
+        def counted(*args, _name=name, _parse=getattr(syntax, name), **kwargs):
+            calls[_name] += 1
+            return _parse(*args, **kwargs)
+        monkeypatch.setattr(syntax, name, counted)
+    assert len(sides) < 2 * d.size()  # sides repeat across the document's conclusions
+    assert derivation_from_dict(doc, SIG) == d
+    assert calls == {"parse_formula": len(sides), "parse_sequent": 0}
+
+
+def test_a_conclusion_side_that_fails_to_parse_reports_the_sequents_error():
+    doc = derivation_to_dict(decide(seq("S(c0) & S(c1) |- S(c1) & S(c0)"), SIG).derivation, SIG)
+    known = doc["conclusion"].split(" |- ")[0]
+    doc["premises"][0]["conclusion"] = bad = f"{known} |- S(c1 ?"
+    with pytest.raises(ParseError) as seen:
+        derivation_from_dict(doc, SIG)
+    with pytest.raises(ParseError) as expected:
+        parse_sequent(bad, SIG)
+    assert str(seen.value) == str(expected.value) and "position" in str(seen.value)
+
+
+def test_an_ill_formed_side_names_its_first_atom_at_fault():
+    wide = Signature(constants=("c0",), relations=(("Q", 1), ("R", 1)))
+    d = Derivation(ID, parse_sequent("Q(c0) & R(c0) |- Q(c0) & R(c0)", wide))
+    with pytest.raises(DerivationError, match=r"^Id concluding '.*': undeclared relation 'Q'$"):
+        check_derivation(d, SIG)
+    with pytest.raises(DerivationError, match=r"arity mismatch for 'R'$"):
+        check_derivation(d, Signature(constants=("c0",), relations=(("Q", 1), ("R", 2))))

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +301,29 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
     code, _, err = run(capsys, command, str(doc_path))
     assert code == 1
     assert "nested too deeply" in err
+
+
+def _nested_derivation(depth: int) -> str:
+    """A premise chain of depth nodes, as text: json.dumps would recurse too deep."""
+    node = '{"rule": "Nec", "conclusion": "S(c0) |- T", "premises": ['
+    return '{"derivation": ' + node * depth + "]}" * depth + "}"
+
+
+@pytest.mark.parametrize("depth", range(480, 495))
+def test_deep_premise_chains_are_invalid_or_input_errors(tmp_path, depth):
+    # a fresh interpreter, so that the stack starts where the qrc1 script's
+    # does: near 490 nodes the JSON reader itself still accepts the nesting
+    doc_path, sig_path = tmp_path / "deep.jsonl", tmp_path / "sig.txt"
+    doc_path.write_text(_nested_derivation(depth) + "\n")
+    sig_path.write_text("sig: constants c0; relations S/1;\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from qrc1.cli import main; sys.exit(main())",
+         "check-derivation", str(doc_path), "--sig", str(sig_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    output = (proc.stdout + proc.stderr).splitlines()
+    assert proc.returncode in (1, 2) and len(output) == 1, output[-1]
+    assert output[0].startswith("INVALID derivation" if proc.returncode == 2 else "error: ")
 
 
 # prove and refute certify the sequent as given: free variables stay

@@ -1,6 +1,9 @@
 import functools
 import itertools
+import json
 import random
+from collections.abc import Mapping
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from qrc1.decider import UNDERIVABLE, decide, refute
 from qrc1.generate import DEFAULT_SIG, random_adequate_model, random_formula
 from qrc1.semantics import (
     Assignment,
+    Countermodel,
     Model,
     ModelError,
     _rooted_frames,
@@ -25,9 +29,16 @@ from qrc1.semantics import (
     validate_model,
 )
 from qrc1.syntax import (
+    TOP,
+    And,
     Const,
+    Diamond,
+    Forall,
+    Formula,
+    Pred,
     Sequent,
     Signature,
+    Top,
     Var,
     free_for,
     free_vars,
@@ -138,6 +149,179 @@ def test_forcing_reads_assignment_through_coercion():
     m = growing_model()
     g = Assignment(0, {"x": "a"}, "a")
     assert forces(m, 0, g, parse_formula("<>S(x)", SIG))
+
+
+def test_forcing_reports_an_unknown_world_and_an_uninterpreted_constant():
+    m = growing_model()
+    g = default_assignment(m, 0)
+    with pytest.raises(ModelError, match="^unknown world 7$"):
+        forces(m, 7, g, parse_formula("T", SIG))
+    partial = Model(m.worlds, m.R, m.domain, {0: {"c0": "a"}, 1: {}}, m.relJ)
+    assert forces(partial, 0, g, parse_formula("S(c0)", SIG)) is False
+    with pytest.raises(ModelError, match="^constant 'c0' is not interpreted at world 1$"):
+        forces(partial, 0, g, parse_formula("<>S(c0)", SIG))
+    # a successor with no domain is an unknown world, when forcing reaches it
+    dangling = Model((0, 1), m.R, {0: m.domain[0]}, m.constI, m.relJ)
+    assert forces(dangling, 0, g, parse_formula("S(c0)", SIG)) is False
+    with pytest.raises(ModelError, match="^unknown world 1$"):
+        forces(dangling, 0, g, parse_formula("<>T", SIG))
+
+
+# ---------------------------------------------------------------------------
+# forcing against the recursive reference
+
+
+def reference_forces(m: Model, w, g: Assignment, f: Formula) -> bool:
+    """Forcing as the semantics states it, clause by clause: the evaluator's
+    reference. It allocates an assignment per element and per successor and
+    tests a subformula again for every value of every enclosing quantifier."""
+    if w not in m.domain:
+        raise ModelError(f"unknown world {w!r}")
+    match f:
+        case Top():
+            return True
+        case Pred(name, args):
+            tup = tuple(g.value(m, w, t) for t in args)
+            return tup in m.relJ.get(w, {}).get(name, frozenset())
+        case And(l, r):
+            return reference_forces(m, w, g, l) and reference_forces(m, w, g, r)
+        case Diamond(b):
+            # the inclusion coercion: g's values are read at v unchanged
+            return any(reference_forces(m, v, g, b) for v in m.successors(w))
+        case Forall(x, b):
+            return all(reference_forces(m, w, g.set(x, d), b) for d in m.domain[w])
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _outcome(check, m, w, g, f):
+    try:
+        return check(m, w, g, f)
+    except ModelError as e:
+        return f"ModelError: {e}"
+
+
+ELEMENTS = (0, 1, 2)
+VARIABLES = ("x", "y", "z")
+TERMS = [Var(x) for x in VARIABLES] + [Const(c) for c in SIG.constants]
+
+
+def _any_model(rng: random.Random) -> Model:
+    """Any relation on one to three worlds, constants interpreted at some
+    worlds only, and relations over each world's domain."""
+    worlds = tuple(range(rng.randint(1, 3)))
+    domain = {w: frozenset(rng.sample(ELEMENTS, rng.randint(1, 3))) for w in worlds}
+    return Model(
+        worlds,
+        frozenset((w, u) for w in worlds for u in worlds if rng.random() < 0.4),
+        domain,
+        {w: {c: rng.choice(sorted(domain[w])) for c in SIG.constants if rng.random() < 0.8}
+         for w in worlds},
+        {w: {name: frozenset(tuple(rng.choices(sorted(domain[w]), k=arity))
+                             for _ in range(rng.randint(0, 4)))
+             for name, arity in SIG.relations}
+         for w in worlds},
+    )
+
+
+def _any_formula(rng: random.Random, size: int) -> Formula:
+    """Binders over three names, so that they nest, shadow each other, bind
+    nothing and leave free variables."""
+    if size <= 1:
+        return rng.choice([TOP, Pred("S", (rng.choice(TERMS),)),
+                           Pred("R", (rng.choice(TERMS), rng.choice(TERMS)))])
+    kind = rng.choice(["and", "dia", "all"])
+    if kind == "and":
+        k = rng.randint(1, size - 1)
+        return And(_any_formula(rng, k), _any_formula(rng, size - k))
+    body = _any_formula(rng, size - 1)
+    return Diamond(body) if kind == "dia" else Forall(rng.choice(VARIABLES), body)
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.integers(0, 10**9))
+def test_forcing_agrees_with_the_reference(seed):
+    # 250 examples of 12 cases each: 3,000 (model, world, assignment, formula)
+    rng = random.Random(seed)
+    m = _any_model(rng)
+    w = rng.choice(m.worlds)
+    g = Assignment(w, {x: rng.choice(ELEMENTS) for x in VARIABLES if rng.random() < 0.5},
+                   rng.choice(sorted(m.domain[w])))
+    for _ in range(4):
+        f = _any_formula(rng, rng.randint(1, 8))
+        # universals around a diamond or universal with fewer free variables
+        # than they bind are where the evaluator keeps results
+        for f in (f, Forall("x", Forall("y", f)), Forall("z", Diamond(Forall("x", f)))):
+            assert _outcome(forces, m, w, g, f) == _outcome(reference_forces, m, w, g, f)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+class _CountedReads(Mapping):
+    """A model's domain or relJ that counts every read of it against a shared
+    budget: each atom forcing tests reads relJ, and each universal and each
+    step to a successor reads the domain."""
+
+    def __init__(self, data: Mapping, counter: list[int], budget: int):
+        self.data, self.counter, self.budget = data, counter, budget
+
+    def _read(self) -> None:
+        self.counter[0] += 1
+        if self.counter[0] > self.budget:
+            raise _OverBudget
+
+    def __getitem__(self, key):
+        self._read()
+        return self.data[key]
+
+    def get(self, key, default=None):
+        self._read()
+        return self.data.get(key, default)
+
+    def __contains__(self, key):
+        self._read()
+        return key in self.data
+
+    def __iter__(self):
+        return iter(self.data)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+
+def _reads(check, cm: Countermodel, budget: int) -> int:
+    """How often checking cm's two sides with check reads its model."""
+    counter = [0]
+    m = replace(cm.model, domain=_CountedReads(cm.model.domain, counter, budget),
+                relJ=_CountedReads(cm.model.relJ, counter, budget))
+    assert check(m, cm.root, cm.assignment, cm.sequent.lhs)
+    assert not check(m, cm.root, cm.assignment, cm.sequent.rhs)
+    return counter[0]
+
+
+HARD_SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
+
+
+@pytest.mark.parametrize("text, worlds, budget", [
+    ("A x0 . A x1 . <>(A x2 . T & <>R(x2,x2) & A x3 . A x4 . <><><>R(x3,x4)) |- "
+     "A x0 . (A x1 . <>(A x2 . A x3 . T & T & <>R(c1,x2) & <>R(x0,x3))) & R(c1,c0)", 312, 100_000),
+    ("A x10 . A x11 . <>(A x12 . A x13 . R(x10,c0) & A x14 . A x15 . R(x11,x10)) & T |- "
+     "A x10 . A x11 . A x12 . <>(A x13 . A x14 . A x15 . S(x14)) & "
+     "(<>(T & S(x10)) & (R(x12,x12) & R(x12,c0)))", 50, 25_000),
+], ids=["312-worlds", "50-worlds"])
+def test_hard_countermodels_check_within_a_read_budget(text, worlds, budget):
+    s = parse_sequent(text, HARD_SIG)
+    v = decide(s, HARD_SIG)
+    assert v.status == UNDERIVABLE and len(v.countermodel.model.worlds) == worlds
+    doc = json.loads(json.dumps(countermodel_to_dict(v.countermodel)))
+    cm = countermodel_from_dict(doc, HARD_SIG)
+    cm.validate()
+    # a count of the model's reads, not a time, bounds the evaluator's work;
+    # the reference spends the budget long before it is done
+    assert _reads(forces, cm, budget) <= budget
+    with pytest.raises(_OverBudget):
+        _reads(reference_forces, cm, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,11 @@
 """Total decision procedure for sequents, with a verifiable certificate either way.
 
-decide takes three steps. It builds the canonical model M_phi of the
-left-hand side (canonical.py). If M_phi forces the right-hand side, it reads
-off a checked derivation. Otherwise, if M_phi is complete, M_phi is the
-countermodel. A build stopped at a bound leaves one fallback, `refute`: the
-canonical model M_phi^1 of the sequent with every element collapsed into
-one, which either refutes the sequent or leaves it undecided. `entails`
-takes the first step alone and returns only the answer, with no certificate.
+decide takes one path. The one-element canonical model M_phi^1 (`refute`)
+refutes the sequent if any one-element model does, and is then the
+countermodel. Otherwise decide builds the canonical model M_phi of the
+left-hand side (canonical.py): if M_phi forces the right-hand side, it reads
+off a checked derivation; if M_phi is complete, it is the countermodel; else
+the verdict is undecided. `entails` reads the answer off M_phi alone.
 """
 
 from __future__ import annotations
@@ -104,25 +103,23 @@ def ground(formulas: Sequence[Formula], used: set[str]) -> tuple[list[Formula], 
 
 def _canonical(
     s: Sequent, sig: Signature, config: DeciderConfig
-) -> tuple[Signature, Sequent, list[tuple[str, str]], CanonicalModel]:
-    """sig extended by the constants of s, s grounded, its grounding pairs,
-    and the canonical model of the grounded sequent."""
-    sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+) -> tuple[Sequent, list[tuple[str, str]], CanonicalModel]:
+    """s grounded, its grounding pairs, and M_phi of the grounded sequent."""
     # every name of the sequent and the signature, so that the names grounding
     # and M_phi invent parse back as what they stand for
     used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
     # the canonical model takes free variables as fresh constants
     (lhs, rhs), ground_pairs = ground((s.lhs, s.rhs), used)
     grounded = Sequent(lhs, rhs) if ground_pairs else s
-    return sig, grounded, ground_pairs, CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
+    return grounded, ground_pairs, CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
 
 
 def entails(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> bool | None:
     """Whether s is derivable, read off M_phi alone: True when M_phi forces the
     right-hand side, False when M_phi is complete and does not, None when the
     build stopped short of that. No certificate is built; where this answers,
-    decide's status agrees, and where it gives None, decide runs its fallback."""
-    _, grounded, _, canon = _canonical(s, sig, config or _DEFAULT_CONFIG)
+    decide's status agrees."""
+    grounded, _, canon = _canonical(s, sig, config or _DEFAULT_CONFIG)
     if canon.worlds and canon.forces(0, grounded.rhs):
         return True
     return False if canon.complete else None
@@ -133,26 +130,21 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
     pure function: it keeps nothing between calls. Constants of s that sig
     does not declare join it, so that a countermodel interprets them."""
     config = config or _DEFAULT_CONFIG
-    sig, grounded, ground_pairs, canon = _canonical(s, sig, config)
-    stats = {
-        "canonical_worlds": len(canon.worlds),
-        "canonical_elements": canon.elements,
-        "canonical_facts": canon.facts,
-        "canonical_fallback": 0,
-        "certificate_size": 0,
-    }
+    cm = _refute(s, sig, config)
+    if cm is not None:
+        return _verdict(UNDERIVABLE, "one-element", None, countermodel=cm)
+    sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+    grounded, ground_pairs, canon = _canonical(s, sig, config)
     # a derivation reads off whatever the part of M_phi built forces
     if canon.worlds and canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
         check_derivation(d, sig)
-        return _verdict(DERIVABLE, stats, derivation=d)
+        return _verdict(DERIVABLE, "canonical", canon, derivation=d)
     if canon.complete:
         cm = canon.countermodel(s, sig, ground_pairs)
         cm.validate()
-        return _verdict(UNDERIVABLE, stats, countermodel=cm)
-    stats["canonical_fallback"] = 1
-    cm = refute(s, sig, config)
-    return _verdict(UNDECIDED if cm is None else UNDERIVABLE, stats, countermodel=cm)
+        return _verdict(UNDERIVABLE, "canonical", canon, countermodel=cm)
+    return _verdict(UNDECIDED, None, canon)
 
 
 def _collapse(f: Formula, e: Var) -> Formula:
@@ -169,16 +161,13 @@ def _collapse(f: Formula, e: Var) -> Formula:
     return f
 
 
-def refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Optional[Countermodel]:
-    """A validated countermodel to s of one element, or None. It is M_phi^1,
-    the image of M_phi with every element collapsed into one: the canonical
-    model of s with every term read as that element and each universal as its
-    body, whose size is linear in s. Every one-element model of the left-hand
-    side is an image of M_phi^1, so M_phi^1 refutes s exactly when some
-    one-element model does. None when M_phi^1 forces the right-hand side or
-    its build stops under config's bounds."""
+def _refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Optional[Countermodel]:
+    """decide's first step: M_phi^1, the canonical model of s with every term
+    read as one element and each universal as its body, as a validated
+    countermodel to s, or None when it forces the right-hand side or its build
+    stops under config's bounds. Its size is linear in s, and every
+    one-element model of the left-hand side is an image of it."""
     config = config or _DEFAULT_CONFIG
-    sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
     # the root's one fresh element when no other name is in use; with no
     # universal on the right, no child world adds another
     e = Var(next(fresh_names(FRESH_VAR_PREFIX, ())))
@@ -186,17 +175,26 @@ def refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> O
     canon = CanonicalModel(collapsed, (), config.max_worlds, config.max_domain)
     if not canon.complete or canon.forces(0, collapsed.rhs):
         return None
-    cm = canon.countermodel(s, sig, [])
+    cm = canon.countermodel(s, sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs))), [])
     cm.validate()
     return cm
 
 
-def _verdict(status: str, stats: dict, **certificate) -> Verdict:
-    v = Verdict(status, stats=stats, **certificate)
-    if v.derivation is not None:
-        stats["certificate_size"] = v.derivation.size()
-    elif v.countermodel is not None:
-        stats["certificate_size"] = len(v.countermodel.model.worlds)
+# decide calls _refute, so a wrapper put in place of this name does not reach it
+refute = _refute
+
+
+def _verdict(status: str, model: Optional[str], canon: Optional[CanonicalModel], **certificate) -> Verdict:
+    """The verdict and its stats (README.md)."""
+    v = Verdict(status, **certificate)
+    cm, d = v.countermodel, v.derivation
+    v.stats = {
+        "canonical_worlds": len(canon.worlds) if canon else 0,
+        "canonical_elements": canon.elements if canon else 0,
+        "canonical_facts": canon.facts if canon else 0,
+        "certificate_model": model,
+        "certificate_size": len(cm.model.worlds) if cm else d.size() if d else 0,
+    }
     return v
 
 

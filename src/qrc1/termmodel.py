@@ -5,7 +5,7 @@ left-hand side and conjunctions by the rules of the calculus, and every other
 formula by whether the canonical model M_Gamma of the left-hand side forces
 it (decider.entails), which by completeness is derivability. Only when the
 build of M_Gamma stops at a bound does the oracle ask `decide`, whose
-one-element fallback may still refute the query. So an oracle answer has no
+one-element canonical model may refute the query. So an oracle answer has no
 checked certificate behind it; the term model built from the answers is
 checked instead, by `truth_lemma_check` and adequacy. This module never
 consults the model it is building. The oracle for one left-hand side is built
@@ -103,7 +103,8 @@ def oracle(
     A & B is entailed exactly when A and B both are (AndI one way, AndE and
     Cut the other). Every other formula is a query, answered from the memo,
     by entails (whether M_Gamma forces it), or, where the build of M_Gamma
-    stopped, by decide's status. Answers are kept, so a conjunction asks
+    stopped, by decide's status: refuted where the one-element canonical
+    model refutes it, else undecided. Answers are kept, so a conjunction asks
     about each conjunct once. A conjunction with an undecided conjunct and no
     refuted one is itself a query. `tally` counts the answers by source:
     "rule", "memo", "model" and "decide"."""

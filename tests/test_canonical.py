@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,14 +13,18 @@ from qrc1.decider import (
     UNDERIVABLE,
     DeciderConfig,
     decide,
+    entails,
     ground,
+    refute,
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
 from qrc1.syntax import Sequent, Signature, names_of, parse_sequent
 
 SIG = DEFAULT_SIG
-STATS_KEYS = {"canonical_worlds", "canonical_elements", "canonical_facts", "canonical_fallback", "certificate_size"}
+# the models a certificate comes from, as the stats name them
+ONE_ELEMENT, CANONICAL = "one-element", "canonical"
+STATS_KEYS = {"canonical_worlds", "canonical_elements", "canonical_facts", "certificate_model", "certificate_size"}
 
 
 def seq(text: str):
@@ -39,7 +44,8 @@ def test_converse_barcan_has_a_two_world_countermodel():
     assert v.status == UNDERIVABLE
     v.countermodel.validate()
     assert len(v.countermodel.model.worlds) == 2
-    assert v.stats["canonical_fallback"] == 0
+    # every one-element model forces the right-hand side
+    assert v.stats["certificate_model"] == CANONICAL
 
 
 @pytest.mark.parametrize(
@@ -62,7 +68,7 @@ def test_derivations_read_off_the_canonical_model_check(text):
     s = seq(text)
     v = decide(s, SIG)
     assert v.status == DERIVABLE
-    assert v.stats["canonical_fallback"] == 0
+    assert v.stats["certificate_model"] == CANONICAL
     assert v.derivation.conclusion == s
     check_derivation(v.derivation, SIG)  # the checker reads only relation arities
     # fresh variables print and parse back as variables
@@ -72,26 +78,35 @@ def test_derivations_read_off_the_canonical_model_check(text):
 
 
 def test_every_stats_key_on_both_paths():
-    for text in ("T |- <>T", "T |- T"):
-        stats = decide(seq(text), SIG).stats
-        assert stats.keys() == STATS_KEYS
-        assert stats["canonical_fallback"] == 0
-    # M_phi's root holds c0 and a fresh element, one past the bound
+    # M_phi^1 refutes the first sequent, so M_phi is not built; M_phi^1 forces
+    # the right-hand sides of the others, and M_phi derives or refutes them
+    for text, status, model in (("T |- <>T", UNDERIVABLE, ONE_ELEMENT), ("T |- T", DERIVABLE, CANONICAL),
+                                ("A x . <>S(x) |- <>A x . S(x)", UNDERIVABLE, CANONICAL)):
+        v = decide(seq(text), SIG)
+        assert v.stats.keys() == STATS_KEYS
+        assert (v.status, v.stats["certificate_model"]) == (status, model)
+        assert (v.stats["canonical_worlds"] == 0) == (model == ONE_ELEMENT)
+    # M_phi^1 refutes past a bound that stops M_phi: M_phi's root holds c0
+    # and a fresh element, one past it
     v = decide(seq("<>S(c0) |- S(c0)"), SIG, DeciderConfig(max_domain=1))
     assert v.stats.keys() == STATS_KEYS
-    assert v.stats["canonical_fallback"] == 1
+    assert v.stats["certificate_model"] == ONE_ELEMENT
+    assert v.stats["canonical_worlds"] == v.stats["canonical_facts"] == 0
     assert v.status == UNDERIVABLE
     v.countermodel.validate()
 
 
 def test_config_bounds_below_the_canonical_model_run_the_fallback():
-    s = seq("A x . <>S(x) |- <>A x . S(x)")  # 2 worlds, 2 elements
+    # a bound below M_phi stops its build and leaves the sequent undecided:
+    # M_phi has 2 worlds and 2 elements, and M_phi^1 forces the right-hand side
+    s = seq("A x . <>S(x) |- <>A x . S(x)")
     for config in (DeciderConfig(max_worlds=1), DeciderConfig(max_domain=1)):
-        stats = decide(s, SIG, config).stats
-        assert stats["canonical_fallback"] == 1
+        v = decide(s, SIG, config)
+        assert v.status == UNDECIDED and v.stats["certificate_model"] is None
         # building stops at the bound, not after the whole model
-        assert stats["canonical_worlds"] == 1 and stats["canonical_elements"] == 1
-    assert decide(s, SIG, DeciderConfig(max_worlds=2, max_domain=2)).stats["canonical_fallback"] == 0
+        assert v.stats["canonical_worlds"] == 1 and v.stats["canonical_elements"] == 1
+    v = decide(s, SIG, DeciderConfig(max_worlds=2, max_domain=2))
+    assert v.status == UNDERIVABLE and v.stats["certificate_model"] == CANONICAL
 
 
 # The statuses the dovetail, the search decide ran before the canonical model,
@@ -112,9 +127,9 @@ def test_canonical_status_equals_the_dovetail_status():
     corpus += [(random_sequent(rng, free_sig, 2, 1, 4), free_sig) for _ in range(100)]
     letters = {DERIVABLE: "D", UNDERIVABLE: "U"}
     for (s, sig), expected in zip(corpus, DOVETAIL_STATUSES, strict=True):
-        v = decide(s, sig)
-        assert v.stats["canonical_fallback"] == 0
-        assert letters[v.status] == expected, s
+        # M_phi alone, and decide, which asks M_phi^1 first
+        assert entails(s, sig) is (expected == "D"), s
+        assert letters[decide(s, sig).status] == expected, s
 
 
 # The statuses decide gave the corpus below under DeciderConfig(max_domain=1)
@@ -130,8 +145,9 @@ TWO_WORLD_FALLBACK_STATUSES = (
 
 
 def test_the_one_element_fallback_decides_what_the_two_world_search_did():
-    # M_phi^1 decides every sequent the two-world search decided, the same
-    # way, and refutes one more, whose countermodel has three worlds
+    # under max_domain=1, decide (M_phi^1, then M_phi up to the bound) decides
+    # every sequent the two-world search decided, the same way, and refutes one
+    # more, whose countermodel has three worlds
     rng = random.Random(7)
     free_sig = Signature(relations=SIG.relations)
     corpus = [(random_sequent(rng, SIG, 2, 2, 5), SIG) for _ in range(300)]
@@ -171,7 +187,7 @@ def test_large_canonical_models_are_bounded(text, facts):
     assert time.perf_counter() - start < 10  # 0.2 s measured; minutes unbounded
     assert v.status == DERIVABLE
     assert v.stats["canonical_facts"] == facts
-    assert v.stats["canonical_fallback"] == 0
+    assert v.stats["certificate_model"] == CANONICAL
 
 
 @pytest.mark.parametrize(
@@ -186,14 +202,15 @@ def test_large_canonical_models_are_bounded(text, facts):
     ],
 )
 def test_the_fallback_refutes_past_the_cap(text, worlds):
-    # M_phi passes the cap and its part does not force the right-hand side,
-    # but the one-element canonical model M_phi^1 refutes it; it has one world
-    # per diamond of the left-hand side, while the ids name the smallest
-    # countermodel
+    # M_phi^1 refutes a sequent whose M_phi passes the cap without forcing
+    # the right-hand side (entails gives None), so decide never builds M_phi;
+    # M_phi^1 has one world per diamond of the left-hand side, while the ids
+    # name the smallest countermodel
     s = seq(text)
+    assert entails(s, SIG) is None
     v = decide(s, SIG)
-    assert v.stats["canonical_facts"] == canonical.CANONICAL_FACT_CAP
-    assert v.stats["canonical_fallback"] == 1
+    assert v.stats["canonical_facts"] == 0
+    assert v.stats["certificate_model"] == ONE_ELEMENT
     assert v.status == UNDERIVABLE
     assert v.countermodel.sequent == s
     v.countermodel.validate()
@@ -209,7 +226,9 @@ def test_a_derivable_sequent_past_the_cap_gets_a_verdict():
     start = time.perf_counter()
     v = decide(s, SIG)
     assert time.perf_counter() - start < 10
-    assert v.stats["canonical_fallback"] == 1
+    assert v.stats["canonical_facts"] == canonical.CANONICAL_FACT_CAP
+    # M_phi^1 forces the right-hand side of a derivable sequent
+    assert v.stats["certificate_model"] != ONE_ELEMENT
     assert v.status != UNDERIVABLE
     if v.derivation is not None:
         check_derivation(v.derivation, SIG)
@@ -235,3 +254,35 @@ def test_generic_instance_forcing_equals_forcing():
         forced.add(canon.forces(0, grounded.rhs))
         assert canon.forces(0, grounded.rhs) == semantics.forces(cm.model, 0, cm.assignment, s.rhs), s
     assert forced == {True, False}
+
+
+def _status_by_the_canonical_model_first(s, sig, config):
+    """The status decide gave when it built M_phi first and asked M_phi^1
+    only where that build stopped."""
+    answer = entails(s, sig, config)
+    if answer is not None:
+        return DERIVABLE if answer else UNDERIVABLE
+    return UNDECIDED if refute(s, sig, config) is None else UNDERIVABLE
+
+
+def test_refuting_by_the_one_element_model_first_keeps_every_status():
+    rng = random.Random(11)
+    open_sig = Signature(relations=SIG.relations)  # no constants, so atoms take free variables
+    corpus = [(random_sequent(rng, sig, *bounds), sig)
+              for bounds in ((2, 2, 8), (3, 3, 15), (5, 5, 30))
+              for sig in (SIG,) * 400 + (open_sig,) * 100]
+    seen = Counter()
+    # the bounds stop some builds, of M_phi or M_phi^1, so that every status occurs
+    for config in (DeciderConfig(), DeciderConfig(max_worlds=3, max_domain=4)):
+        for s, sig in corpus:
+            v = decide(s, sig, config)
+            assert v.status == _status_by_the_canonical_model_first(s, sig, config), s
+            seen[v.status, v.stats["certificate_model"]] += 1
+            if v.stats["certificate_model"] == ONE_ELEMENT:
+                doc = json.loads(json.dumps(verdict_to_dict(v, sig)))["certificate"]["countermodel"]
+                cm = semantics.countermodel_from_dict(doc, sig)
+                cm.validate()
+                assert cm.sequent == s
+                assert len(set().union(*cm.model.domain.values())) == 1
+    assert seen.keys() == {(DERIVABLE, CANONICAL), (UNDERIVABLE, CANONICAL), (UNDERIVABLE, ONE_ELEMENT),
+                           (UNDECIDED, None)}

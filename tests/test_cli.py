@@ -57,8 +57,8 @@ def test_decide_file_json_lines(capsys, tmp_path, sig_file):
 
 
 def test_decide_undecided_exit_code(capsys, sig_file):
-    # the 12 nested universals fill CANONICAL_FACT_CAP in the root world, and
-    # the one-element fallback finds no countermodel
+    # the one-element canonical model forces the right-hand side, and the 12
+    # nested universals fill CANONICAL_FACT_CAP in the root world of M_phi
     xs = [f"x{i}" for i in range(1, 13)]
     universals = "".join(f"A {x} . " for x in xs)
     chain = " & ".join(f"R({a},{b})" for a, b in zip(xs, xs[1:]))

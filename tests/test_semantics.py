@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrc1.decider import UNDERIVABLE, decide, refute
+from qrc1.canonical import CanonicalModel
+from qrc1.decider import UNDERIVABLE, decide, ground, refute
 from qrc1.generate import DEFAULT_SIG, random_adequate_model, random_formula
 from qrc1.semantics import (
     Assignment,
@@ -42,6 +43,7 @@ from qrc1.syntax import (
     Var,
     free_for,
     free_vars,
+    names_of,
     parse_formula,
     parse_sequent,
     pretty_sequent,
@@ -311,10 +313,19 @@ HARD_SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
      "(<>(T & S(x10)) & (R(x12,x12) & R(x12,c0)))", 50, 25_000),
 ], ids=["312-worlds", "50-worlds"])
 def test_hard_countermodels_check_within_a_read_budget(text, worlds, budget):
+    # decide refutes both by the one-element canonical model, of a few worlds;
+    # the canonical model M_phi is the large countermodel that stresses forcing
     s = parse_sequent(text, HARD_SIG)
     v = decide(s, HARD_SIG)
-    assert v.status == UNDERIVABLE and len(v.countermodel.model.worlds) == worlds
-    doc = json.loads(json.dumps(countermodel_to_dict(v.countermodel)))
+    assert v.status == UNDERIVABLE and v.stats["certificate_model"] == "one-element"
+    assert len(v.countermodel.model.worlds) <= 6
+    used = {*HARD_SIG.constants, *names_of(s.lhs), *names_of(s.rhs)}
+    (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
+    canon = CanonicalModel(Sequent(lhs, rhs), used)
+    assert canon.complete and not canon.forces(0, rhs)
+    model = canon.countermodel(s, HARD_SIG, pairs)
+    assert len(model.model.worlds) == worlds
+    doc = json.loads(json.dumps(countermodel_to_dict(model)))
     cm = countermodel_from_dict(doc, HARD_SIG)
     cm.validate()
     # a count of the model's reads, not a time, bounds the evaluator's work;

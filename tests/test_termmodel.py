@@ -363,7 +363,7 @@ def test_oracle_falls_back_to_decide_where_the_build_stops(monkeypatch):
     """Where M_Gamma is built in full, entails answers; under max_domain=1
     the build stops before the root, whose c and fresh element pass the bound,
     entails leaves the query open, and the oracle takes the status of decide,
-    whose one-element fallback refutes it."""
+    whose one-element canonical model refutes it."""
     monkeypatch.setattr(termmodel, "_MEMO", {})
     gamma, query = [f("<>S(c)")], f("S(c)")
     s = Sequent(conjunction(gamma), query)

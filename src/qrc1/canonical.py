@@ -272,7 +272,8 @@ class CanonicalModel:
     def countermodel(self, original: Sequent, sig: Signature, ground_pairs: list[tuple[str, str]]) -> Countermodel:
         """M_phi as a countermodel to the original sequent, whose free
         variables ground_pairs names by constants of the grounded one. The
-        signature's constants that do not occur are sent to a root element."""
+        signature's and the sequent's constants that do not occur are sent to
+        a root element."""
         element: dict[Term, int] = {}
         for world in self.worlds:
             for t in world.domain:
@@ -283,7 +284,8 @@ class CanonicalModel:
             for f in world.facts:
                 if isinstance(f, Pred):
                     relJ[w].setdefault(f.name, set()).add(tuple(element[t] for t in f.args))
-        cmap = {c: element.get(Const(c), 0) for c in sig.constants}
+        constants = sig.with_constants(sorted(constants_of(original.lhs) | constants_of(original.rhs))).constants
+        cmap = {c: element.get(Const(c), 0) for c in constants}
         model = Model(
             worlds=tuple(range(n)),
             R=frozenset((w, v) for w in range(n) for v in self._below(w)),

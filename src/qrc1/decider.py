@@ -1,11 +1,11 @@
 """Total decision procedure for sequents, with a verifiable certificate either way.
 
-decide takes one path. The one-element canonical model M_phi^1 (`refute`)
-refutes the sequent if any one-element model does, and is then the
-countermodel. Otherwise decide builds the canonical model M_phi of the
-left-hand side (canonical.py): if M_phi forces the right-hand side, it reads
-off a checked derivation; if M_phi is complete, it is the countermodel; else
-the verdict is undecided. `entails` reads the answer off M_phi alone.
+decide takes one path. The one-element canonical model M_phi^1 refutes the
+sequent if any one-element model does, and is then the countermodel.
+Otherwise decide builds the canonical model M_phi of the left-hand side
+(canonical.py): if M_phi forces the right-hand side, it reads off a checked
+derivation; if M_phi is complete, it is the countermodel; else the verdict is
+undecided. `entails` gives decide's status with no certificate.
 """
 
 from __future__ import annotations
@@ -115,14 +115,14 @@ def _canonical(
 
 
 def entails(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> bool | None:
-    """Whether s is derivable, read off M_phi alone: True when M_phi forces the
-    right-hand side, False when M_phi is complete and does not, None when the
-    build stopped short of that. No certificate is built; where this answers,
-    decide's status agrees."""
-    grounded, _, canon = _canonical(s, sig, config or _DEFAULT_CONFIG)
+    """decide's status with no certificate: True derivable, False underivable,
+    None undecided. M_phi answers first, and M_phi^1 only where its build
+    stops; decide asks M_phi^1 first, for its small certificates."""
+    config = config or _DEFAULT_CONFIG
+    grounded, _, canon = _canonical(s, sig, config)
     if canon.worlds and canon.forces(0, grounded.rhs):
         return True
-    return False if canon.complete else None
+    return False if canon.complete or _one_element(s, config) is not None else None
 
 
 def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
@@ -130,21 +130,31 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
     pure function: it keeps nothing between calls. Constants of s that sig
     does not declare join it, so that a countermodel interprets them."""
     config = config or _DEFAULT_CONFIG
-    cm = _refute(s, sig, config)
-    if cm is not None:
-        return _verdict(UNDERIVABLE, "one-element", None, countermodel=cm)
-    sig = sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+    one = _one_element(s, config)
+    if one is not None:
+        return _verdict(UNDERIVABLE, "one-element", None, countermodel=_countermodel(one, s, sig, []))
     grounded, ground_pairs, canon = _canonical(s, sig, config)
     # a derivation reads off whatever the part of M_phi built forces
     if canon.worlds and canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
-        check_derivation(d, sig)
+        check_derivation(d, sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs))))
         return _verdict(DERIVABLE, "canonical", canon, derivation=d)
     if canon.complete:
-        cm = canon.countermodel(s, sig, ground_pairs)
-        cm.validate()
-        return _verdict(UNDERIVABLE, "canonical", canon, countermodel=cm)
+        return _verdict(UNDERIVABLE, "canonical", canon, countermodel=_countermodel(canon, s, sig, ground_pairs))
     return _verdict(UNDECIDED, None, canon)
+
+
+def refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Optional[Countermodel]:
+    """decide's first step alone: M_phi^1 as a validated countermodel to s, or
+    None where decide goes on to build M_phi."""
+    one = _one_element(s, config or _DEFAULT_CONFIG)
+    return None if one is None else _countermodel(one, s, sig, [])
+
+
+def _countermodel(canon: CanonicalModel, s: Sequent, sig: Signature, ground_pairs: list) -> Countermodel:
+    cm = canon.countermodel(s, sig, ground_pairs)
+    cm.validate()
+    return cm
 
 
 def _collapse(f: Formula, e: Var) -> Formula:
@@ -161,27 +171,17 @@ def _collapse(f: Formula, e: Var) -> Formula:
     return f
 
 
-def _refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Optional[Countermodel]:
-    """decide's first step: M_phi^1, the canonical model of s with every term
-    read as one element and each universal as its body, as a validated
-    countermodel to s, or None when it forces the right-hand side or its build
-    stops under config's bounds. Its size is linear in s, and every
-    one-element model of the left-hand side is an image of it."""
-    config = config or _DEFAULT_CONFIG
+def _one_element(s: Sequent, config: DeciderConfig) -> Optional[CanonicalModel]:
+    """M_phi^1, the canonical model of s with every term read as one element
+    and each universal as its body, when it is built in full under config's
+    bounds and refutes s. Its size is linear in s, and every one-element
+    model of the left-hand side is an image of it."""
     # the root's one fresh element when no other name is in use; with no
     # universal on the right, no child world adds another
     e = Var(next(fresh_names(FRESH_VAR_PREFIX, ())))
     collapsed = Sequent(_collapse(s.lhs, e), _collapse(s.rhs, e))
     canon = CanonicalModel(collapsed, (), config.max_worlds, config.max_domain)
-    if not canon.complete or canon.forces(0, collapsed.rhs):
-        return None
-    cm = canon.countermodel(s, sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs))), [])
-    cm.validate()
-    return cm
-
-
-# decide calls _refute, so a wrapper put in place of this name does not reach it
-refute = _refute
+    return canon if canon.complete and not canon.forces(0, collapsed.rhs) else None
 
 
 def _verdict(status: str, model: Optional[str], canon: Optional[CanonicalModel], **certificate) -> Verdict:

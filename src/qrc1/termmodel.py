@@ -2,16 +2,16 @@
 
 Derivability from a left-hand side is answered by `oracle`: T, members of the
 left-hand side and conjunctions by the rules of the calculus, and every other
-formula by whether the canonical model M_Gamma of the left-hand side forces
-it (decider.entails), which by completeness is derivability. Only when the
-build of M_Gamma stops at a bound does the oracle ask `decide`, whose
-one-element canonical model may refute the query. So an oracle answer has no
-checked certificate behind it; the term model built from the answers is
-checked instead, by `truth_lemma_check` and adequacy. This module never
-consults the model it is building. The oracle for one left-hand side is built
-once (its conjunction and answers) and then asked about each formula of a
-closure. Its queries repeat across oracles, and the answers are kept in one
-process-wide memo.
+formula by decider.entails, which gives decide's status: whether the
+canonical model M_Gamma of the left-hand side forces it, which by
+completeness is derivability, or, where the build of M_Gamma stops at a
+bound, whether the one-element canonical model refutes it. So an oracle
+answer has no checked certificate behind it; the term model built from the
+answers is checked instead, by `truth_lemma_check` and adequacy. This module
+never consults the model it is building. The oracle for one left-hand side
+is built once (its conjunction and answers) and then asked about each formula
+of a closure. Its queries repeat across oracles, and the answers are kept in
+one process-wide memo.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .decider import DeciderConfig, DERIVABLE, UNDERIVABLE, decide, entails, ground
+# decide is not called here, but perfbench/tracing.py patches
+# termmodel.decide; the name stays until the tracer is retargeted
+from .decider import DeciderConfig, decide, entails, ground  # noqa: F401
 from .semantics import Model, default_assignment, forces, transitive_closure
 from .syntax import (
     And,
@@ -44,8 +46,8 @@ from .syntax import (
 
 
 class OracleUndecidedError(QRCError):
-    """The decider left a query undecided (its canonical model filled the fact
-    cap); the construction cannot proceed."""
+    """entails left a query undecided (the build of M_Gamma stopped at a
+    bound, and M_phi^1 does not refute it); the construction cannot proceed."""
 
 
 class PairError(QRCError):
@@ -84,8 +86,8 @@ def conjunction(gamma: Iterable[Formula]) -> Formula:
 
 
 # (query sequent, signature, config) -> True, False, or None for undecided.
-# entails and decide are pure functions of these, so an answer never goes
-# stale; entries past the cap are not kept.
+# entails is a pure function of these, so an answer never goes stale; entries
+# past the cap are not kept.
 _MEMO: dict[tuple, bool | None] = {}
 _MEMO_MAX = 100_000
 
@@ -101,13 +103,13 @@ def oracle(
     The calculus settles three cases without search: T is entailed (TopI), a
     member of gamma is entailed (Id, then AndE out of the conjunction), and
     A & B is entailed exactly when A and B both are (AndI one way, AndE and
-    Cut the other). Every other formula is a query, answered from the memo,
-    by entails (whether M_Gamma forces it), or, where the build of M_Gamma
-    stopped, by decide's status: refuted where the one-element canonical
-    model refutes it, else undecided. Answers are kept, so a conjunction asks
-    about each conjunct once. A conjunction with an undecided conjunct and no
-    refuted one is itself a query. `tally` counts the answers by source:
-    "rule", "memo", "model" and "decide"."""
+    Cut the other). Every other formula is a query, answered from the memo
+    or by entails, which gives decide's status: whether M_Gamma forces it,
+    and, where the build of M_Gamma stops, refuted where the one-element
+    canonical model refutes it, else undecided. Answers are kept, so a
+    conjunction asks about each conjunct once. A conjunction with an
+    undecided conjunct and no refuted one is itself a query. `tally` counts
+    the answers by source: "rule", "memo" and "model" (entails)."""
     gamma = frozenset(gamma)
     lhs = conjunction(gamma)
     config = config or DeciderConfig()
@@ -122,13 +124,8 @@ def oracle(
         if a is not _MEMO:
             tally["memo"] += 1
             return a
+        tally["model"] += 1
         a = entails(query, sig, config)
-        if a is None:
-            tally["decide"] += 1
-            status = decide(query, sig, config).status
-            a = {DERIVABLE: True, UNDERIVABLE: False}.get(status)  # None: undecided
-        else:
-            tally["model"] += 1
         if len(_MEMO) < _MEMO_MAX:
             _MEMO[key] = a
         return a
@@ -246,7 +243,7 @@ def pair_existence(
 class TermModelResult:
     model: Model
     worlds: tuple[PairPM, ...]  # indexed by model world id; the root is 0
-    # the oracle's answers while building, by source: "rule", "memo", "model", "decide"
+    # the oracle's answers while building, by source: "rule", "memo", "model"
     oracle_answers: dict[str, int] = field(default_factory=dict, compare=False)
 
     def annotations(self) -> list[dict]:
@@ -299,7 +296,7 @@ def build_term_model(
         constI={i: {c: c for c in w.constants} for i, w in enumerate(worlds)},
         relJ={i: _atoms_of(w) for i, w in enumerate(worlds)},
     )
-    return TermModelResult(model, tuple(worlds), {k: tally[k] for k in ("rule", "memo", "model", "decide")})
+    return TermModelResult(model, tuple(worlds), {k: tally[k] for k in ("rule", "memo", "model")})
 
 
 def _atoms_of(p: PairPM) -> dict[str, frozenset[tuple[str, ...]]]:

@@ -202,12 +202,16 @@ def test_large_canonical_models_are_bounded(text, facts):
     ],
 )
 def test_the_fallback_refutes_past_the_cap(text, worlds):
-    # M_phi^1 refutes a sequent whose M_phi passes the cap without forcing
-    # the right-hand side (entails gives None), so decide never builds M_phi;
-    # M_phi^1 has one world per diamond of the left-hand side, while the ids
-    # name the smallest countermodel
+    # M_phi stops at the cap without forcing the right-hand side, and M_phi^1
+    # refutes the sequent: decide never builds M_phi, and entails, which
+    # builds it first, asks M_phi^1 where it stops; M_phi^1 has one world per
+    # diamond of the left-hand side, while the ids name the smallest
+    # countermodel
     s = seq(text)
-    assert entails(s, SIG) is None
+    grounded, _, canon = _canonical_model(s, SIG)
+    assert not canon.complete and canon.facts == canonical.CANONICAL_FACT_CAP
+    assert not canon.forces(0, grounded.rhs)
+    assert entails(s, SIG) is False
     v = decide(s, SIG)
     assert v.stats["canonical_facts"] == 0
     assert v.stats["certificate_model"] == ONE_ELEMENT
@@ -234,6 +238,15 @@ def test_a_derivable_sequent_past_the_cap_gets_a_verdict():
         check_derivation(v.derivation, SIG)
 
 
+def _canonical_model(s, sig, config=DeciderConfig()):
+    """M_phi built by CanonicalModel as decide builds it: the grounded
+    sequent, its grounding pairs and the model."""
+    used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
+    (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
+    grounded = Sequent(lhs, rhs)
+    return grounded, pairs, canonical.CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
+
+
 def test_generic_instance_forcing_equals_forcing():
     # a universal is forced at a world iff its instance at the world's own
     # fresh variable is; compare with forcing over every element
@@ -243,11 +256,7 @@ def test_generic_instance_forcing_equals_forcing():
     corpus += [(random_sequent(rng, free_sig, 2, 2, 5), free_sig) for _ in range(100)]
     forced = set()
     for s, sig in corpus:
-        # as decide grounds the sequent and names M_phi's fresh elements
-        used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
-        (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
-        grounded = Sequent(lhs, rhs)
-        canon = canonical.CanonicalModel(grounded, used)
+        grounded, pairs, canon = _canonical_model(s, sig)
         assert canon.complete
         cm = canon.countermodel(s, sig, pairs)
         assert semantics.forces(cm.model, 0, cm.assignment, s.lhs)
@@ -258,11 +267,14 @@ def test_generic_instance_forcing_equals_forcing():
 
 def _status_by_the_canonical_model_first(s, sig, config):
     """The status decide gave when it built M_phi first and asked M_phi^1
-    only where that build stopped."""
-    answer = entails(s, sig, config)
-    if answer is not None:
-        return DERIVABLE if answer else UNDERIVABLE
-    return UNDECIDED if refute(s, sig, config) is None else UNDERIVABLE
+    only where that build stopped; built here from CanonicalModel and refute,
+    not from entails, which asks in the same order and is under test."""
+    grounded, _, canon = _canonical_model(s, sig, config)
+    if canon.worlds and canon.forces(0, grounded.rhs):
+        return DERIVABLE
+    if canon.complete or refute(s, sig, config) is not None:
+        return UNDERIVABLE
+    return UNDECIDED
 
 
 def test_refuting_by_the_one_element_model_first_keeps_every_status():
@@ -277,6 +289,7 @@ def test_refuting_by_the_one_element_model_first_keeps_every_status():
         for s, sig in corpus:
             v = decide(s, sig, config)
             assert v.status == _status_by_the_canonical_model_first(s, sig, config), s
+            assert entails(s, sig, config) is {DERIVABLE: True, UNDERIVABLE: False}.get(v.status), s
             seen[v.status, v.stats["certificate_model"]] += 1
             if v.stats["certificate_model"] == ONE_ELEMENT:
                 doc = json.loads(json.dumps(verdict_to_dict(v, sig)))["certificate"]["countermodel"]

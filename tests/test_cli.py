@@ -385,7 +385,7 @@ def test_termmodel_command(capsys, tmp_path):
     assert "adequate: True" in out
     code, out, _ = run(capsys, "termmodel", str(pair), "--format", "json-lines")
     answers = json.loads(out)["oracle_answers"]
-    assert answers.keys() == {"rule", "memo", "model", "decide"} and answers["rule"] > 0
+    assert answers.keys() == {"rule", "memo", "model"} and answers["rule"] > 0
 
 
 @pytest.mark.parametrize("command,body", [

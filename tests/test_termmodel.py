@@ -5,9 +5,10 @@ from collections import Counter
 
 import pytest
 
+import qrc1.decider as decider
 import qrc1.termmodel as termmodel
 
-from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, Verdict, decide, entails
+from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, decide, entails
 from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.semantics import check_adequate
 from qrc1.syntax import (
@@ -246,8 +247,8 @@ def _demo_pairs(count: int):
     return sig, pairs
 
 
-# the status decide gives where entails answers
-STATUS = {True: DERIVABLE, False: UNDERIVABLE}
+# the status decide gives for each answer of entails
+STATUS = {True: DERIVABLE, False: UNDERIVABLE, None: UNDECIDED}
 
 
 def test_oracle_queries_are_pinned(monkeypatch):
@@ -257,34 +258,23 @@ def test_oracle_queries_are_pinned(monkeypatch):
     memo, with the same answers. The digest pins each query (sequent,
     signature as decide extends it by the sequent's constants, status) in
     first-seen order, which saturates each root once. A query is recorded
-    where the oracle asks entails; one that entails leaves open takes the
-    status of the decide that follows."""
+    where the oracle asks entails, which gives decide's status."""
     sig, pairs = _demo_pairs(150)
     monkeypatch.setattr(termmodel, "_MEMO", {})
     queries = hashlib.sha256()
     models = hashlib.sha256()
     calls = 0
-    original_entails, original_decide = termmodel.entails, termmodel.decide
-
-    def record(s, query_sig, status):
-        extended = query_sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
-        queries.update(f"{pretty_sequent(s)}\t{signature_str(extended)}\t{status}\n".encode())
+    original = termmodel.entails
 
     def recording_entails(s, query_sig, config=None):
         nonlocal calls
-        a = original_entails(s, query_sig, config)
+        a = original(s, query_sig, config)
         calls += 1
-        if a is not None:
-            record(s, query_sig, STATUS[a])
+        extended = query_sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
+        queries.update(f"{pretty_sequent(s)}\t{signature_str(extended)}\t{STATUS[a]}\n".encode())
         return a
 
-    def recording_decide(s, query_sig, config=None):
-        verdict = original_decide(s, query_sig, config)
-        record(s, query_sig, verdict.status)
-        return verdict
-
     monkeypatch.setattr(termmodel, "entails", recording_entails)
-    monkeypatch.setattr(termmodel, "decide", recording_decide)
     for p in pairs:
         result = build_term_model(p, sig)
         truth_lemma_check(result, p, sig)
@@ -321,20 +311,21 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     first = build_term_model(p, SIG)
     answered = len(asked)
     assert answered > 0 and first.oracle_answers["model"] == answered
-    assert first.oracle_answers["decide"] == 0
+    assert first.oracle_answers.keys() == {"rule", "memo", "model"}
     second = build_term_model(p, SIG)
     assert len(asked) == answered
-    assert second.oracle_answers["model"] == second.oracle_answers["decide"] == 0
+    assert second.oracle_answers["model"] == 0
     assert second.oracle_answers["memo"] == first.oracle_answers["memo"] + answered
     assert second.oracle_answers["rule"] == first.oracle_answers["rule"] > 0
     assert second == first
 
 
 def test_entails_agrees_with_decide(monkeypatch):
-    """entails, which builds M_Gamma and no certificate, gives decide's status
-    wherever it answers, and leaves open only what decide does not derive: on
-    random sequents, closed and (over no constants) open, and on every query
-    the oracle asks while building term models of the demo pairs."""
+    """entails, which builds no certificate, gives decide's status, None
+    exactly where decide is undecided: on random sequents, closed and (over no
+    constants) open, and on every query the oracle asks while building term
+    models of the demo pairs; also under max_domain=1, where the build of
+    M_Gamma stops and entails asks the one-element canonical model."""
     rng = random.Random(17)
     open_sig = parse_signature("sig: relations S/1 R/2;")
     sequents = [(random_sequent(rng, query_sig, 3, 2, 6), query_sig)
@@ -353,17 +344,33 @@ def test_entails_agrees_with_decide(monkeypatch):
     for p in pairs:
         build_term_model(p, sig)
     assert len(asked) > 100
-    for s, query_sig in sequents + asked:
-        a = entails(s, query_sig)
-        status = decide(s, query_sig).status
-        assert status == STATUS[a] if a is not None else status != DERIVABLE, pretty_sequent(s)
+    # whether each call of the one-element step refutes its sequent
+    refuted = []
+    original_one_element = decider._one_element
+
+    def recording_one_element(s, config):
+        one = original_one_element(s, config)
+        refuted.append(one is not None)
+        return one
+
+    monkeypatch.setattr(decider, "_one_element", recording_one_element)
+    answers = Counter()
+    for config in (DeciderConfig(), DeciderConfig(max_domain=1)):
+        for s, query_sig in sequents + asked:
+            refuted.clear()
+            a = entails(s, query_sig, config)
+            # entails asks the one-element step at most once, where M_Gamma stops
+            by_one_element = refuted == [True]
+            assert decide(s, query_sig, config).status == STATUS[a], pretty_sequent(s)
+            answers[config.max_domain, a, by_one_element] += 1
+    assert answers[1, False, True] > 0 and answers[1, None, False] > 0
 
 
-def test_oracle_falls_back_to_decide_where_the_build_stops(monkeypatch):
-    """Where M_Gamma is built in full, entails answers; under max_domain=1
-    the build stops before the root, whose c and fresh element pass the bound,
-    entails leaves the query open, and the oracle takes the status of decide,
-    whose one-element canonical model refutes it."""
+def test_oracle_answers_by_the_one_element_model_where_the_build_stops(monkeypatch):
+    """Where M_Gamma is built in full, entails answers by it; under
+    max_domain=1 the build stops before the root, whose c and fresh element
+    pass the bound, and entails answers by the one-element canonical model,
+    which refutes the query."""
     monkeypatch.setattr(termmodel, "_MEMO", {})
     gamma, query = [f("<>S(c)")], f("S(c)")
     s = Sequent(conjunction(gamma), query)
@@ -375,10 +382,32 @@ def test_oracle_falls_back_to_decide_where_the_build_stops(monkeypatch):
     config = DeciderConfig(max_domain=1)
     termmodel._MEMO.clear()
     tally.clear()
-    assert entails(s, SIG, config) is None
+    assert entails(s, SIG, config) is False
     assert decide(s, SIG, config).status == UNDERIVABLE
     assert not oracle(gamma, SIG, config, tally=tally)(query)
-    assert tally == Counter(decide=1)
+    assert tally == Counter(model=1)
+
+
+def test_a_stuck_query_builds_each_canonical_model_once(monkeypatch):
+    """The 12 nested universals fill the fact cap in M_Gamma's root world, and
+    the one-element canonical model forces the right-hand side: the query is
+    undecided after one build of each model."""
+    sig = parse_signature("sig: constants c0 c1; relations S/1 R/2;")
+    universals = " . ".join(f"A x{i}" for i in range(1, 13))
+    chain = " & ".join(f"R(x{i},x{i + 1})" for i in range(1, 12))
+    gamma = [parse_formula(f"({universals} . ({chain})) & <><>S(c0)", sig)]
+    builds = []
+    original = decider.CanonicalModel
+
+    def counting_canonical_model(*args):
+        builds.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(decider, "CanonicalModel", counting_canonical_model)
+    monkeypatch.setattr(termmodel, "_MEMO", {})
+    with pytest.raises(OracleUndecidedError):
+        oracle(gamma, sig)(parse_formula("<>S(c1)", sig))
+    assert len(builds) == 2
 
 
 def test_lindenbaum_agrees_with_one_query_entails():
@@ -396,18 +425,17 @@ def test_lindenbaum_agrees_with_one_query_entails():
             assert (g in q.pos) == oracle(p.pos, sig)(g) == by_decide, (p, g)
 
 
-def test_oracle_asks_decide_about_a_conjunction_with_an_undecided_conjunct(monkeypatch):
+def test_oracle_asks_about_a_conjunction_with_an_undecided_conjunct(monkeypatch):
     a, b = f("S(c)"), f("<>S(c)")
-    status = {a: UNDECIDED, b: DERIVABLE, And(a, b): DERIVABLE}
+    # entails's answers; None is undecided
+    answer = {a: None, b: True, And(a, b): True}
     asked = []
 
-    def fake_decide(s, query_sig, config=None):
+    def fake_entails(s, query_sig, config=None):
         asked.append(s.rhs)
-        return Verdict(status[s.rhs])
+        return answer[s.rhs]
 
-    # entails leaves every query open, so each comes to decide
-    monkeypatch.setattr(termmodel, "entails", lambda s, query_sig, config=None: None)
-    monkeypatch.setattr(termmodel, "decide", fake_decide)
+    monkeypatch.setattr(termmodel, "entails", fake_entails)
     monkeypatch.setattr(termmodel, "_MEMO", {})
     gamma = [f("<>T & S(c)")]
     assert oracle(gamma, SIG)(f("T")) and oracle(gamma, SIG)(gamma[0])
@@ -416,11 +444,11 @@ def test_oracle_asks_decide_about_a_conjunction_with_an_undecided_conjunct(monke
     assert asked == [a, b, And(a, b)]
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, SIG)(a)
-    status[And(a, b)] = UNDECIDED
+    answer[And(a, b)] = None
     termmodel._MEMO.clear()  # the memo keeps the answers of the phase before
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, SIG)(And(a, b))
-    status[b] = UNDERIVABLE  # a refuted conjunct settles the conjunction
+    answer[b] = False  # a refuted conjunct settles the conjunction
     termmodel._MEMO.clear()
     asked.clear()
     assert not oracle(gamma, SIG)(And(a, b))

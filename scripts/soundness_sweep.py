@@ -18,8 +18,8 @@ import random
 import time
 
 from qrc1.decider import DERIVABLE, UNDERIVABLE, decide
-from qrc1.generate import random_sequent
-from qrc1.semantics import Assignment, enumerate_models, forces
+from qrc1.generate import enumerate_models, random_sequent
+from qrc1.semantics import Assignment, forces
 from qrc1.syntax import Signature, free_vars, parse_signature, pretty_sequent
 
 
@@ -52,7 +52,7 @@ def main() -> int:
             for m in models:
                 dom = sorted(m.domain[0])
                 for vals in itertools.product(dom, repeat=len(fv)):
-                    g = Assignment(0, dict(zip(fv, vals)), dom[0])
+                    g = Assignment(dict(zip(fv, vals)), dom[0])
                     if forces(m, 0, g, s.lhs) and not forces(m, 0, g, s.rhs):
                         violations += 1
                         print(f"VIOLATION: {pretty_sequent(s)} refuted at the root of {m}")

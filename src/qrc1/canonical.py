@@ -5,10 +5,11 @@ unfolds it. Each world w unfolds one formula phi_w, the root phi itself: a
 conjunction unfolds both conjuncts, a universal unfolds its instances over
 the world's domain, and each distinct diamond <>b gets a child world that
 unfolds b. A child's domain is its parent's plus k fresh variables, k the
-quantifier depth of the right-hand side psi; the root's domain holds the
-constants and at least one fresh variable. Along the way, every formula f
-that unfolding makes true at w keeps the step that unfolded it, and so a
-derivation of phi_w |- f: a chain of AndE and ForallL steps.
+most universals that the right-hand side psi nests with no diamond between
+them; the root's domain holds the constants and at least one fresh
+variable. Along the way, every formula f that unfolding makes true at w
+keeps the step that unfolded it, and so a derivation of phi_w |- f: a chain
+of AndE and ForallL steps.
 
 M_phi forces phi at its root and is adequate, so by soundness it forces psi
 when phi |- psi is derivable. Conversely, following the forcing of psi
@@ -16,9 +17,10 @@ gives a derivation: AndI for a conjunction, Nec (after TransAx and Cut for a
 deeper world) for a diamond, and for a universal A x . b the world's own
 fresh variable e, which occurs nowhere in phi_w, generalized by TermInst and
 ForallR. A universal forced at w holds of e in particular, and k fresh
-variables suffice for the universals nested at one world. So M_phi decides
-the sequent: `derive` returns the derivation, or `countermodel` returns
-M_phi itself as the countermodel.
+variables suffice for the universals nested at one world: a universal under
+a diamond is tested at a descendant, which has fresh variables of its own.
+So M_phi decides the sequent: `derive` returns the derivation, or
+`countermodel` returns M_phi itself as the countermodel.
 
 The same argument lets forcing test a universal at its generic instance
 alone: w forces A x . b iff it forces b at e, since the derivation read off
@@ -32,6 +34,7 @@ has a derivation read off it.
 
 from __future__ import annotations
 
+import functools
 from typing import Container, Optional
 
 from .calculus import (
@@ -67,7 +70,6 @@ from .syntax import (
     constants_of,
     free_vars,
     fresh_names,
-    udepth,
 )
 
 # Past this many facts, summed over all worlds, the canonical model is not
@@ -118,10 +120,35 @@ class _World:
         self.below: list[int] | None = None  # the proper descendants, nearest first
 
 
+@functools.lru_cache(maxsize=None)
+def _layers(f: Formula) -> tuple[int, int]:
+    """The universals f nests above its diamonds, and the most universals it
+    nests anywhere with no diamond between them."""
+    match f:
+        case And(l, r):
+            (top_l, most_l), (top_r, most_r) = _layers(l), _layers(r)
+            return max(top_l, top_r), max(most_l, most_r)
+        case Forall(_, b):
+            top, most = _layers(b)
+            return top + 1, max(top + 1, most)
+        case Diamond(b):
+            return 0, _layers(b)[1]
+    return 0, 0
+
+
+def _layer_udepth(f: Formula) -> int:
+    """The most universals that f nests with no diamond between them. A
+    universal of psi is tested at the world where its layer is evaluated, one
+    under a diamond at a descendant, so a world needs this many fresh
+    elements of its own."""
+    return _layers(f)[1]
+
+
 def _generic(world: _World, b: Formula) -> Var:
     """The instance a universal A x . b is tested and derived at: the world's
-    first own fresh variable not free in b. At most udepth(psi) - 1
-    enclosing universals took one already."""
+    first own fresh variable not free in b. At most k - 1 enclosing universals
+    of its layer took one already; those of outer layers took fresh variables
+    of an ancestor."""
     return next(e for e in world.fresh if e.name not in free_vars(b))
 
 
@@ -135,7 +162,7 @@ class CanonicalModel:
     def __init__(
         self, s: Sequent, used: Container[str], max_worlds: int | None = None, max_domain: int | None = None
     ):
-        k = udepth(s.rhs)
+        k = _layer_udepth(s.rhs)
         self._names = fresh_names(FRESH_VAR_PREFIX, used)
         self._max_worlds = max_worlds
         self._max_domain = max_domain
@@ -293,5 +320,5 @@ class CanonicalModel:
             constI={w: cmap for w in range(n)},
             relJ={w: {name: frozenset(ts) for name, ts in relJ[w].items()} for w in range(n) if relJ[w]},
         )
-        g = Assignment(0, {x: element[Const(c)] for x, c in ground_pairs}, 0)
+        g = Assignment({x: element[Const(c)] for x, c in ground_pairs}, 0)
         return Countermodel(model, 0, g, original)

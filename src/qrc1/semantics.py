@@ -1,11 +1,12 @@
-"""Adequate relational models, forcing, model surgery, countermodels, and model enumeration."""
+"""Adequate relational models, forcing and countermodels, and their JSON documents:
+the countermodel checker of the trusted base. Models to cross-check against come
+from qrc1.generate, and countermodels from qrc1.canonical."""
 
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 from . import syntax
 from .syntax import (
@@ -18,7 +19,6 @@ from .syntax import (
     QRCError,
     Sequent,
     Signature,
-    Term,
     Top,
     pretty_sequent,
 )
@@ -98,14 +98,14 @@ def validate_model(m: Model) -> None:
 
 @dataclass(frozen=True)
 class AdequacyReport:
-    inclusive: bool
-    transitive: bool
-    concordant: bool
+    """Why the model is not adequate: ("inclusive", w, u, element),
+    ("transitive", w, u, v) or ("concordant", w, u, constant); None if it is."""
+
     witness: Optional[tuple] = None
 
     @property
     def adequate(self) -> bool:
-        return self.inclusive and self.transitive and self.concordant
+        return self.witness is None
 
 
 def check_adequate(m: Model) -> AdequacyReport:
@@ -113,17 +113,27 @@ def check_adequate(m: Model) -> AdequacyReport:
     for (w, u) in m.R:
         missing = m.domain[w] - m.domain[u]
         if missing:
-            return AdequacyReport(False, True, True, ("inclusive", w, u, min(missing, key=str)))
+            return AdequacyReport(("inclusive", w, u, min(missing, key=str)))
     for (w, u) in m.R:
         for v in m.successors(u):
             if (w, v) not in m.R:
-                return AdequacyReport(True, False, True, ("transitive", w, u, v))
+                return AdequacyReport(("transitive", w, u, v))
     for (w, u) in m.R:
         iw, iu = m.constI.get(w, {}), m.constI.get(u, {})
         for c, d in iw.items():
             if c not in iu or iu[c] != d:
-                return AdequacyReport(True, True, False, ("concordant", w, u, c))
-    return AdequacyReport(True, True, True)
+                return AdequacyReport(("concordant", w, u, c))
+    return AdequacyReport()
+
+
+def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[World, World]]:
+    """The least transitive relation that contains edges."""
+    closed = set(edges)
+    while True:
+        new = {(w, v) for (w, u) in closed for (u2, v) in closed if u2 == u} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
 
 
 # ---------------------------------------------------------------------------
@@ -134,26 +144,12 @@ def check_adequate(m: Model) -> AdequacyReport:
 class Assignment:
     """A total map variable -> domain(world), explicit on a finite support."""
 
-    world: World
     mapping: Mapping[str, Element]
     default: Element
 
-    def __call__(self, x: str) -> Element:
-        return self.mapping.get(x, self.default)
-
-    def value(self, m: Model, w: World, t: Term) -> Element:
-        if isinstance(t, Const):
-            return m.const_value(w, t.name)
-        return self(t.name)
-
-    def set(self, x: str, d: Element) -> "Assignment":
-        new = dict(self.mapping)
-        new[x] = d
-        return Assignment(self.world, new, self.default)
-
 
 def default_assignment(m: Model, w: World) -> Assignment:
-    return Assignment(w, {}, min(m.domain[w], key=str))
+    return Assignment({}, min(m.domain[w], key=str))
 
 
 def forces(m: Model, w: World, g: Assignment, f: Formula) -> bool:
@@ -208,34 +204,6 @@ def forces(m: Model, w: World, g: Assignment, f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# model surgery
-
-
-def restrict(m: Model, r: World) -> Model:
-    if r not in m.domain:
-        raise ModelError(f"unknown world {r!r}")
-    keep = {r} | {w for w in m.worlds if (r, w) in m.R}
-    worlds = tuple(w for w in m.worlds if w in keep)
-    return Model(
-        worlds=worlds,
-        R=frozenset((w, u) for (w, u) in m.R if w in keep and u in keep),
-        domain={w: m.domain[w] for w in worlds},
-        constI={w: dict(m.constI.get(w, {})) for w in worlds},
-        relJ={w: {s: ts for s, ts in m.relJ.get(w, {}).items()} for w in worlds},
-    )
-
-
-def reinterpret_constant(m: Model, r: World, c: str, d: Element) -> Model:
-    if r not in m.domain:
-        raise ModelError(f"unknown world {r!r}")
-    if d not in m.domain[r]:
-        raise ModelError(f"{d!r} is not in the domain of {r!r}")
-    sub = restrict(m, r)
-    constI = {w: {**sub.constI.get(w, {}), c: d} for w in sub.worlds}
-    return replace(sub, constI=constI)
-
-
-# ---------------------------------------------------------------------------
 # countermodels
 
 
@@ -260,166 +228,6 @@ class Countermodel:
             raise ModelError("countermodel does not force the left-hand side")
         if forces(self.model, self.root, self.assignment, self.sequent.rhs):
             raise ModelError("countermodel forces the right-hand side")
-
-
-# ---------------------------------------------------------------------------
-# enumeration of adequate models
-
-
-def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[World, World]]:
-    """The least transitive relation that contains edges."""
-    closed = set(edges)
-    while True:
-        new = {(w, v) for (w, u) in closed for (u2, v) in closed if u2 == u} - closed
-        if not new:
-            return frozenset(closed)
-        closed |= new
-
-
-def _extensions(rel: frozenset[tuple[int, int]], n: int) -> Iterator[frozenset[tuple[int, int]]]:
-    """Transitive relations on worlds 0..n in which the root 0 sees the new
-    world n and whose restriction to 0..n-1 is the rooted transitive relation rel.
-
-    Restricting a rooted transitive relation to fewer worlds, the root among
-    them, keeps it rooted and transitive, so extending every relation on n
-    worlds by one world in every way reaches every relation on n + 1 worlds.
-    """
-    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(range(n), k)]
-    for ins in (s for s in subsets if 0 in s):
-        for outs in subsets:
-            for loop in ((), ((n, n),)):
-                ext = rel.union(((w, n) for w in ins), ((n, u) for u in outs), loop)
-                if transitive_closure(ext) == ext:
-                    yield ext
-
-
-def enumerate_models(
-    sig: Signature,
-    max_worlds: int,
-    max_domain: int,
-) -> Iterator[Model]:
-    """Deterministic stream of adequate models rooted at world 0, over every
-    rooted frame within the bounds.
-
-    Every adequate model within the bounds, restricted to one of its worlds
-    and the worlds that world sees, appears rooted at 0 at least once up to
-    isomorphism (renaming of worlds and elements). Forcing at a world reads
-    only the worlds it sees, so checking each model of the stream at its root
-    covers every world of every adequate model within the bounds.
-    """
-    if max_worlds < 1 or max_domain < 1:
-        raise ModelError("bounds must be at least 1")
-    for frame in _rooted_frames(max_worlds, max_domain):
-        root_domain = sorted(frame.domains[0])
-        atoms = [(w, name, tup) for w in range(frame.n) for name, arity in sig.relations
-                 for tup in itertools.product(sorted(frame.domains[w]), repeat=arity)]
-        for picks in _root_choices(len(root_domain), len(sig.constants)):
-            cmap = {c: root_domain[i] for c, i in zip(sig.constants, picks)}
-            for k in range(len(atoms) + 1):
-                for chosen in itertools.combinations(atoms, k):
-                    yield _model_from_atoms(frame, cmap, frozenset(chosen))
-
-
-@dataclass
-class _Frame:
-    n: int
-    rel: frozenset[tuple[int, int]]
-    domains: tuple[frozenset[int], ...]
-    successors: tuple[tuple[int, ...], ...]
-
-
-def _relabel(rel: frozenset[tuple[int, int]], perm: Sequence[int]) -> frozenset[tuple[int, int]]:
-    return frozenset((perm[w], perm[u]) for (w, u) in rel)
-
-
-@dataclass(frozen=True)
-class _RootedRelation:
-    rel: frozenset[tuple[int, int]]
-    successors: tuple[tuple[int, ...], ...]
-    upsets: tuple[int, ...]  # sets of worlds closed upward along rel, without the root, as bit masks, descending
-    automorphisms: tuple[tuple[int, ...], ...]  # all but the identity, each as its image of every bit mask
-
-
-@functools.cache
-def _rooted_relations(n: int) -> tuple[_RootedRelation, ...]:
-    """Rooted transitive relations on worlds 0..n-1, one per class up to the
-    world permutations that fix the root 0.
-
-    Root 0 sees every other world. Each class is represented by its least
-    relabeling; classes on n worlds come from extending those on n - 1.
-    """
-    perms = [(0, *p) for p in itertools.permutations(range(1, n))]
-    if n == 1:
-        found = [frozenset(), frozenset({(0, 0)})]
-    else:
-        found = [ext for r in _rooted_relations(n - 1) for ext in _extensions(r.rel, n - 1)]
-    classes = {min(tuple(sorted(_relabel(rel, p))) for p in perms) for rel in found}
-    full = (1 << n) - 1
-    out = []
-    for key in sorted(classes):
-        rel = frozenset(key)
-        succ = tuple(tuple(u for u in range(n) if (w, u) in rel) for w in range(n))
-        upsets = tuple(mask for mask in range(full - 1, 0, -1) if not mask & 1
-                       and all(mask >> u & 1 for w in range(n) if mask >> w & 1 for u in succ[w]))
-        autos = tuple(tuple(sum(1 << p[w] for w in range(n) if mask >> w & 1) for mask in range(full + 1))
-                      for p in perms[1:] if _relabel(rel, p) == rel)
-        out.append(_RootedRelation(rel, succ, upsets, autos))
-    return tuple(out)
-
-
-def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
-    """Every rooted frame within the bounds once up to isomorphism: world
-    permutations that fix the root 0, and any renaming of elements.
-
-    An element is determined up to renaming by its profile, the set of worlds
-    whose domain holds it, which inclusivity makes closed upward along R. The
-    root's elements have every world as profile. So a frame is a relation and
-    a multiset of up-closed profiles, at least one of them full; elements are
-    labeled 0..k-1 in descending profile order, and only the multiset that is
-    least under the relation's automorphisms is kept.
-    """
-    for n in range(1, max_worlds + 1):
-        full = (1 << n) - 1
-        for k in range(1, max_domain + 1):
-            for r in _rooted_relations(n):
-                for roots in range(1, k + 1):
-                    for rest in itertools.combinations_with_replacement(r.upsets, k - roots):
-                        profiles = (full,) * roots + rest
-                        if any(tuple(sorted((image[m] for m in profiles), reverse=True)) < profiles
-                               for image in r.automorphisms):
-                            continue
-                        domains = tuple(frozenset(i for i, m in enumerate(profiles) if m >> w & 1)
-                                        for w in range(n))
-                        yield _Frame(n, r.rel, domains, r.successors)
-
-
-def _root_choices(m: int, length: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """Tuples of root-element indices 0..m-1, one per class under renaming of
-    the root elements: each index is at most one more than any before it.
-
-    Root elements lie in every world's domain, so renaming them among
-    themselves maps the frame onto itself (Zhang & Zhang's least-number rule).
-    """
-    if len(prefix) == length:
-        yield prefix
-        return
-    for i in range(min(max(prefix, default=-1) + 2, m)):
-        yield from _root_choices(m, length, prefix + (i,))
-
-
-def _model_from_atoms(
-    frame: _Frame, cmap: dict[str, int], atoms: frozenset[tuple]
-) -> Model:
-    relJ: dict[int, dict[str, set[tuple]]] = {w: {} for w in range(frame.n)}
-    for (w, name, tup) in atoms:
-        relJ[w].setdefault(name, set()).add(tup)
-    return Model(
-        worlds=tuple(range(frame.n)),
-        R=frame.rel,
-        domain={w: frame.domains[w] for w in range(frame.n)},
-        constI={w: dict(cmap) for w in range(frame.n)},
-        relJ={w: {name: frozenset(ts) for name, ts in relJ[w].items()} for w in range(frame.n)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +318,6 @@ def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
     raw = _shaped(doc.get("assignment"), dict, "'assignment' must be an object")
     mapping = _shaped(raw.get("map"), dict, "the assignment's 'map' must be an object")
     g = Assignment(
-        root,
         {x: _shaped(d, Element, "an assigned value must be an integer or a string") for x, d in mapping.items()},
         _shaped(raw.get("default"), Element, "the assignment's 'default' must be an integer or a string"),
     )

@@ -104,9 +104,6 @@ Term = Union[Var, Const]
 class Formula(_Node):
     __slots__ = ()
 
-    def __and__(self, other: "Formula") -> "And":
-        return And(self, other)
-
 
 class Top(Formula):
     def __repr__(self) -> str:

@@ -33,8 +33,8 @@ from qrc1.calculus import (
     derived_swap_foralls,
 )
 from qrc1.decider import DERIVABLE, UNDERIVABLE, decide
-from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
-from qrc1.semantics import check_adequate, enumerate_models, forces
+from qrc1.generate import DEFAULT_SIG, enumerate_models, random_formula, random_sequent
+from qrc1.semantics import check_adequate, forces
 from qrc1.syntax import (
     And,
     Const,
@@ -241,7 +241,7 @@ def test_acceptance_05_soundness_cross_check():
             # bounds is one of them at its root up to isomorphism
             dom = sorted(m.domain[0])
             for vals in _tuples(dom, len(fv)):
-                g = Assignment(0, dict(zip(fv, vals)), dom[0])
+                g = Assignment(dict(zip(fv, vals)), dom[0])
                 if forces(m, 0, g, s.lhs) and not forces(m, 0, g, s.rhs):
                     violations += 1
     dt = time.perf_counter() - t0
@@ -332,9 +332,10 @@ def test_acceptance_08_substitution_lemma():
         if not free_for(t, "x", f):
             continue
         dom = sorted(m.domain[w])
-        g = Assignment(w, {"x": rng.choice(dom), "y": rng.choice(dom)}, dom[0])
-        tv = g.value(m, w, t)
-        assert forces(m, w, g.set("x", tv), f) == forces(m, w, g, substitute(f, "x", t))
+        g = Assignment({"x": rng.choice(dom), "y": rng.choice(dom)}, dom[0])
+        tv = m.const_value(w, t.name) if isinstance(t, Const) else g.mapping[t.name]
+        g_x = Assignment({**g.mapping, "x": tv}, g.default)
+        assert forces(m, w, g_x, f) == forces(m, w, g, substitute(f, "x", t))
         checked += 1
     dt = time.perf_counter() - t0
     report(8, True, f"substitution lemma: forcing equality held on {checked}/1000 "

@@ -19,7 +19,7 @@ from qrc1.decider import (
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Sequent, Signature, names_of, parse_sequent
+from qrc1.syntax import Sequent, Signature, names_of, parse_sequent, udepth
 
 SIG = DEFAULT_SIG
 # the models a certificate comes from, as the stats name them
@@ -37,6 +37,37 @@ def test_one_fresh_element_per_quantifier_of_the_rhs():
     assert v.status == UNDERIVABLE
     v.countermodel.validate()
     assert v.stats["canonical_elements"] == 2
+
+
+@pytest.mark.parametrize("pairs", [2, 14, 50])
+def test_one_fresh_element_per_world_on_a_chain_of_layers(pairs):
+    # each universal of the right-hand side is a layer of its own, so each
+    # world has one fresh element and the elements grow linearly with the chain
+    sig = Signature(relations=(("S", 1),))
+    lhs = "".join(f"<>A x{i} . " for i in range(pairs)) + "S(x0)"
+    rhs = "".join(f"<>A y{i} . " for i in range(pairs - 1)) + "T"
+    v = decide(parse_sequent(f"{lhs} |- {rhs}", sig), sig)
+    assert v.status == DERIVABLE
+    assert v.stats["canonical_elements"] == v.stats["canonical_worlds"] == 2 * pairs
+    check_derivation(v.derivation, sig)
+
+
+def test_fresh_elements_per_layer_keep_every_status(monkeypatch):
+    # random sequents whose right-hand side nests a universal under a diamond
+    # under a universal, so that a layer has fewer universals than psi nests;
+    # entails builds M_phi first, decide after M_phi^1, and both give what
+    # they gave with udepth(psi) fresh elements per world
+    rng = random.Random(11)
+    corpus = []
+    while len(corpus) < 300:
+        s = random_sequent(rng, SIG, *rng.choice(((1, 3, 12), (3, 3, 15), (5, 5, 30))))
+        if canonical._layer_udepth(s.rhs) < udepth(s.rhs):
+            corpus.append(s)
+    by_layer = [(decide(s, SIG).status, entails(s, SIG)) for s in corpus]
+    monkeypatch.setattr(canonical, "_layer_udepth", udepth)
+    for s, status in zip(corpus, by_layer, strict=True):
+        assert (decide(s, SIG).status, entails(s, SIG)) == status, s
+    assert {status for status, _ in by_layer} == {DERIVABLE, UNDERIVABLE}
 
 
 def test_converse_barcan_has_a_two_world_countermodel():
@@ -176,9 +207,14 @@ NESTED = "A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . A x7 . A x8 . (R(x1,x2) & R(
         (f"{NESTED} |- {NESTED}", canonical.CANONICAL_FACT_CAP),
         # forcing each instance of the right-hand side would take 8^8 tests
         (f"A x . A y . R(x,y) |- {NESTED}", 73),
-        # M_phi grows past the cap, and its first 10,000 facts force the right-hand side
+        # M_phi grows past the cap, and its first 10,000 facts force the
+        # right-hand side: its four universals of one layer give each world
+        # four fresh elements
         ("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>(R(x2,x3) & A x4 . <>R(x3,x4)))))"
-         " |- A y0 . <>A y1 . <>A y2 . <>T", canonical.CANONICAL_FACT_CAP),
+         " |- A y0 . A y1 . A y2 . A y3 . <><><>T", canonical.CANONICAL_FACT_CAP),
+        # with one universal per layer, one fresh element per world: M_phi is complete
+        ("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>(R(x2,x3) & A x4 . <>R(x3,x4)))))"
+         " |- A y0 . <>A y1 . <>A y2 . <>T", 371),
     ],
 )
 def test_large_canonical_models_are_bounded(text, facts):
@@ -194,7 +230,7 @@ def test_large_canonical_models_are_bounded(text, facts):
     "text, worlds",
     [
         pytest.param("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"
-                     " |- A y0 . A y1 . A y3 . <>A y2 . <>S(y2)", 5, id="one-world"),
+                     " |- A y0 . A y1 . A y3 . A y4 . <>A y2 . <>S(y2)", 5, id="one-world"),
         pytest.param("A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . (R(x1,x2) & R(x3,x4) & R(x5,x6))"
                      " |- A y1 . A y2 . A y3 . A y4 . A y5 . A y6 . S(y1)", 1, id="six-universals"),
         pytest.param("A x0 . <>(A x1 . <>(R(x0,x1) & A x2 . <>(R(x1,x2) & A x3 . <>R(x2,x3))))"

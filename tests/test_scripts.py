@@ -34,6 +34,6 @@ def test_saturation_demo_fails_on_inadequate_model(monkeypatch):
 
     main = runpy.run_path(str(ROOT / "scripts" / "saturation_demo.py"))["main"]
     monkeypatch.setitem(main.__globals__, "check_adequate",
-                        lambda m: AdequacyReport(False, True, True, ("inclusive",)))
+                        lambda m: AdequacyReport(("inclusive",)))
     monkeypatch.setattr(sys, "argv", ["saturation_demo.py", "--count", "2"])
     assert main() == 1

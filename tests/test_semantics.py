@@ -8,25 +8,29 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrc1 import canonical
 from qrc1.canonical import CanonicalModel
 from qrc1.decider import UNDERIVABLE, decide, ground, refute
-from qrc1.generate import DEFAULT_SIG, random_adequate_model, random_formula
+from qrc1.generate import (
+    DEFAULT_SIG,
+    _rooted_frames,
+    enumerate_models,
+    random_adequate_model,
+    random_formula,
+    restrict,
+)
 from qrc1.semantics import (
     Assignment,
     Countermodel,
     Model,
     ModelError,
-    _rooted_frames,
     check_adequate,
     countermodel_from_dict,
     countermodel_to_dict,
     default_assignment,
-    enumerate_models,
     forces,
     model_from_dict,
     model_to_dict,
-    reinterpret_constant,
-    restrict,
     validate_model,
 )
 from qrc1.syntax import (
@@ -39,6 +43,7 @@ from qrc1.syntax import (
     Pred,
     Sequent,
     Signature,
+    Term,
     Top,
     Var,
     free_for,
@@ -48,6 +53,7 @@ from qrc1.syntax import (
     parse_sequent,
     pretty_sequent,
     substitute,
+    udepth,
 )
 
 SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
@@ -97,7 +103,7 @@ def test_adequacy_flags_missing_transitivity():
         {w: {} for w in (0, 1, 2)},
     )
     rep = check_adequate(m)
-    assert not rep.adequate and not rep.transitive
+    assert not rep.adequate and rep.witness[0] == "transitive"
 
 
 def test_adequacy_flags_shrinking_domain():
@@ -109,7 +115,7 @@ def test_adequacy_flags_shrinking_domain():
         {0: {}, 1: {}},
     )
     rep = check_adequate(m)
-    assert not rep.adequate and not rep.inclusive
+    assert not rep.adequate and rep.witness[0] == "inclusive"
 
 
 def test_adequacy_flags_discordant_constants():
@@ -121,7 +127,7 @@ def test_adequacy_flags_discordant_constants():
         {0: {}, 1: {}},
     )
     rep = check_adequate(m)
-    assert not rep.adequate and not rep.concordant
+    assert not rep.adequate and rep.witness[0] == "concordant"
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_quantifier_is_actualist():
 
 def test_forcing_reads_assignment_through_coercion():
     m = growing_model()
-    g = Assignment(0, {"x": "a"}, "a")
+    g = Assignment({"x": "a"}, "a")
     assert forces(m, 0, g, parse_formula("<>S(x)", SIG))
 
 
@@ -173,6 +179,18 @@ def test_forcing_reports_an_unknown_world_and_an_uninterpreted_constant():
 # forcing against the recursive reference
 
 
+def _value(m: Model, w, g: Assignment, t: Term):
+    """The element that term t denotes at world w under g."""
+    if isinstance(t, Const):
+        return m.const_value(w, t.name)
+    return g.mapping.get(t.name, g.default)
+
+
+def _set(g: Assignment, x: str, d) -> Assignment:
+    """g with x sent to d."""
+    return Assignment({**g.mapping, x: d}, g.default)
+
+
 def reference_forces(m: Model, w, g: Assignment, f: Formula) -> bool:
     """Forcing as the semantics states it, clause by clause: the evaluator's
     reference. It allocates an assignment per element and per successor and
@@ -183,7 +201,7 @@ def reference_forces(m: Model, w, g: Assignment, f: Formula) -> bool:
         case Top():
             return True
         case Pred(name, args):
-            tup = tuple(g.value(m, w, t) for t in args)
+            tup = tuple(_value(m, w, g, t) for t in args)
             return tup in m.relJ.get(w, {}).get(name, frozenset())
         case And(l, r):
             return reference_forces(m, w, g, l) and reference_forces(m, w, g, r)
@@ -191,7 +209,7 @@ def reference_forces(m: Model, w, g: Assignment, f: Formula) -> bool:
             # the inclusion coercion: g's values are read at v unchanged
             return any(reference_forces(m, v, g, b) for v in m.successors(w))
         case Forall(x, b):
-            return all(reference_forces(m, w, g.set(x, d), b) for d in m.domain[w])
+            return all(reference_forces(m, w, _set(g, x, d), b) for d in m.domain[w])
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -246,7 +264,7 @@ def test_forcing_agrees_with_the_reference(seed):
     rng = random.Random(seed)
     m = _any_model(rng)
     w = rng.choice(m.worlds)
-    g = Assignment(w, {x: rng.choice(ELEMENTS) for x in VARIABLES if rng.random() < 0.5},
+    g = Assignment({x: rng.choice(ELEMENTS) for x in VARIABLES if rng.random() < 0.5},
                    rng.choice(sorted(m.domain[w])))
     for _ in range(4):
         f = _any_formula(rng, rng.randint(1, 8))
@@ -312,15 +330,18 @@ HARD_SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
      "A x10 . A x11 . A x12 . <>(A x13 . A x14 . A x15 . S(x14)) & "
      "(<>(T & S(x10)) & (R(x12,x12) & R(x12,c0)))", 50, 25_000),
 ], ids=["312-worlds", "50-worlds"])
-def test_hard_countermodels_check_within_a_read_budget(text, worlds, budget):
+def test_hard_countermodels_check_within_a_read_budget(monkeypatch, text, worlds, budget):
     # decide refutes both by the one-element canonical model, of a few worlds;
-    # the canonical model M_phi is the large countermodel that stresses forcing
+    # the canonical model M_phi is the large countermodel that stresses forcing,
+    # built with udepth(psi) fresh elements per world rather than those of a
+    # layer of psi, so that it has hundreds of worlds
     s = parse_sequent(text, HARD_SIG)
     v = decide(s, HARD_SIG)
     assert v.status == UNDERIVABLE and v.stats["certificate_model"] == "one-element"
     assert len(v.countermodel.model.worlds) <= 6
     used = {*HARD_SIG.constants, *names_of(s.lhs), *names_of(s.rhs)}
     (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
+    monkeypatch.setattr(canonical, "_layer_udepth", udepth)
     canon = CanonicalModel(Sequent(lhs, rhs), used)
     assert canon.complete and not canon.forces(0, rhs)
     model = canon.countermodel(s, HARD_SIG, pairs)
@@ -358,15 +379,6 @@ def test_restriction_preserves_forcing():
         assert forces(m, r, g, f) == forces(sub, r, default_assignment(sub, r), f)
 
 
-def test_reinterpret_constant_changes_only_that_constant():
-    m = growing_model()
-    m2 = reinterpret_constant(m, 1, "c0", "b")
-    assert m2.constI[1]["c0"] == "b"
-    assert m2.constI[1]["c1"] == "a"
-    with pytest.raises(ModelError):
-        reinterpret_constant(m, 0, "c0", "b")  # "b" is not in the root domain
-
-
 # ---------------------------------------------------------------------------
 # substitution lemma: g-with-x-set-to-t forces f iff g forces f[x/t]
 
@@ -383,9 +395,9 @@ def test_substitution_lemma(seed):
     if not free_for(t, "x", f):
         return
     dom = sorted(m.domain[w])
-    g = Assignment(w, {"x": rng.choice(dom), "y": rng.choice(dom)}, dom[0])
-    tv = g.value(m, w, t)
-    lhs = forces(m, w, g.set("x", tv), f)
+    g = Assignment({"x": rng.choice(dom), "y": rng.choice(dom)}, dom[0])
+    tv = _value(m, w, g, t)
+    lhs = forces(m, w, _set(g, "x", tv), f)
     rhs = forces(m, w, g, substitute(f, "x", t))
     assert lhs == rhs
 
@@ -539,7 +551,7 @@ def test_refute_handles_free_variables_via_assignment():
     assert refute(s, SIG) is None
     v = decide(s, SIG)
     assert v.status == UNDERIVABLE
-    assert v.countermodel.assignment("x") != v.countermodel.model.const_value(0, "c0")
+    assert v.countermodel.assignment.mapping["x"] != v.countermodel.model.const_value(0, "c0")
     v.countermodel.validate()
 
 
@@ -648,7 +660,7 @@ def _countermodel_boxes(s, rooted):
     for m, w, box in rooted:
         dom = sorted(m.domain[w])
         for vals in itertools.product(dom, repeat=len(fv)):
-            g = Assignment(w, dict(zip(fv, vals)), dom[0])
+            g = Assignment(dict(zip(fv, vals)), dom[0])
             if forces(m, w, g, s.lhs) and not forces(m, w, g, s.rhs):
                 boxes.add(box)
     return boxes

@@ -155,17 +155,12 @@ def _generic(world: _World, b: Formula) -> Var:
 class CanonicalModel:
     """M_phi for a sequent without free variables, whose fresh elements are
     named v#0, v#1, ... past the names in used, which holds every name of
-    the sequent. Building stops before a world past max_worlds or an element
-    past max_domain, and once there are CANONICAL_FACT_CAP facts; the model
-    is then not complete."""
+    the sequent. Building stops once there are CANONICAL_FACT_CAP facts; the
+    model is then not complete."""
 
-    def __init__(
-        self, s: Sequent, used: Container[str], max_worlds: int | None = None, max_domain: int | None = None
-    ):
+    def __init__(self, s: Sequent, used: Container[str]):
         k = _layer_udepth(s.rhs)
         self._names = fresh_names(FRESH_VAR_PREFIX, used)
-        self._max_worlds = max_worlds
-        self._max_domain = max_domain
         self._forced: dict[tuple[int, Formula], bool] = {}
         self.worlds: list[_World] = []
         self.elements = 0
@@ -186,10 +181,7 @@ class CanonicalModel:
             pass
 
     def _add(self, formula: Formula, parent: int | None, inherited: tuple[Term, ...], k: int) -> None:
-        elements = self.elements + (len(inherited) if parent is None else 0) + k
-        if len(self.worlds) == self._max_worlds or (self._max_domain is not None and elements > self._max_domain):
-            raise _TooBig
-        self.elements = elements
+        self.elements += (len(inherited) if parent is None else 0) + k
         fresh = tuple(Var(next(self._names)) for _ in range(k))
         world = _World(formula, parent, inherited + fresh, fresh)
         if parent is not None:

@@ -18,6 +18,7 @@ import argparse
 import concurrent.futures
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -110,7 +111,9 @@ def _verdicts(sequents: list[Sequent], sig: Signature, jobs: int):
         # up to four tasks per worker: one sequent per task costs more in
         # pickling and scheduling than deciding a fast sequent does
         chunk = max(1, min(MAX_CHUNK, len(sequents) // (4 * jobs)))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool may start all its workers at once: no more than there are tasks
+        workers = min(jobs, math.ceil(len(sequents) / chunk))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(decide, *inputs, chunksize=chunk)
     else:
         yield from map(decide, *inputs)

@@ -68,19 +68,11 @@ def verdict_to_dict(v: Verdict, sig: Signature) -> dict:
     return doc
 
 
+# fieldless, and read nowhere here: perfbench/tracing.py builds one per traced
+# decide; it goes when the tracer is retargeted (ROADMAP item 2)
 @dataclass(frozen=True)
 class DeciderConfig:
-    """Bounds on the canonical model as built; None leaves only its fact cap."""
-
-    max_worlds: Optional[int] = None
-    max_domain: Optional[int] = None
-
-    def __post_init__(self):
-        if any(b is not None and b < 1 for b in (self.max_worlds, self.max_domain)):
-            raise ValueError("bounds must be at least 1")
-
-
-_DEFAULT_CONFIG = DeciderConfig()
+    pass
 
 
 def ground(formulas: Sequence[Formula], used: set[str]) -> tuple[list[Formula], list[tuple[str, str]]]:
@@ -101,9 +93,7 @@ def ground(formulas: Sequence[Formula], used: set[str]) -> tuple[list[Formula], 
     return grounded, pairs
 
 
-def _canonical(
-    s: Sequent, sig: Signature, config: DeciderConfig
-) -> tuple[Sequent, list[tuple[str, str]], CanonicalModel]:
+def _canonical(s: Sequent, sig: Signature) -> tuple[Sequent, list[tuple[str, str]], CanonicalModel]:
     """s grounded, its grounding pairs, and M_phi of the grounded sequent."""
     # every name of the sequent and the signature, so that the names grounding
     # and M_phi invent parse back as what they stand for
@@ -111,29 +101,28 @@ def _canonical(
     # the canonical model takes free variables as fresh constants
     (lhs, rhs), ground_pairs = ground((s.lhs, s.rhs), used)
     grounded = Sequent(lhs, rhs) if ground_pairs else s
-    return grounded, ground_pairs, CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
+    return grounded, ground_pairs, CanonicalModel(grounded, used)
 
 
-def entails(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> bool | None:
+def entails(s: Sequent, sig: Signature) -> bool | None:
     """decide's status with no certificate: True derivable, False underivable,
     None undecided. M_phi answers first, and M_phi^1 only where its build
     stops; decide asks M_phi^1 first, for its small certificates."""
-    config = config or _DEFAULT_CONFIG
-    grounded, _, canon = _canonical(s, sig, config)
+    grounded, _, canon = _canonical(s, sig)
     if canon.worlds and canon.forces(0, grounded.rhs):
         return True
-    return False if canon.complete or _one_element(s, config) is not None else None
+    return False if canon.complete or _one_element(s) is not None else None
 
 
-def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Verdict:
+# the ignored config is passed by perfbench/tracing.py (ROADMAP item 2)
+def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
     """Decide derivability, returning a validated certificate either way. A
     pure function: it keeps nothing between calls. Constants of s that sig
     does not declare join it, so that a countermodel interprets them."""
-    config = config or _DEFAULT_CONFIG
-    one = _one_element(s, config)
+    one = _one_element(s)
     if one is not None:
         return _verdict(UNDERIVABLE, "one-element", None, countermodel=_countermodel(one, s, sig, []))
-    grounded, ground_pairs, canon = _canonical(s, sig, config)
+    grounded, ground_pairs, canon = _canonical(s, sig)
     # a derivation reads off whatever the part of M_phi built forces
     if canon.worlds and canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
@@ -144,10 +133,10 @@ def decide(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> V
     return _verdict(UNDECIDED, None, canon)
 
 
-def refute(s: Sequent, sig: Signature, config: DeciderConfig | None = None) -> Optional[Countermodel]:
+def refute(s: Sequent, sig: Signature) -> Optional[Countermodel]:
     """decide's first step alone: M_phi^1 as a validated countermodel to s, or
     None where decide goes on to build M_phi."""
-    one = _one_element(s, config or _DEFAULT_CONFIG)
+    one = _one_element(s)
     return None if one is None else _countermodel(one, s, sig, [])
 
 
@@ -171,16 +160,16 @@ def _collapse(f: Formula, e: Var) -> Formula:
     return f
 
 
-def _one_element(s: Sequent, config: DeciderConfig) -> Optional[CanonicalModel]:
+def _one_element(s: Sequent) -> Optional[CanonicalModel]:
     """M_phi^1, the canonical model of s with every term read as one element
-    and each universal as its body, when it is built in full under config's
-    bounds and refutes s. Its size is linear in s, and every one-element
+    and each universal as its body, when it is built in full within the fact
+    cap and refutes s. Its size is linear in s, and every one-element
     model of the left-hand side is an image of it."""
     # the root's one fresh element when no other name is in use; with no
     # universal on the right, no child world adds another
     e = Var(next(fresh_names(FRESH_VAR_PREFIX, ())))
     collapsed = Sequent(_collapse(s.lhs, e), _collapse(s.rhs, e))
-    canon = CanonicalModel(collapsed, (), config.max_worlds, config.max_domain)
+    canon = CanonicalModel(collapsed, ())
     return canon if canon.complete and not canon.forces(0, collapsed.rhs) else None
 
 

@@ -4,8 +4,8 @@ Derivability from a left-hand side is answered by `oracle`: T, members of the
 left-hand side and conjunctions by the rules of the calculus, and every other
 formula by decider.entails, which gives decide's status: whether the
 canonical model M_Gamma of the left-hand side forces it, which by
-completeness is derivability, or, where the build of M_Gamma stops at a
-bound, whether the one-element canonical model refutes it. So an oracle
+completeness is derivability, or, where the build of M_Gamma stops at its
+fact cap, whether the one-element canonical model refutes it. So an oracle
 answer has no checked certificate behind it; the term model built from the
 answers is checked instead, by `truth_lemma_check` and adequacy. This module
 never consults the model it is building. The oracle for one left-hand side
@@ -23,7 +23,8 @@ from typing import Callable, Iterable
 
 # decide is not called here, but perfbench/tracing.py patches
 # termmodel.decide; the name stays until the tracer is retargeted
-from .decider import DeciderConfig, decide, entails, ground  # noqa: F401
+# (ROADMAP item 2)
+from .decider import decide, entails, ground  # noqa: F401
 from .semantics import Model, default_assignment, forces, transitive_closure
 from .syntax import (
     And,
@@ -46,8 +47,8 @@ from .syntax import (
 
 
 class OracleUndecidedError(QRCError):
-    """entails left a query undecided (the build of M_Gamma stopped at a
-    bound, and M_phi^1 does not refute it); the construction cannot proceed."""
+    """entails left a query undecided (the build of M_Gamma stopped at its
+    fact cap, and M_phi^1 does not refute it); the construction cannot proceed."""
 
 
 class PairError(QRCError):
@@ -85,7 +86,7 @@ def conjunction(gamma: Iterable[Formula]) -> Formula:
     return out
 
 
-# (query sequent, signature, config) -> True, False, or None for undecided.
+# (query sequent, signature) -> True, False, or None for undecided.
 # entails is a pure function of these, so an answer never goes stale; entries
 # past the cap are not kept.
 _MEMO: dict[tuple, bool | None] = {}
@@ -95,7 +96,6 @@ _MEMO_MAX = 100_000
 def oracle(
     gamma: Iterable[Formula],
     sig: Signature,
-    config: DeciderConfig | None = None,
     tally: Counter | None = None,
 ) -> Callable[[Formula], bool]:
     """Derivability from the conjunction of gamma, asked one formula at a time.
@@ -112,20 +112,19 @@ def oracle(
     the answers by source: "rule", "memo" and "model" (entails)."""
     gamma = frozenset(gamma)
     lhs = conjunction(gamma)
-    config = config or DeciderConfig()
     tally = Counter() if tally is None else tally
     truths = gamma | {TOP}
     answers: dict[Formula, bool | None] = {}
 
     def ask(f: Formula) -> bool | None:
         query = Sequent(lhs, f)
-        key = (query, sig, config)
+        key = (query, sig)
         a = _MEMO.get(key, _MEMO)  # the memo itself marks a miss
         if a is not _MEMO:
             tally["memo"] += 1
             return a
         tally["model"] += 1
-        a = entails(query, sig, config)
+        a = entails(query, sig)
         if len(_MEMO) < _MEMO_MAX:
             _MEMO[key] = a
         return a
@@ -156,10 +155,8 @@ def oracle(
     return entailed
 
 
-def is_consistent(
-    p: PairPM, sig: Signature, config: DeciderConfig | None = None, tally: Counter | None = None
-) -> bool:
-    entailed = oracle(p.pos, sig, config, tally)
+def is_consistent(p: PairPM, sig: Signature, tally: Counter | None = None) -> bool:
+    entailed = oracle(p.pos, sig, tally)
     return all(not entailed(delta) for delta in sorted_formulas(p.neg))
 
 
@@ -168,7 +165,6 @@ def lindenbaum(
     phi_set: Iterable[Formula],
     sig: Signature,
     fresh_prefix: str = "n",
-    config: DeciderConfig | None = None,
     tally: Counter | None = None,
 ) -> PairPM:
     """Extend p to a maximal consistent, fully witnessed pair over the closure
@@ -189,7 +185,7 @@ def lindenbaum(
     d_constants = constants + tuple(itertools.islice(witnesses, count))
     pos = set(p.pos)
     neg = set(p.neg)
-    entailed = oracle(p.pos, sig, config, tally)
+    entailed = oracle(p.pos, sig, tally)
     for f in sorted_formulas(closure(phi_set, d_constants)):
         if not entailed(f):
             neg.add(f)
@@ -214,7 +210,6 @@ def pair_existence(
     dphi: Formula,
     sig: Signature,
     fresh_prefix: str = "n",
-    config: DeciderConfig | None = None,
     tally: Counter | None = None,
 ) -> PairPM:
     """Build a successor pair for a positive diamond formula of a saturated
@@ -232,7 +227,7 @@ def pair_existence(
             seed_neg.add(f)
             seed_neg.add(f.body)
     seed = PairPM(frozenset({dphi.body}), frozenset(seed_neg), p.constants)
-    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh_prefix, config, tally)
+    return lindenbaum(seed, sorted_formulas(p.formulas()), sig, fresh_prefix, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +264,8 @@ def _ground_pair(p: PairPM, sig: Signature) -> PairPM:
                   tuple(dict.fromkeys(p.constants + tuple(c for _, c in pairs))))
 
 
-def build_term_model(
-    p: PairPM, sig: Signature, config: DeciderConfig | None = None
-) -> TermModelResult:
+# the ignored config is passed by perfbench/tracing.py (ROADMAP item 2)
+def build_term_model(p: PairPM, sig: Signature, config=None) -> TermModelResult:
     """The completeness construction: the root saturates p (an inconsistent
     p raises PairError), each world gets one child per positive diamond
     formula, breadth first, and the frame is the transitive closure of the
@@ -281,13 +275,13 @@ def build_term_model(
     constants = tuple(dict.fromkeys(p.constants + tuple(sorted(formula_constants))))
     phi_set = sorted_formulas(p.formulas())
     tally: Counter = Counter()
-    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, "w0_c", config, tally)]
+    worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, "w0_c", tally)]
     edges: list[tuple[int, int]] = []
     for wi, world in enumerate(worlds):  # worlds grows as the loop runs
         for dphi in sorted_formulas(world.pos):
             if isinstance(dphi, Diamond):
                 edges.append((wi, len(worlds)))
-                worlds.append(pair_existence(world, dphi, sig, f"w{len(worlds)}_c", config, tally))
+                worlds.append(pair_existence(world, dphi, sig, f"w{len(worlds)}_c", tally))
 
     model = Model(
         worlds=tuple(range(len(worlds))),

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qrc1 import canonical, termmodel
 from qrc1.syntax import Signature
 
 
@@ -18,3 +19,16 @@ def small_sig() -> Signature:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260823)
+
+
+@pytest.fixture
+def fact_cap(monkeypatch):
+    """Sets CANONICAL_FACT_CAP for the test, so that builds of M_phi and of
+    M_phi^1 stop early, and empties the oracle memo, whose answers were
+    given under the cap before."""
+
+    def set_cap(cap: int) -> None:
+        monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", cap)
+        monkeypatch.setattr(termmodel, "_MEMO", {})
+
+    return set_cap

@@ -11,7 +11,6 @@ from qrc1.decider import (
     DERIVABLE,
     UNDECIDED,
     UNDERIVABLE,
-    DeciderConfig,
     decide,
     entails,
     ground,
@@ -108,7 +107,7 @@ def test_derivations_read_off_the_canonical_model_check(text):
     assert check_derivation(reloaded, SIG.with_constants(doc.get("extra_constants", ()))) == s
 
 
-def test_every_stats_key_on_both_paths():
+def test_every_stats_key_on_both_paths(fact_cap):
     # M_phi^1 refutes the first sequent, so M_phi is not built; M_phi^1 forces
     # the right-hand sides of the others, and M_phi derives or refutes them
     for text, status, model in (("T |- <>T", UNDERIVABLE, ONE_ELEMENT), ("T |- T", DERIVABLE, CANONICAL),
@@ -117,27 +116,18 @@ def test_every_stats_key_on_both_paths():
         assert v.stats.keys() == STATS_KEYS
         assert (v.status, v.stats["certificate_model"]) == (status, model)
         assert (v.stats["canonical_worlds"] == 0) == (model == ONE_ELEMENT)
-    # M_phi^1 refutes past a bound that stops M_phi: M_phi's root holds c0
-    # and a fresh element, one past it
-    v = decide(seq("<>S(c0) |- S(c0)"), SIG, DeciderConfig(max_domain=1))
+    # M_phi^1 refutes past a cap that stops M_phi: M_phi's root instantiates
+    # the universals over c0 and a fresh element, in 9 facts, while M_phi^1
+    # has 4 in all
+    fact_cap(5)
+    s = seq("A x . A y . R(x,y) & <>S(c0) |- S(c0)")
+    assert not _canonical_model(s, SIG)[2].complete
+    v = decide(s, SIG)
     assert v.stats.keys() == STATS_KEYS
     assert v.stats["certificate_model"] == ONE_ELEMENT
     assert v.stats["canonical_worlds"] == v.stats["canonical_facts"] == 0
     assert v.status == UNDERIVABLE
     v.countermodel.validate()
-
-
-def test_config_bounds_below_the_canonical_model_run_the_fallback():
-    # a bound below M_phi stops its build and leaves the sequent undecided:
-    # M_phi has 2 worlds and 2 elements, and M_phi^1 forces the right-hand side
-    s = seq("A x . <>S(x) |- <>A x . S(x)")
-    for config in (DeciderConfig(max_worlds=1), DeciderConfig(max_domain=1)):
-        v = decide(s, SIG, config)
-        assert v.status == UNDECIDED and v.stats["certificate_model"] is None
-        # building stops at the bound, not after the whole model
-        assert v.stats["canonical_worlds"] == 1 and v.stats["canonical_elements"] == 1
-    v = decide(s, SIG, DeciderConfig(max_worlds=2, max_domain=2))
-    assert v.status == UNDERIVABLE and v.stats["certificate_model"] == CANONICAL
 
 
 # The statuses the dovetail, the search decide ran before the canonical model,
@@ -161,40 +151,6 @@ def test_canonical_status_equals_the_dovetail_status():
         # M_phi alone, and decide, which asks M_phi^1 first
         assert entails(s, sig) is (expected == "D"), s
         assert letters[decide(s, sig).status] == expected, s
-
-
-# The statuses decide gave the corpus below under DeciderConfig(max_domain=1)
-# when its fallback searched frames of at most two worlds and one element:
-# D derivable, U underivable, X undecided.
-TWO_WORLD_FALLBACK_STATUSES = (
-    "XDUDXUUUUUDDUUUUXUUUXDXUXUUUUUXXUXXXXDXDDXUUUUXDUUXDUUXUUUUUDXXDUUXUXDXUUUUUUUXU"
-    "UUXUUUUUUUUDUUUXUXUUUUDUXUDUDUDUUDUXUXXUUUUUUUUUUUUUXUUUUUUDXUUUUUUXUXDXUDUDUXUU"
-    "DXXUDUDUDXDDUUUUXUUUUXXUUUXXUUXUXUUXDXXUDUUDXUXUDUUUUUDDXXDUDUDDDUXUUUUXXXUDDDDU"
-    "XUUUXUXUUUXUXUUXUUXXUXXDUUUDUUDUDDXUUXUUXXUUUXUUDUDXUXDXUUXXXUUDUUUUDDXUUUUUUXUU"
-    "UXXUUUXXUUDUUDXUUUUUDXUUUUXUXXUDDUUXUXXUUUDUUUDUUUDXUUUXXDUUUDUUXDDUDXUUDUXUUXXX"
-)
-
-
-def test_the_one_element_fallback_decides_what_the_two_world_search_did():
-    # under max_domain=1, decide (M_phi^1, then M_phi up to the bound) decides
-    # every sequent the two-world search decided, the same way, and refutes one
-    # more, whose countermodel has three worlds
-    rng = random.Random(7)
-    free_sig = Signature(relations=SIG.relations)
-    corpus = [(random_sequent(rng, SIG, 2, 2, 5), SIG) for _ in range(300)]
-    corpus += [(random_sequent(rng, free_sig, 2, 2, 5), free_sig) for _ in range(100)]
-    letters = {DERIVABLE: "D", UNDERIVABLE: "U", UNDECIDED: "X"}
-    newly_refuted = 0
-    for (s, sig), before in zip(corpus, TWO_WORLD_FALLBACK_STATUSES, strict=True):
-        v = decide(s, sig, DeciderConfig(max_domain=1))
-        if before == "X" and v.status == UNDERIVABLE:
-            newly_refuted += 1
-        else:
-            assert letters[v.status] == before, s
-        if v.countermodel is not None:
-            assert v.countermodel.sequent == s
-            v.countermodel.validate()
-    assert newly_refuted == 1
 
 
 NESTED = "A x1 . A x2 . A x3 . A x4 . A x5 . A x6 . A x7 . A x8 . (R(x1,x2) & R(x3,x4) & R(x5,x6) & R(x7,x8))"
@@ -274,13 +230,13 @@ def test_a_derivable_sequent_past_the_cap_gets_a_verdict():
         check_derivation(v.derivation, SIG)
 
 
-def _canonical_model(s, sig, config=DeciderConfig()):
+def _canonical_model(s, sig):
     """M_phi built by CanonicalModel as decide builds it: the grounded
     sequent, its grounding pairs and the model."""
     used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
     (lhs, rhs), pairs = ground((s.lhs, s.rhs), used)
     grounded = Sequent(lhs, rhs)
-    return grounded, pairs, canonical.CanonicalModel(grounded, used, config.max_worlds, config.max_domain)
+    return grounded, pairs, canonical.CanonicalModel(grounded, used)
 
 
 def test_generic_instance_forcing_equals_forcing():
@@ -301,31 +257,33 @@ def test_generic_instance_forcing_equals_forcing():
     assert forced == {True, False}
 
 
-def _status_by_the_canonical_model_first(s, sig, config):
+def _status_by_the_canonical_model_first(s, sig):
     """The status decide gave when it built M_phi first and asked M_phi^1
     only where that build stopped; built here from CanonicalModel and refute,
     not from entails, which asks in the same order and is under test."""
-    grounded, _, canon = _canonical_model(s, sig, config)
+    grounded, _, canon = _canonical_model(s, sig)
     if canon.worlds and canon.forces(0, grounded.rhs):
         return DERIVABLE
-    if canon.complete or refute(s, sig, config) is not None:
+    if canon.complete or refute(s, sig) is not None:
         return UNDERIVABLE
     return UNDECIDED
 
 
-def test_refuting_by_the_one_element_model_first_keeps_every_status():
+def test_refuting_by_the_one_element_model_first_keeps_every_status(fact_cap):
     rng = random.Random(11)
     open_sig = Signature(relations=SIG.relations)  # no constants, so atoms take free variables
     corpus = [(random_sequent(rng, sig, *bounds), sig)
               for bounds in ((2, 2, 8), (3, 3, 15), (5, 5, 30))
               for sig in (SIG,) * 400 + (open_sig,) * 100]
     seen = Counter()
-    # the bounds stop some builds, of M_phi or M_phi^1, so that every status occurs
-    for config in (DeciderConfig(), DeciderConfig(max_worlds=3, max_domain=4)):
+    # a cap of 10 facts stops some builds, of M_phi or M_phi^1, so that every
+    # status occurs
+    for cap in (canonical.CANONICAL_FACT_CAP, 10):
+        fact_cap(cap)
         for s, sig in corpus:
-            v = decide(s, sig, config)
-            assert v.status == _status_by_the_canonical_model_first(s, sig, config), s
-            assert entails(s, sig, config) is {DERIVABLE: True, UNDERIVABLE: False}.get(v.status), s
+            v = decide(s, sig)
+            assert v.status == _status_by_the_canonical_model_first(s, sig), s
+            assert entails(s, sig) is {DERIVABLE: True, UNDERIVABLE: False}.get(v.status), s
             seen[v.status, v.stats["certificate_model"]] += 1
             if v.stats["certificate_model"] == ONE_ELEMENT:
                 doc = json.loads(json.dumps(verdict_to_dict(v, sig)))["certificate"]["countermodel"]

@@ -94,15 +94,42 @@ def test_decide_jobs_preserve_order(capsys, tmp_path):
     assert out1 == out2  # byte-identical, order matches input
 
 
+@pytest.mark.parametrize("count, jobs, workers", [(2, 8, 2), (40, 3, 3)])
+def test_decide_jobs_starts_no_more_workers_than_tasks(capsys, monkeypatch, tmp_path, count, jobs, workers):
+    # a stand-in pool that records its size and decides in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(SIG_TEXT + "T |- <>T\n" * count)
+    _, serial, _ = run(capsys, "decide", str(corpus))
+    _, pooled, _ = run(capsys, "decide", str(corpus), "--jobs", str(jobs))
+    assert sizes == [workers]
+    assert pooled == serial
+
+
 def test_decide_prints_each_verdict_before_deciding_the_next(monkeypatch, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text(SIG_TEXT + "T |- T\nT |- <>T\n")
     out = io.StringIO()
     printed = []
 
-    def recording_decide(s, sig, config=None):
+    def recording_decide(s, sig):
         printed.append(out.getvalue())
-        return decide(s, sig, config)
+        return decide(s, sig)
 
     monkeypatch.setattr(cli, "decide", recording_decide)
     assert cli.cmd_decide(build_parser().parse_args(["decide", str(corpus)]), out) == 0

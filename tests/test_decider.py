@@ -10,8 +10,6 @@ from qrc1 import semantics
 from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
-    DeciderConfig,
-    UNDECIDED,
     UNDERIVABLE,
     decide,
     ground,
@@ -81,16 +79,6 @@ def test_decide_retains_no_verdict():
     assert ref() is None
 
 
-def test_max_domain_below_the_root_leaves_a_derivable_sequent_undecided():
-    # the canonical model's root has 4 elements, so under max_domain=1 none of
-    # it is built, and the one-element canonical model forces the right-hand
-    # side of this derivable sequent
-    s = seq("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)")
-    assert decide(s, SIG, DeciderConfig(max_domain=1)).status == UNDECIDED
-    assert decide(s, SIG, DeciderConfig(max_domain=4)).status == DERIVABLE
-    assert decide(s, SIG).status == DERIVABLE
-
-
 def test_a_deeper_right_hand_side_is_underivable():
     assert decide(seq("T |- <><>T"), SIG).status == UNDERIVABLE
 
@@ -108,21 +96,6 @@ def test_grounding_free_variables():
     (lhs, rhs), pairs = ground((s.lhs, s.rhs), {"@x", "@y0"})
     assert pairs == [("x", "@x0"), ("x0", "@x00"), ("y", "@y")]
     assert lhs == Pred("R", (Const("@x0"), Const("@x00")))
-
-
-def test_undecided_when_bounds_are_too_small():
-    s = parse_sequent("A x . <>S(x) |- <>(A x . S(x))",
-                      Signature(relations=(("S", 1),)))
-    config = DeciderConfig(max_worlds=1, max_domain=1)
-    v = decide(s, Signature(relations=(("S", 1),)), config)
-    assert v.status == UNDECIDED
-    assert v.derivation is None and v.countermodel is None
-
-
-@pytest.mark.parametrize("bounds", [{"max_worlds": 0}, {"max_worlds": -1}, {"max_domain": 0}, {"max_domain": -1}])
-def test_config_bounds_below_one_are_refused(bounds):
-    with pytest.raises(ValueError, match="bounds must be at least 1"):
-        DeciderConfig(**bounds)
 
 
 def test_verdict_document_shape():

@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
+import qrc1.canonical as canonical
 import qrc1.decider as decider
 import qrc1.termmodel as termmodel
 
-from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, DeciderConfig, decide, entails
+from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, decide, entails
 from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.semantics import check_adequate
 from qrc1.syntax import (
@@ -266,9 +267,9 @@ def test_oracle_queries_are_pinned(monkeypatch):
     calls = 0
     original = termmodel.entails
 
-    def recording_entails(s, query_sig, config=None):
+    def recording_entails(s, query_sig):
         nonlocal calls
-        a = original(s, query_sig, config)
+        a = original(s, query_sig)
         calls += 1
         extended = query_sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs)))
         queries.update(f"{pretty_sequent(s)}\t{signature_str(extended)}\t{STATUS[a]}\n".encode())
@@ -286,15 +287,15 @@ def test_oracle_queries_are_pinned(monkeypatch):
 
 def test_oracle_memo_asks_each_query_once(monkeypatch):
     """A query is answered once across oracles and term-model builds, and again
-    under another signature or config; build_term_model counts its answers by
+    under another signature; build_term_model counts its answers by
     source."""
     monkeypatch.setattr(termmodel, "_MEMO", {})
     asked = []
     original = termmodel.entails
 
-    def recording_entails(s, query_sig, config=None):
-        asked.append((s, query_sig, config))
-        return original(s, query_sig, config)
+    def recording_entails(s, query_sig):
+        asked.append((s, query_sig))
+        return original(s, query_sig)
 
     monkeypatch.setattr(termmodel, "entails", recording_entails)
     gamma, query = [f("<>S(c)")], f("<>T")
@@ -302,9 +303,7 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     assert len(asked) == 1
     other_sig = Signature(constants=("c", "d"), relations=(("S", 1),))
     assert oracle(gamma, other_sig)(query)
-    assert oracle(gamma, SIG, DeciderConfig(max_worlds=3))(query)
-    assert [(s_sig, config) for _, s_sig, config in asked[1:]] == [
-        (other_sig, DeciderConfig()), (SIG, DeciderConfig(max_worlds=3))]
+    assert [s_sig for _, s_sig in asked[1:]] == [other_sig]
 
     p = pair(["<>S(c)"], ["A x . S(x)"])
     asked.clear()
@@ -320,11 +319,11 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     assert second == first
 
 
-def test_entails_agrees_with_decide(monkeypatch):
+def test_entails_agrees_with_decide(monkeypatch, fact_cap):
     """entails, which builds no certificate, gives decide's status, None
     exactly where decide is undecided: on random sequents, closed and (over no
     constants) open, and on every query the oracle asks while building term
-    models of the demo pairs; also under max_domain=1, where the build of
+    models of the demo pairs; also under a cap of 5 facts, where the build of
     M_Gamma stops and entails asks the one-element canonical model."""
     rng = random.Random(17)
     open_sig = parse_signature("sig: relations S/1 R/2;")
@@ -336,9 +335,9 @@ def test_entails_agrees_with_decide(monkeypatch):
     asked = []
     original = termmodel.entails
 
-    def recording_entails(s, query_sig, config=None):
+    def recording_entails(s, query_sig):
         asked.append((s, query_sig))
-        return original(s, query_sig, config)
+        return original(s, query_sig)
 
     monkeypatch.setattr(termmodel, "entails", recording_entails)
     for p in pairs:
@@ -348,43 +347,45 @@ def test_entails_agrees_with_decide(monkeypatch):
     refuted = []
     original_one_element = decider._one_element
 
-    def recording_one_element(s, config):
-        one = original_one_element(s, config)
+    def recording_one_element(s):
+        one = original_one_element(s)
         refuted.append(one is not None)
         return one
 
     monkeypatch.setattr(decider, "_one_element", recording_one_element)
     answers = Counter()
-    for config in (DeciderConfig(), DeciderConfig(max_domain=1)):
+    for cap in (canonical.CANONICAL_FACT_CAP, 5):
+        fact_cap(cap)
         for s, query_sig in sequents + asked:
             refuted.clear()
-            a = entails(s, query_sig, config)
+            a = entails(s, query_sig)
             # entails asks the one-element step at most once, where M_Gamma stops
             by_one_element = refuted == [True]
-            assert decide(s, query_sig, config).status == STATUS[a], pretty_sequent(s)
-            answers[config.max_domain, a, by_one_element] += 1
-    assert answers[1, False, True] > 0 and answers[1, None, False] > 0
+            assert decide(s, query_sig).status == STATUS[a], pretty_sequent(s)
+            answers[cap, a, by_one_element] += 1
+    assert answers[5, False, True] > 0 and answers[5, None, False] > 0
 
 
-def test_oracle_answers_by_the_one_element_model_where_the_build_stops(monkeypatch):
-    """Where M_Gamma is built in full, entails answers by it; under
-    max_domain=1 the build stops before the root, whose c and fresh element
-    pass the bound, and entails answers by the one-element canonical model,
-    which refutes the query."""
-    monkeypatch.setattr(termmodel, "_MEMO", {})
-    gamma, query = [f("<>S(c)")], f("S(c)")
+def test_oracle_answers_by_the_one_element_model_where_the_build_stops(fact_cap):
+    """Where M_Gamma is built in full, entails answers by it; under a cap of
+    5 facts the build stops in the root, which instantiates the universals
+    over c and a fresh element, and entails answers by the one-element
+    canonical model, of 4 facts, which refutes the query."""
+    fact_cap(canonical.CANONICAL_FACT_CAP)
+    sig = Signature(constants=("c",), relations=(("S", 1), ("R", 2)))
+    gamma, query = [f("A x . A y . R(x,y)", sig), f("<>S(c)", sig)], f("S(c)", sig)
     s = Sequent(conjunction(gamma), query)
     tally = Counter()
-    assert entails(s, SIG) is False
-    assert not oracle(gamma, SIG, tally=tally)(query)
+    assert entails(s, sig) is False
+    assert not oracle(gamma, sig, tally=tally)(query)
     assert tally == Counter(model=1)
 
-    config = DeciderConfig(max_domain=1)
-    termmodel._MEMO.clear()
+    fact_cap(5)
     tally.clear()
-    assert entails(s, SIG, config) is False
-    assert decide(s, SIG, config).status == UNDERIVABLE
-    assert not oracle(gamma, SIG, config, tally=tally)(query)
+    assert not decider._canonical(s, sig)[2].complete
+    assert entails(s, sig) is False
+    assert decide(s, sig).status == UNDERIVABLE
+    assert not oracle(gamma, sig, tally=tally)(query)
     assert tally == Counter(model=1)
 
 
@@ -431,7 +432,7 @@ def test_oracle_asks_about_a_conjunction_with_an_undecided_conjunct(monkeypatch)
     answer = {a: None, b: True, And(a, b): True}
     asked = []
 
-    def fake_entails(s, query_sig, config=None):
+    def fake_entails(s, query_sig):
         asked.append(s.rhs)
         return answer[s.rhs]
 

@@ -7,8 +7,8 @@ Quoted formulas stay opaque (no numbering is computed).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Union
+from dataclasses import dataclass, fields
+from typing import Iterable, Iterator
 
 from .syntax import (
     MAX_NESTING,
@@ -23,7 +23,7 @@ from .syntax import (
     Sequent,
     Signature,
     Top,
-    Var,
+    constants_of,
 )
 
 
@@ -35,44 +35,49 @@ class RealizationError(QRCError):
 # arithmetic terms
 
 
+class ATerm:
+    __slots__ = ()
+
+
 @dataclass(frozen=True, slots=True)
-class ANum:
+class ANum(ATerm):
     value: int
 
 
 @dataclass(frozen=True, slots=True)
-class AVar:
+class AVar(ATerm):
     name: str
 
 
 @dataclass(frozen=True, slots=True)
-class AOp:
+class AOp(ATerm):
     op: str  # "+" or "*"
-    left: "ATerm"
-    right: "ATerm"
-
-
-ATerm = Union[ANum, AVar, AOp]
+    left: ATerm
+    right: ATerm
 
 
 # ---------------------------------------------------------------------------
 # arithmetic formulas
 
 
+class ArithFormula:
+    __slots__ = ()
+
+
 @dataclass(frozen=True, slots=True)
-class Tau:
+class Tau(ArithFormula):
     """The axiom-membership predicate applied to the code variable u."""
 
 
 @dataclass(frozen=True, slots=True)
-class Cmp:
+class Cmp(ArithFormula):
     op: str  # "=" or "<="
     left: ATerm
     right: ATerm
 
 
 @dataclass(frozen=True, slots=True)
-class TemplateAtom:
+class TemplateAtom(ArithFormula):
     """An opaque named template atom, e.g. the default reading of a relation."""
 
     name: str
@@ -80,92 +85,74 @@ class TemplateAtom:
 
 
 @dataclass(frozen=True, slots=True)
-class OrA:
-    left: "ArithFormula"
-    right: "ArithFormula"
+class OrA(ArithFormula):
+    left: ArithFormula
+    right: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class AndA:
-    left: "ArithFormula"
-    right: "ArithFormula"
+class AndA(ArithFormula):
+    left: ArithFormula
+    right: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class Implies:
-    left: "ArithFormula"
-    right: "ArithFormula"
+class Implies(ArithFormula):
+    left: ArithFormula
+    right: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class Exists:
+class Exists(ArithFormula):
     var: str
-    body: "ArithFormula"
+    body: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class BoundedForall:
+class BoundedForall(ArithFormula):
     var: str
     bound: ATerm
-    body: "ArithFormula"
+    body: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class ForallA:
+class ForallA(ArithFormula):
     """Unbounded universal quantifier (used only for the outer statement)."""
 
     var: str
-    body: "ArithFormula"
+    body: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class TheoremVar:
+class TheoremVar(ArithFormula):
     """The schematic sentence variable of the provability statement."""
 
 
 @dataclass(frozen=True, slots=True)
-class Quote:
-    body: "ArithFormula"
+class Quote(ArithFormula):
+    body: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class ConOf:
+class ConOf(ArithFormula):
     """Formalized consistency of the axiom set defined by the body."""
 
-    axioms: "ArithFormula"
+    axioms: ArithFormula
 
 
 @dataclass(frozen=True, slots=True)
-class EqQuote:
+class EqQuote(ArithFormula):
     """u = <quoted formula>; the second disjunct of the diamond clause."""
 
     quote: Quote
 
 
 @dataclass(frozen=True, slots=True)
-class BoxOf:
+class BoxOf(ArithFormula):
     """Formalized provability from the axiom set defined by `axioms`."""
 
-    axioms: "ArithFormula"
-    target: "ArithFormula"
-
-
-ArithFormula = Union[
-    Tau,
-    Cmp,
-    TemplateAtom,
-    OrA,
-    AndA,
-    Implies,
-    Exists,
-    BoundedForall,
-    ForallA,
-    TheoremVar,
-    Quote,
-    ConOf,
-    EqQuote,
-    BoxOf,
-]
+    axioms: ArithFormula
+    target: ArithFormula
 
 
 # ---------------------------------------------------------------------------
@@ -208,57 +195,33 @@ class ParamIndex:
     y_of: dict[str, str]  # constant name -> y variable
     z_of: dict[str, str]  # object variable name -> z variable
 
-    def ordered_params(self) -> list[str]:
-        return sorted(self.y_of.values(), key=_param_key) + sorted(
-            self.z_of.values(), key=_param_key
-        )
 
-
-def _param_key(p: str) -> tuple[str, int]:
-    return p[0], int(p[1:])
-
-
-def _occurring_names(f: Formula, consts: list[str], vars_: list[str]) -> None:
-    """Append the constants and the variables of f, each in order of first
-    occurrence; a bound variable occurs at its binder."""
+def _variables(f: Formula) -> Iterator[str]:
+    """The variables of f in order of occurrence; a bound variable occurs at
+    its binder."""
     match f:
         case Pred(_, args):
-            for t in args:
-                acc = consts if isinstance(t, Const) else vars_
-                if t.name not in acc:
-                    acc.append(t.name)
+            yield from (t.name for t in args if not isinstance(t, Const))
         case And(l, r):
-            _occurring_names(l, consts, vars_)
-            _occurring_names(r, consts, vars_)
+            yield from _variables(l)
+            yield from _variables(r)
         case Diamond(b):
-            _occurring_names(b, consts, vars_)
+            yield from _variables(b)
         case Forall(x, b):
-            if x not in vars_:
-                vars_.append(x)
-            _occurring_names(b, consts, vars_)
+            yield x
+            yield from _variables(b)
 
 
-def param_index(formulas: Iterable[Formula], sig: Signature | None = None) -> ParamIndex:
-    """Constants take y-indices by signature position when a signature is
-    given (otherwise first occurrence); variables take z-indices by first
-    occurrence."""
-    consts: list[str] = []
-    vars_: list[str] = []
-    for f in formulas:
-        _occurring_names(f, consts, vars_)
-    if sig is not None:
-        order = {c: i for i, c in enumerate(sig.constants)}
-        known = sorted((c for c in consts if c in order), key=order.get)
-        unknown = sorted(c for c in consts if c not in order)
-        y_of = {c: f"y{order[c]}" for c in known}
-        next_i = len(sig.constants)
-        for c in unknown:
-            y_of[c] = f"y{next_i}"
-            next_i += 1
-    else:
-        y_of = {c: f"y{i}" for i, c in enumerate(consts)}
-    z_of = {x: f"z{i}" for i, x in enumerate(vars_)}
-    return ParamIndex(y_of, z_of)
+def param_index(formulas: Iterable[Formula], sig: Signature) -> ParamIndex:
+    """Constants take y-indices by signature position, and constants outside
+    the signature the next indices in name order; variables take z-indices by
+    first occurrence. Both maps list their parameters in index order."""
+    formulas = list(formulas)
+    consts = frozenset().union(*map(constants_of, formulas))
+    extra = sorted(consts - set(sig.constants))
+    y_of = {c: f"y{i}" for i, c in enumerate([*sig.constants, *extra]) if c in consts}
+    variables = dict.fromkeys(x for f in formulas for x in _variables(f))
+    return ParamIndex(y_of, {x: f"z{i}" for i, x in enumerate(variables)})
 
 
 # ---------------------------------------------------------------------------
@@ -295,19 +258,11 @@ def _subst(f: ArithFormula, env: dict[str, str]) -> ArithFormula:
             return f
 
 
-def _term_param(t: Var | Const, idx: ParamIndex) -> str:
-    if isinstance(t, Const):
-        return idx.y_of[t.name]
-    return idx.z_of[t.name]
-
-
-def realize(f: Formula, r: Realization, idx: ParamIndex | None = None, sig: Signature | None = None) -> ArithFormula:
+def realize(f: Formula, r: Realization, sig: Signature) -> ArithFormula:
     """Structural translation: T to Tau; atoms to template-or-Tau; conjunction
     to disjunction of translations; diamond to Tau-or-consistency-code;
     universal object quantifiers to existential z quantifiers."""
-    if idx is None:
-        idx = param_index([f], sig)
-    return _realize(f, r, idx)
+    return _realize(f, r, param_index([f], sig))
 
 
 def _realize(f: Formula, r: Realization, idx: ParamIndex) -> ArithFormula:
@@ -316,7 +271,8 @@ def _realize(f: Formula, r: Realization, idx: ParamIndex) -> ArithFormula:
             return Tau()
         case Pred(name, args):
             params, body = r.template_for(name, len(args))
-            env = {p: _term_param(t, idx) for p, t in zip(params, args)}
+            env = {p: idx.y_of[t.name] if isinstance(t, Const) else idx.z_of[t.name]
+                   for p, t in zip(params, args)}
             return OrA(_subst(body, env), Tau())
         case And(l, rr):
             return OrA(_realize(l, r, idx), _realize(rr, r, idx))
@@ -327,7 +283,7 @@ def _realize(f: Formula, r: Realization, idx: ParamIndex) -> ArithFormula:
     raise RealizationError(f"cannot translate {f!r}")
 
 
-def arith_sequent(s: Sequent, r: Realization, sig: Signature | None = None) -> ArithFormula:
+def arith_sequent(s: Sequent, r: Realization, sig: Signature) -> ArithFormula:
     """The provability statement for a sequent: for every sentence and every
     choice of parameters, provability from the right translation's axiom set
     implies provability from the left's."""
@@ -335,7 +291,7 @@ def arith_sequent(s: Sequent, r: Realization, sig: Signature | None = None) -> A
     lhs_t = _realize(s.lhs, r, idx)
     rhs_t = _realize(s.rhs, r, idx)
     body: ArithFormula = Implies(BoxOf(rhs_t, TheoremVar()), BoxOf(lhs_t, TheoremVar()))
-    for p in reversed(idx.ordered_params()):
+    for p in reversed([*idx.y_of.values(), *idx.z_of.values()]):
         body = ForallA(p, body)
     return ForallA("θ", body)
 
@@ -363,6 +319,15 @@ def render_term(t: ATerm) -> str:
     raise RealizationError(f"bad term {t!r}")
 
 
+_ATOMIC = (Tau, Cmp, TemplateAtom, TheoremVar)
+_CLOSED = _ATOMIC + (Quote, ConOf, BoxOf)  # each printed inside its own brackets
+
+
+def _operand(f: ArithFormula, bare: tuple[type, ...]) -> str:
+    """f as an operand: in parentheses unless it is an instance of bare."""
+    return render(f) if isinstance(f, bare) else f"({render(f)})"
+
+
 def render(f: ArithFormula) -> str:
     match f:
         case Tau():
@@ -383,78 +348,51 @@ def render(f: ArithFormula) -> str:
         case BoxOf(a, target):
             return f"□_{{{render(a)}}}{render(target)}"
         case OrA(l, r):
-            return f"{_paren_or(l)} ∨ {_paren_or(r)}"
+            return f"{_operand(l, _CLOSED + (OrA,))} ∨ {_operand(r, _CLOSED + (OrA,))}"
         case AndA(l, r):
-            return f"{_paren_and(l)} ∧ {_paren_and(r)}"
+            return f"{_operand(l, _CLOSED + (AndA,))} ∧ {_operand(r, _CLOSED + (AndA,))}"
         case Implies(l, r):
             return f"{render(l)} → {render(r)}"
         case Exists(v, b):
-            return f"∃{v} {_paren_q(b)}"
+            return f"∃{v} {_operand(b, _ATOMIC)}"
         case BoundedForall(v, bound, b):
-            return f"∀{v} ≤ {render_term(bound)} {_paren_q(b)}"
+            return f"∀{v} ≤ {render_term(bound)} {_operand(b, _ATOMIC)}"
         case ForallA(v, b):
-            if isinstance(b, ForallA):
-                return f"∀{v} {render(b)}"
-            return f"∀{v} ({render(b)})"
+            return f"∀{v} {_operand(b, (ForallA,))}"
     raise RealizationError(f"cannot render {f!r}")
 
 
-def _paren_or(f: ArithFormula) -> str:
-    if isinstance(f, (AndA, Implies, Exists, BoundedForall, ForallA, EqQuote)):
-        return f"({render(f)})"
-    return render(f)
-
-
-def _paren_and(f: ArithFormula) -> str:
-    if isinstance(f, (OrA, Implies, Exists, BoundedForall, ForallA, EqQuote)):
-        return f"({render(f)})"
-    return render(f)
-
-
-def _paren_q(f: ArithFormula) -> str:
-    if isinstance(f, (Tau, Cmp, TemplateAtom, TheoremVar)):
-        return render(f)
-    return f"({render(f)})"
+_NODE_NAMES = {
+    Tau: "tau", TheoremVar: "theorem-var", Cmp: "cmp", TemplateAtom: "template-atom",
+    Quote: "quote", ConOf: "con", EqQuote: "eq-quote", BoxOf: "box", OrA: "or", AndA: "and",
+    Implies: "implies", Exists: "exists", BoundedForall: "bounded-forall", ForallA: "forall",
+}
 
 
 def arith_to_dict(f: ArithFormula) -> dict:
-    match f:
-        case Tau():
-            return {"node": "tau"}
-        case TheoremVar():
-            return {"node": "theorem-var"}
-        case Cmp(op, l, r):
-            return {"node": "cmp", "op": op, "left": render_term(l), "right": render_term(r)}
-        case TemplateAtom(name, args):
-            return {"node": "template-atom", "name": name, "args": list(args)}
-        case Quote(b):
-            return {"node": "quote", "body": arith_to_dict(b)}
-        case ConOf(a):
-            return {"node": "con", "axioms": arith_to_dict(a)}
-        case EqQuote(q):
-            return {"node": "eq-quote", "quote": arith_to_dict(q)}
-        case BoxOf(a, t):
-            return {"node": "box", "axioms": arith_to_dict(a), "target": arith_to_dict(t)}
-        case OrA(l, r):
-            return {"node": "or", "left": arith_to_dict(l), "right": arith_to_dict(r)}
-        case AndA(l, r):
-            return {"node": "and", "left": arith_to_dict(l), "right": arith_to_dict(r)}
-        case Implies(l, r):
-            return {"node": "implies", "left": arith_to_dict(l), "right": arith_to_dict(r)}
-        case Exists(v, b):
-            return {"node": "exists", "var": v, "body": arith_to_dict(b)}
-        case BoundedForall(v, bound, b):
-            return {"node": "bounded-forall", "var": v, "bound": render_term(bound), "body": arith_to_dict(b)}
-        case ForallA(v, b):
-            return {"node": "forall", "var": v, "body": arith_to_dict(b)}
-    raise RealizationError(f"cannot serialize {f!r}")
+    """The node name, then each field: a term as its rendering, a tuple as a
+    list, a name as itself and a subformula as its dict."""
+    if type(f) not in _NODE_NAMES:
+        raise RealizationError(f"cannot serialize {f!r}")
+    out: dict = {"node": _NODE_NAMES[type(f)]}
+    for field in fields(f):
+        value = getattr(f, field.name)
+        if isinstance(value, ATerm):
+            out[field.name] = render_term(value)
+        elif isinstance(value, tuple):
+            out[field.name] = list(value)
+        elif isinstance(value, str):
+            out[field.name] = value
+        else:
+            out[field.name] = arith_to_dict(value)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # sigma-1 shape lint (warnings, never errors)
 
 
-def sigma1_warnings(f: ArithFormula, prefix_ok: bool = True) -> list[str]:
+def sigma1_warnings(f: ArithFormula) -> list[str]:
     """Warn when a template strays from the shape `existential block over a
     matrix with only bounded quantifiers`."""
     out: list[str] = []
@@ -476,7 +414,7 @@ def sigma1_warnings(f: ArithFormula, prefix_ok: bool = True) -> list[str]:
             case _:
                 pass
 
-    walk(f, prefix_ok)
+    walk(f, True)
     return out
 
 
@@ -550,13 +488,13 @@ class _ArithParser:
         tok = self.peek()
         if tok == "E":
             self.take()
-            v = self.take()
+            v = self.binder()
             self.take(".")
             body, height = self.unit(self.enter(depth))
             return Exists(v, body), height + 1
         if tok == "A":
             self.take()
-            v = self.take()
+            v = self.binder()
             self.take("<=")
             bound, bound_height = self.term(depth)
             self.take(".")
@@ -572,6 +510,16 @@ class _ArithParser:
             except ParseError:
                 self.i = save  # parenthesized term inside a comparison
         return self.comparison(depth)
+
+    def binder(self) -> str:
+        """The name an E or A binds. The statement's u and its parameters y0,
+        z0, y1, ..., which the translation substitutes in, are never bound."""
+        v = self.take()
+        if not _is_name(v):
+            raise ParseError(f"line {self.line}: bad binder {v!r}")
+        if v == "u" or re.fullmatch(r"[yz][0-9]+", v):
+            raise ParseError(f"line {self.line}: {v} is reserved for the statement and cannot be bound")
+        return v
 
     def comparison(self, depth: int) -> tuple[ArithFormula, int]:
         left, left_height = self.term(depth)

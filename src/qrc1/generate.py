@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .semantics import Model, ModelError, World, check_adequate, transitive_closure
+from .semantics import Model, ModelError, World, transitive_closure
 from .syntax import (
     And,
     Const,
@@ -96,42 +96,14 @@ def random_adequate_model(
     max_worlds: int = 3,
     max_domain: int = 3,
 ) -> Model:
-    """A random model that satisfies transitivity, domain inclusion along the
-    relation, and concordant constant interpretations."""
-    n = rng.randint(1, max_worlds)
-    worlds = tuple(range(n))
-    edges = transitive_closure((a, b) for a in worlds for b in worlds if a != b and rng.random() < 0.4)
-
-    base = {w: {f"d{w}_{i}" for i in range(rng.randint(1, max_domain))} for w in worlds}
-    # each world holds its own elements and those of every world that sees
-    # it; edges are transitive, so the domains grow along them
-    domain: dict[int, frozenset[str]] = {}
-    for w in worlds:
-        dom = set(base[w])
-        for (a, b) in edges:
-            if b == w:
-                dom |= base[a]
-        domain[w] = frozenset(dom)
-
-    # a shared core element keeps constant interpretations concordant
-    core = "d_core"
-    domain = {w: d | {core} for w, d in domain.items()}
-    constI = {w: {c: core for c in sig.constants} for w in worlds}
-
-    relJ: dict[int, dict[str, frozenset[tuple[str, ...]]]] = {}
-    for w in worlds:
-        table: dict[str, frozenset[tuple[str, ...]]] = {}
-        dom = sorted(domain[w])
-        for name, arity in sig.relations:
-            tuples = set()
-            for _ in range(rng.randint(0, 1 + len(dom))):
-                tuples.add(tuple(rng.choice(dom) for _ in range(arity)))
-            table[name] = frozenset(tuples)
-        relJ[w] = table
-    m = Model(worlds=worlds, R=edges, domain=domain, constI=constI, relJ=relJ)
-    report = check_adequate(m)
-    assert report.adequate, report
-    return m
+    """A random model of the enumeration within the bounds, up to renaming of
+    the root's elements: one of its rooted frames, the constants on random
+    root elements, and each possible relation atom kept with probability 1/2."""
+    frame = rng.choice(_frame_list(max_worlds, max_domain))
+    root_domain = sorted(frame.domains[0])
+    cmap = {c: rng.choice(root_domain) for c in sig.constants}
+    atoms = frozenset(a for a in _atoms(frame, sig) if rng.random() < 0.5)
+    return _model_from_atoms(frame, cmap, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +160,7 @@ def enumerate_models(
         raise ModelError("bounds must be at least 1")
     for frame in _rooted_frames(max_worlds, max_domain):
         root_domain = sorted(frame.domains[0])
-        atoms = [(w, name, tup) for w in range(frame.n) for name, arity in sig.relations
-                 for tup in itertools.product(sorted(frame.domains[w]), repeat=arity)]
+        atoms = _atoms(frame, sig)
         for picks in _root_choices(len(root_domain), len(sig.constants)):
             cmap = {c: root_domain[i] for c, i in zip(sig.constants, picks)}
             for k in range(len(atoms) + 1):
@@ -268,6 +239,17 @@ def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
                         domains = tuple(frozenset(i for i, m in enumerate(profiles) if m >> w & 1)
                                         for w in range(n))
                         yield _Frame(n, r.rel, domains, r.successors)
+
+
+@functools.cache
+def _frame_list(max_worlds: int, max_domain: int) -> tuple[_Frame, ...]:
+    return tuple(_rooted_frames(max_worlds, max_domain))
+
+
+def _atoms(frame: _Frame, sig: Signature) -> list[tuple]:
+    """Every relation atom (world, relation, tuple) that the frame's domains allow."""
+    return [(w, name, tup) for w in range(frame.n) for name, arity in sig.relations
+            for tup in itertools.product(sorted(frame.domains[w]), repeat=arity)]
 
 
 def _root_choices(m: int, length: int, prefix: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:

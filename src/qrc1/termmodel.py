@@ -196,15 +196,6 @@ def lindenbaum(
     return PairPM(frozenset(pos), frozenset(neg), d_constants)
 
 
-def hatR(p: PairPM, q: PairPM) -> bool:
-    """Syntactic accessibility between pairs."""
-    for f in p.neg:
-        if isinstance(f, Diamond):
-            if f.body not in q.neg or f not in q.neg:
-                return False
-    return any(isinstance(f, Diamond) and f in q.neg for f in p.pos)
-
-
 def pair_existence(
     p: PairPM,
     dphi: Formula,
@@ -216,8 +207,10 @@ def pair_existence(
     pair p.
 
     Seeds <{phi}, {delta, <>delta | <>delta in p-} + {<>phi}> over p's
-    constants and saturates; the result q satisfies hatR(p, q), has phi
-    positive, and strictly smaller modal depth on the positive side.
+    constants and saturates. The result q is accessible from p: q has every
+    <>delta of p's negative side and its delta on its own negative side, and
+    some <>psi of p's positive side (here <>phi) on its negative side. It has
+    phi positive, and strictly smaller modal depth on the positive side.
     """
     if not isinstance(dphi, Diamond) or dphi not in p.pos:
         raise PairError(f"{pretty(dphi)} is not a positive diamond formula of the pair")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 import re
 
 import pytest
@@ -26,6 +29,7 @@ from qrc1.arith import (
     render,
     sigma1_warnings,
 )
+from qrc1.generate import DEFAULT_SIG, random_sequent
 from qrc1.syntax import ParseError, Signature, parse_formula, parse_sequent
 
 SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
@@ -194,6 +198,20 @@ def test_parse_realization_rejects_free_names(template, name):
         parse_realization(f"S(a) := {template}")
 
 
+@pytest.mark.parametrize("template, message", [
+    ("E y0 . a + y0 = u", "y0 is reserved for the statement and cannot be bound"),
+    ("A z3 <= a . z3 + a <= u", "z3 is reserved for the statement and cannot be bound"),
+    ("E u . a = u", "u is reserved for the statement and cannot be bound"),
+    ("E 3 . a = u", "bad binder '3'"),
+    ("A + <= 2 . a = u", "bad binder '\\+'"),
+], ids=["y0", "z3", "u", "numeral", "operator"])
+def test_parse_realization_refuses_binders_that_are_not_free_names(template, message):
+    # the translation puts y0, z0, ... for the parameters, so such a binder
+    # would capture them; a bound u would leave the template no axiom code
+    with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+        parse_realization(f"R(a, b) := a = b\nS(a) := {template}")
+
+
 def test_sigma1_lint_flags_unbounded_universals():
     r, warnings = parse_realization("S(a) := E v . a = v")
     assert warnings == []
@@ -207,3 +225,28 @@ def test_bounded_universal_is_sigma1_clean():
     assert warnings == []
     out = realize(f("S(c0)"), r, sig=SIG)
     assert "∀w ≤ v" in render(out)
+
+
+# ---------------------------------------------------------------------------
+# the printed bytes, pinned
+
+SAMPLE_REALIZATION = """
+S(a) := E v . (a + v = u | A w <= v * 2 . w + a <= u) & (E q . a * (q + 1) = u)
+R(a, b) := (a + b) * 3 <= u & E v . A w <= (a + v) . w = b | u = 0
+"""
+
+
+@pytest.mark.parametrize("realization, digest", [
+    (default_realization(DEFAULT_SIG), "cb093851dec9fe590ec3f121dfe170de611c4266fd6fcb46ce798e526580fdc0"),
+    (parse_realization(SAMPLE_REALIZATION)[0], "36c575c01c714bc9a4edbbedd92b7a055c804cf72152546be52e75217e268493"),
+], ids=["default", "sample-file"])
+def test_translation_bytes_are_pinned(realization, digest):
+    """Both printed forms of 300 seeded statements, hashed: a refactor of the
+    translation or the printers must leave every byte as it is."""
+    rng = random.Random(7)
+    h = hashlib.sha256()
+    for _ in range(300):
+        statement = arith_sequent(random_sequent(rng, DEFAULT_SIG), realization, DEFAULT_SIG)
+        h.update(render(statement).encode() + b"\n")
+        h.update(json.dumps(arith_to_dict(statement), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == digest

@@ -640,6 +640,16 @@ def test_rooted_frames_are_adequate_and_worlds_ascend():
         assert f.successors == tuple(tuple(u for u in worlds if (w, u) in f.rel) for w in worlds)
 
 
+def test_random_models_are_drawn_from_the_enumerated_frames():
+    rng = random.Random(3)
+    frames = {(f.n, f.rel, f.domains) for f in _frames(3, 3)}
+    for _ in range(200):
+        m = random_adequate_model(rng, DEFAULT_SIG, max_worlds=3, max_domain=3)
+        assert (len(m.worlds), m.R, tuple(m.domain[w] for w in m.worlds)) in frames
+        assert all(c in m.domain[0] for c in m.constI[0].values())
+        assert check_adequate(m).adequate
+
+
 def _labeled_rooted_models(bound_pairs):
     """Brute force: each labeled adequate model within some of the bounds,
     restricted to the worlds each of its worlds sees, with its root and its

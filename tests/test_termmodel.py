@@ -36,7 +36,6 @@ from qrc1.termmodel import (
     PairError,
     build_term_model,
     conjunction,
-    hatR,
     is_consistent,
     lindenbaum,
     oracle,
@@ -129,6 +128,15 @@ def test_lindenbaum_rejects_inconsistent_pairs(pos, neg):
 
 # ---------------------------------------------------------------------------
 # successor pairs
+
+
+def hatR(p: PairPM, q: PairPM) -> bool:
+    """Syntactic accessibility between pairs."""
+    for f in p.neg:
+        if isinstance(f, Diamond):
+            if f.body not in q.neg or f not in q.neg:
+                return False
+    return any(isinstance(f, Diamond) and f in q.neg for f in p.pos)
 
 
 def test_pair_existence_properties():

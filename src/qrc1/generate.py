@@ -156,8 +156,6 @@ def enumerate_models(
     only the worlds it sees, so checking each model of the stream at its root
     covers every world of every adequate model within the bounds.
     """
-    if max_worlds < 1 or max_domain < 1:
-        raise ModelError("bounds must be at least 1")
     for frame in _rooted_frames(max_worlds, max_domain):
         root_domain = sorted(frame.domains[0])
         atoms = _atoms(frame, sig)
@@ -224,8 +222,11 @@ def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
     root's elements have every world as profile. So a frame is a relation and
     a multiset of up-closed profiles, at least one of them full; elements are
     labeled 0..k-1 in descending profile order, and only the multiset that is
-    least under the relation's automorphisms is kept.
+    least under the relation's automorphisms is kept. Bounds below 1 raise
+    ModelError, since a frame has a world and a world an element.
     """
+    if max_worlds < 1 or max_domain < 1:
+        raise ModelError("bounds must be at least 1")
     for n in range(1, max_worlds + 1):
         full = (1 << n) - 1
         for k in range(1, max_domain + 1):

@@ -392,35 +392,43 @@ def substitute_sequent(s: Sequent, x: str, t: Term) -> Sequent:
 
 def closure(gamma: Iterable[Formula], constants: Iterable[str]) -> frozenset[Formula]:
     """Least set containing gamma, closed under subformulas with universals
-    unfolded by every constant in `constants`."""
+    unfolded by every constant in `constants`.
+
+    It is the union of the closures of gamma's members. Each formula's
+    closure is kept for the life of the process, as a tuple (a fifth of the
+    memory of a frozenset), by node and constants (in order, duplicates
+    dropped), as free_vars and constants_of are kept: nodes are hash-consed,
+    so a node is its own key. A member already in the union adds nothing,
+    since the union of closed sets is closed."""
     cs = tuple(dict.fromkeys(constants))
     out: set[Formula] = set()
-
-    def close(f: Formula) -> None:
-        if f in out:
-            return
-        out.add(f)
-        match f:
-            case Top():
-                pass
-            case Pred():
-                out.add(TOP)
-            case And(l, r):
-                close(l)
-                close(r)
-            case Diamond(b):
-                close(b)
-            case Forall(x, b):
-                if not cs:
-                    raise ClosureError(
-                        "closure of a universally quantified formula needs at "
-                        "least one constant"
-                    )
-                for c in cs:
-                    close(substitute(b, x, Const(c)))
     for f in gamma:
-        close(f)
+        if f not in out:
+            out.update(_closure(f, cs))
     return frozenset(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _closure(f: Formula, cs: tuple[str, ...]) -> tuple[Formula, ...]:
+    match f:
+        case Top():
+            return (f,)
+        case Pred():
+            return (f, TOP)
+        case And(l, r):
+            parts = (_closure(l, cs), _closure(r, cs))
+        case Diamond(b):
+            return (f, *_closure(b, cs))
+        case Forall(x, b):
+            if not cs:
+                raise ClosureError(
+                    "closure of a universally quantified formula needs at "
+                    "least one constant"
+                )
+            parts = tuple(_closure(substitute(b, x, Const(c)), cs) for c in cs)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    return (f, *dict.fromkeys(itertools.chain.from_iterable(parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -271,10 +271,9 @@ def build_term_model(p: PairPM, sig: Signature, config=None) -> TermModelResult:
     worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, "w0_c", tally)]
     edges: list[tuple[int, int]] = []
     for wi, world in enumerate(worlds):  # worlds grows as the loop runs
-        for dphi in sorted_formulas(world.pos):
-            if isinstance(dphi, Diamond):
-                edges.append((wi, len(worlds)))
-                worlds.append(pair_existence(world, dphi, sig, f"w{len(worlds)}_c", tally))
+        for dphi in sorted_formulas([f for f in world.pos if type(f) is Diamond]):
+            edges.append((wi, len(worlds)))
+            worlds.append(pair_existence(world, dphi, sig, f"w{len(worlds)}_c", tally))
 
     model = Model(
         worlds=tuple(range(len(worlds))),
@@ -310,8 +309,11 @@ class TruthLemmaReport:
 
 def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> TruthLemmaReport:
     """Forcing at each world must coincide with positive membership for every
-    formula in that world's closure."""
-    phi_set = sorted_formulas(_ground_pair(p, sig).formulas())
+    formula in that world's closure: the closure of the grounded input pair
+    under the world's constants. Forcing reads only result.model, never the
+    pairs, which give membership alone. The closures come from
+    syntax.closure, whose memo is kept for the life of the process."""
+    phi_set = _ground_pair(p, sig).formulas()
     checked = 0
     violations: list[tuple[int, str, str]] = []
     m = result.model

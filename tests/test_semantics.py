@@ -90,6 +90,14 @@ def test_validate_rejects_escaping_tuples():
         validate_model(m)
 
 
+@pytest.mark.parametrize("max_worlds,max_domain", [(0, 1), (1, 0)])
+def test_model_sources_refuse_bounds_below_one(max_worlds, max_domain):
+    with pytest.raises(ModelError, match="^bounds must be at least 1$"):
+        next(enumerate_models(DEFAULT_SIG, max_worlds, max_domain))
+    with pytest.raises(ModelError, match="^bounds must be at least 1$"):
+        random_adequate_model(random.Random(0), DEFAULT_SIG, max_worlds, max_domain)
+
+
 def test_adequacy_of_growing_model():
     assert check_adequate(growing_model()).adequate
 

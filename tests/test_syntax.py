@@ -245,6 +245,47 @@ def test_closure_contains_top_and_subformulas():
     assert {"T", "S(c0)", "<>S(c1)", "S(c1)", "S(c0) & <>S(c1)"} <= cl
 
 
+def reference_closure(gamma, constants) -> frozenset:
+    """The least fixpoint of one step of the closure rules, from gamma."""
+    out = set(gamma)
+    while True:
+        step = set()
+        for f in out:
+            match f:
+                case Pred():
+                    step.add(TOP)
+                case And(l, r):
+                    step |= {l, r}
+                case Diamond(b):
+                    step.add(b)
+                case Forall(x, b):
+                    if not constants:
+                        raise ClosureError("no constants")
+                    step |= {substitute(b, x, Const(c)) for c in constants}
+        if step <= out:
+            return frozenset(out)
+        out |= step
+
+
+def test_closure_agrees_with_the_least_fixpoint():
+    rng = random.Random(26)
+    tuples = [("c0",), ("c0", "c1"), ("c1", "c0"), ("c1", "c0", "c1", "c1"), ("c0", "d", "c0")]
+    for _ in range(300):
+        gamma = [random_formula(rng, SIG, 2, 2, rng.choice([3, 6, 10])) for _ in range(rng.randint(1, 3))]
+        for cs in tuples:
+            assert closure(gamma, cs) == reference_closure(gamma, cs)
+            assert closure(iter(gamma), iter(cs)) == closure(reversed(gamma), reversed(cs))
+
+
+def test_closure_without_constants_still_refuses_a_universal():
+    f = parse_formula("A x . <>(S(x) & A y . R(x, y))", SIG)
+    assert closure([f], ["c0"]) == reference_closure([f], ["c0"])
+    with pytest.raises(ClosureError):
+        closure([f], [])
+    with pytest.raises(ClosureError):
+        closure([parse_formula("<>S(c0)", SIG), f], ())
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 

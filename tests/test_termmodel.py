@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -189,6 +190,32 @@ def test_term_model_truth_lemma(pos, neg):
     assert p.neg <= root.neg
 
 
+def _corrupted(result, R=None, relJ=None):
+    m = result.model
+    m = dataclasses.replace(m, R=m.R if R is None else R, relJ=m.relJ if relJ is None else relJ)
+    return dataclasses.replace(result, model=m)
+
+
+def test_truth_lemma_check_reports_a_corrupted_model():
+    p = pair({"S(c)", "<>(A x . S(x))"}, {"<><>T"})
+    result = build_term_model(p, SIG)
+    assert result.model.R == {(0, 1), (0, 2)}
+    assert result.model.relJ[2] == {"S": {("c",), ("w0_c0",), ("w2_c0",)}}
+    assert truth_lemma_check(result, p, SIG) == termmodel.TruthLemmaReport(23, ())
+
+    relJ = {**result.model.relJ, 2: {"S": frozenset({("c",), ("w0_c0",)})}}
+    report = truth_lemma_check(_corrupted(result, relJ=relJ), p, SIG)
+    assert report.checked == 23
+    assert report.violations == (
+        (0, "<>(A x . S(x))", "positive-but-unforced"),
+        (2, "S(w2_c0)", "positive-but-unforced"),
+        (2, "A x . S(x)", "positive-but-unforced"),
+    )
+
+    report = truth_lemma_check(_corrupted(result, R=frozenset({(0, 1)})), p, SIG)
+    assert report == termmodel.TruthLemmaReport(23, ((0, "<>(A x . S(x))", "positive-but-unforced"),))
+
+
 def test_term_model_grounds_a_free_variable_past_the_signatures_constants():
     # x is grounded by @x0, since @x is declared: S(@x) and S(x) stay apart
     sig = Signature(constants=("@x",), relations=(("S", 1),))
@@ -267,7 +294,9 @@ def test_oracle_queries_are_pinned(monkeypatch):
     memo, with the same answers. The digest pins each query (sequent,
     signature as decide extends it by the sequent's constants, status) in
     first-seen order, which saturates each root once. A query is recorded
-    where the oracle asks entails, which gives decide's status."""
+    where the oracle asks entails, which gives decide's status. The model
+    digest also pins each truth-lemma report and the oracle's answers by
+    source."""
     sig, pairs = _demo_pairs(150)
     monkeypatch.setattr(termmodel, "_MEMO", {})
     queries = hashlib.sha256()
@@ -286,9 +315,10 @@ def test_oracle_queries_are_pinned(monkeypatch):
     monkeypatch.setattr(termmodel, "entails", recording_entails)
     for p in pairs:
         result = build_term_model(p, sig)
-        truth_lemma_check(result, p, sig)
-        models.update(json.dumps([result.annotations(), sorted(result.model.R)]).encode())
-    assert models.hexdigest() == "fd0d054472a84dd477210ae2bdd3afa229b758aefa0f13a22881ae024bc02de2"
+        report = truth_lemma_check(result, p, sig)
+        models.update(json.dumps([result.annotations(), sorted(result.model.R), report.checked,
+                                  report.violations, result.oracle_answers]).encode())
+    assert models.hexdigest() == "70b9c35a85dc7e9a933681b2c7be77f659ed14550fe3626377f21ab5cc4831eb"
     assert calls == 393
     assert queries.hexdigest() == "ce3d415857554fc71334409e339eb1740de6e0dc18eb9f79754639eec688660b"
 

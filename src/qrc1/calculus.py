@@ -1,5 +1,7 @@
-"""Derivations for the sequent calculus, a checker, derived rules, and their
-JSON form; `prove` returns the derivation `decide` reads off the canonical model."""
+"""Derivations for the sequent calculus, their checker and their JSON form:
+the derivation checker of the trusted base. The derived rules, elaborated
+into primitive ones, live in qrc1.derived; `prove` returns the derivation
+`decide` reads off the canonical model."""
 
 from __future__ import annotations
 
@@ -19,11 +21,11 @@ from .syntax import (
     Sequent,
     Signature,
     SignatureError,
+    SubstitutionError,
     Term,
     TOP,
     Top,
     Var,
-    free_for,
     free_vars,
     constants_of,
     pretty,
@@ -188,18 +190,21 @@ def check_derivation(d: Derivation, sig: Signature) -> Sequent:
                 _fail(d, "missing instantiation")
             if not isinstance(phi, Forall) or phi.var != inst.var:
                 _fail(d, "left-hand side must quantify the instantiation variable")
-            if not free_for(inst.term, inst.var, phi.body):
+            try:
+                body = substitute(phi.body, inst.var, inst.term)
+            except SubstitutionError:
                 _fail(d, "side condition violated: term not free for the variable")
-            if p1.conclusion != Sequent(substitute(phi.body, inst.var, inst.term), psi):
+            if p1.conclusion != Sequent(body, psi):
                 _fail(d, "premise must conclude the instantiated body |- rhs")
         case "TermInst":
             (p1,) = d.premises
             if inst is None:
                 _fail(d, "missing instantiation")
-            pphi, ppsi = p1.conclusion.lhs, p1.conclusion.rhs
-            if not (free_for(inst.term, inst.var, pphi) and free_for(inst.term, inst.var, ppsi)):
+            try:
+                substituted = substitute_sequent(p1.conclusion, inst.var, inst.term)
+            except SubstitutionError:
                 _fail(d, "side condition violated: term not free for the variable")
-            if d.conclusion != substitute_sequent(p1.conclusion, inst.var, inst.term):
+            if d.conclusion != substituted:
                 _fail(d, "conclusion must be the substituted premise")
         case "ConstGen":
             (p1,) = d.premises
@@ -211,98 +216,6 @@ def check_derivation(d: Derivation, sig: Signature) -> Sequent:
             if p1.conclusion != substitute_sequent(d.conclusion, inst.var, inst.term):
                 _fail(d, "premise must be the conclusion with the constant substituted")
     return d.conclusion
-
-
-# ---------------------------------------------------------------------------
-# derived rules (Lemma-style elaborations into primitive rules)
-
-
-def _id(f: Formula) -> Derivation:
-    return Derivation(ID, Sequent(f, f))
-
-
-def _forall_l(d: Derivation, x: str, t: Term, quantified: Formula) -> Derivation:
-    return Derivation(
-        FORALL_L,
-        Sequent(Forall(x, quantified), d.conclusion.rhs),
-        (d,),
-        Instantiation(x, t),
-    )
-
-
-def _forall_r(d: Derivation, x: str) -> Derivation:
-    return Derivation(FORALL_R, Sequent(d.conclusion.lhs, Forall(x, d.conclusion.rhs)), (d,))
-
-
-def _cut(d1: Derivation, d2: Derivation) -> Derivation:
-    return Derivation(CUT, Sequent(d1.conclusion.lhs, d2.conclusion.rhs), (d1, d2))
-
-
-def derived_swap_foralls(f: Formula, x: str, y: str) -> Derivation:
-    """A x . A y . f |- A y . A x . f"""
-    if x == y:
-        return _id(Forall(x, Forall(y, f)))
-    d = _forall_l(_id(f), y, Var(y), f)  # A y . f |- f
-    d = _forall_l(d, x, Var(x), Forall(y, f))  # A x . A y . f |- f
-    d = _forall_r(d, x)  # A x . A y . f |- A x . f
-    d = _forall_r(d, y)  # A x . A y . f |- A y . A x . f
-    return d
-
-
-def derived_inst(f: Formula, x: str, t: Term) -> Derivation:
-    """A x . f |- f[x/t]  (t free for x in f)"""
-    body = substitute(f, x, t)
-    return _forall_l(_id(body), x, t, f)
-
-
-def derived_rename(f: Formula, x: str, y: str) -> Derivation:
-    """A x . f |- A y . f[x/y]  (y free for x in f, y not free in f)"""
-    if y != x and y in free_vars(f):
-        raise DerivationError(f"{y} is free in {pretty(f)}")
-    return _forall_r(derived_inst(f, x, Var(y)), y)
-
-
-def derived_inst_rhs(premise: Derivation, x: str, t: Term) -> Derivation:
-    """From phi |- psi conclude phi |- psi[x/t]  (x not free in phi, t free for x in psi)"""
-    phi, psi = premise.conclusion.lhs, premise.conclusion.rhs
-    if x in free_vars(phi):
-        raise DerivationError(f"{x} is free in the left-hand side")
-    d1 = _forall_r(premise, x)  # phi |- A x . psi
-    d2 = derived_inst(psi, x, t)  # A x . psi |- psi[x/t]
-    return _cut(d1, d2)
-
-
-def derived_gen_rhs(premise: Derivation, x: str, c: str) -> Derivation:
-    """From phi |- psi[x/c] conclude phi |- A x . psi  (x not free in phi, c fresh)"""
-    phi = premise.conclusion.lhs
-    if x in free_vars(phi):
-        raise DerivationError(f"{x} is free in the left-hand side")
-    # phi[x/c] = phi, so ConstGen turns phi |- psi[x/c] into phi |- psi
-    d = Derivation(
-        CONST_GEN,
-        # recover psi from psi[x/c] by replacing every occurrence of c by x
-        Sequent(phi, _term_to_var(premise.conclusion.rhs, Const(c), x)),
-        (premise,),
-        Instantiation(x, Const(c)),
-    )
-    return _forall_r(d, x)
-
-
-def _term_to_var(f: Formula, t: Term, x: str) -> Formula:
-    match f:
-        case Top():
-            return f
-        case Pred(name, args):
-            return Pred(name, tuple(Var(x) if a == t else a for a in args))
-        case And(l, r):
-            return And(_term_to_var(l, t, x), _term_to_var(r, t, x))
-        case Diamond(b):
-            return Diamond(_term_to_var(b, t, x))
-        case Forall(z, b):
-            if isinstance(t, Var) and t.name == z:
-                return f
-            return Forall(z, _term_to_var(b, t, x))
-    raise TypeError(f"not a formula: {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -344,39 +257,38 @@ def prove(s: Sequent, sig: Signature, budget: int = 12) -> Optional[Derivation]:
 # certificate serialization
 
 
-def derivation_constants(d: Derivation) -> frozenset[str]:
-    out: set[str] = set()
-
-    def walk(node: Derivation) -> None:
-        out.update(constants_of(node.conclusion.lhs))
-        out.update(constants_of(node.conclusion.rhs))
-        if node.instantiation and isinstance(node.instantiation.term, Const):
-            out.add(node.instantiation.term.name)
-        for p in node.premises:
-            walk(p)
-
-    walk(d)
-    return frozenset(out)
-
-
-def _node_to_dict(d: Derivation, text: Callable[[Formula], str]) -> dict:
+def _node_to_dict(d: Derivation, text: Callable[[Formula], str], constants: set[str]) -> dict:
     doc: dict = {"rule": d.rule, "conclusion": f"{text(d.conclusion.lhs)} |- {text(d.conclusion.rhs)}"}
     if d.instantiation is not None:
         t = d.instantiation.term
+        if isinstance(t, Const):
+            constants.add(t.name)
         doc["instantiation"] = {
             "var": d.instantiation.var,
             "term": t.name,
             "kind": "const" if isinstance(t, Const) else "var",
         }
     if d.premises:
-        doc["premises"] = [_node_to_dict(p, text) for p in d.premises]
+        doc["premises"] = [_node_to_dict(p, text, constants) for p in d.premises]
     return doc
 
 
 def derivation_to_dict(d: Derivation, sig: Signature) -> dict:
-    extra = sorted(derivation_constants(d) - set(sig.constants))
-    texts: dict[Formula, str] = {}  # each distinct formula is printed once
-    doc = _node_to_dict(d, lambda f: texts.get(f) or texts.setdefault(f, pretty(f)))
+    """d as a document, in one walk. Each distinct formula is printed once,
+    and its constants are collected then, with each constant instantiation's:
+    those sig lacks are listed as extra_constants."""
+    texts: dict[Formula, str] = {}
+    constants: set[str] = set()
+
+    def text(f: Formula) -> str:
+        printed = texts.get(f)
+        if printed is None:
+            printed = texts[f] = pretty(f)
+            constants.update(constants_of(f))
+        return printed
+
+    doc = _node_to_dict(d, text, constants)
+    extra = sorted(constants - set(sig.constants))
     if extra:
         doc["extra_constants"] = extra
     return doc

@@ -35,7 +35,8 @@ has a derivation read off it.
 from __future__ import annotations
 
 import functools
-from typing import Container, Optional
+import itertools
+from typing import Container, Iterator, Optional
 
 from .calculus import (
     AND_E_L,
@@ -66,10 +67,9 @@ from .syntax import (
     TOP,
     Top,
     Var,
-    _subst,
     constants_of,
     free_vars,
-    fresh_names,
+    substitute,
 )
 
 # Past this many facts, summed over all worlds, the canonical model is not
@@ -83,6 +83,15 @@ CANONICAL_FACT_CAP = 10_000
 
 # the prefix of the names of M_phi's fresh elements
 FRESH_VAR_PREFIX = "v#"
+
+
+def fresh_names(prefix: str, used: Container[str]) -> Iterator[str]:
+    """prefix0, prefix1, ... in order, skipping the names in used. Every name
+    the decider and the term model invent comes from here."""
+    for k in itertools.count():
+        name = f"{prefix}{k}"
+        if name not in used:
+            yield name
 
 
 class _TooBig(Exception):
@@ -201,7 +210,7 @@ class CanonicalModel:
                         self._unfold(world, part, (f, rule, None))
             case Forall(x, b):
                 for t in world.domain:
-                    inst = _subst(b, x, t)  # t is a constant or a fresh variable, never captured
+                    inst = substitute(b, x, t)  # t is a constant or a fresh variable, never captured
                     if inst not in world.facts:
                         self._unfold(world, inst, (f, FORALL_L, Instantiation(x, t)))
 
@@ -249,7 +258,7 @@ class CanonicalModel:
             case Diamond(b):
                 result = any(self.forces(v, b) for v in self._below(w))
             case Forall(x, b):
-                result = self.forces(w, _subst(b, x, _generic(world, b)))
+                result = self.forces(w, substitute(b, x, _generic(world, b)))
         self._forced[key] = result
         return result
 
@@ -269,7 +278,7 @@ class CanonicalModel:
                 return self._reach(w, v, _nec(self.derive(v, b)))
             case Forall(x, b):
                 e = _generic(world, b)
-                inst = _subst(b, x, e)
+                inst = substitute(b, x, e)
                 d = self.derive(w, inst)
                 if inst != b:
                     d = Derivation(TERM_INST, Sequent(world.formula, b), (d,), Instantiation(e.name, Var(x)))

@@ -34,8 +34,6 @@ from .syntax import (
     QRCError,
     Sequent,
     Signature,
-    closure,
-    mdepth,
     parse_formula,
     parse_sequent,
     parse_sequent_file,
@@ -43,12 +41,9 @@ from .syntax import (
     pretty,
     pretty_sequent,
     read_signed_file,
-    set_mdepth,
-    set_udepth,
     sorted_formulas,
-    udepth,
 )
-from .termmodel import PairPM, build_term_model, truth_lemma_check
+from .termmodel import PairPM, build_term_model, closure, mdepth, set_mdepth, set_udepth, truth_lemma_check, udepth
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -10,6 +10,7 @@ undecided. `entails` gives decide's status with no certificate.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,7 +21,7 @@ from .calculus import (
     check_derivation,
     derivation_to_dict,
 )
-from .canonical import FRESH_VAR_PREFIX, CanonicalModel
+from .canonical import FRESH_VAR_PREFIX, CanonicalModel, fresh_names
 from .semantics import Countermodel, countermodel_to_dict
 from .syntax import (
     And,
@@ -31,11 +32,9 @@ from .syntax import (
     Pred,
     Sequent,
     Signature,
+    Top,
     Var,
-    constants_of,
     free_vars,
-    fresh_names,
-    names_of,
     substitute,
     substitute_sequent,
 )
@@ -73,6 +72,23 @@ def verdict_to_dict(v: Verdict, sig: Signature) -> dict:
 @dataclass(frozen=True)
 class DeciderConfig:
     pass
+
+
+@functools.lru_cache(maxsize=None)
+def names_of(f: Formula) -> frozenset[str]:
+    """Every constant and variable name of f, free or bound."""
+    match f:
+        case Top():
+            return frozenset()
+        case Pred(_, args):
+            return frozenset(t.name for t in args)
+        case And(l, r):
+            return names_of(l) | names_of(r)
+        case Diamond(b):
+            return names_of(b)
+        case Forall(x, b):
+            return names_of(b) | {x}
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def ground(formulas: Sequence[Formula], used: set[str]) -> tuple[list[Formula], list[tuple[str, str]]]:
@@ -126,7 +142,7 @@ def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
     # a derivation reads off whatever the part of M_phi built forces
     if canon.worlds and canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
-        check_derivation(d, sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs))))
+        check_derivation(d, sig)
         return _verdict(DERIVABLE, "canonical", canon, derivation=d)
     if canon.complete:
         return _verdict(UNDERIVABLE, "canonical", canon, countermodel=_countermodel(canon, s, sig, ground_pairs))

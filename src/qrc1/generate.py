@@ -12,9 +12,9 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .semantics import Model, ModelError, World, transitive_closure
+from .semantics import Model, ModelError, World
 from .syntax import (
     And,
     Const,
@@ -125,6 +125,16 @@ def restrict(m: Model, r: World) -> Model:
     )
 
 
+def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[World, World]]:
+    """The least transitive relation that contains edges."""
+    closed = set(edges)
+    while True:
+        new = {(w, v) for (w, u) in closed for (u2, v) in closed if u2 == u} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
+
+
 def _extensions(rel: frozenset[tuple[int, int]], n: int) -> Iterator[frozenset[tuple[int, int]]]:
     """Transitive relations on worlds 0..n in which the root 0 sees the new
     world n and whose restriction to 0..n-1 is the rooted transitive relation rel.
@@ -171,7 +181,6 @@ class _Frame:
     n: int
     rel: frozenset[tuple[int, int]]
     domains: tuple[frozenset[int], ...]
-    successors: tuple[tuple[int, ...], ...]
 
 
 def _relabel(rel: frozenset[tuple[int, int]], perm: Sequence[int]) -> frozenset[tuple[int, int]]:
@@ -181,7 +190,6 @@ def _relabel(rel: frozenset[tuple[int, int]], perm: Sequence[int]) -> frozenset[
 @dataclass(frozen=True)
 class _RootedRelation:
     rel: frozenset[tuple[int, int]]
-    successors: tuple[tuple[int, ...], ...]
     upsets: tuple[int, ...]  # sets of worlds closed upward along rel, without the root, as bit masks, descending
     automorphisms: tuple[tuple[int, ...], ...]  # all but the identity, each as its image of every bit mask
 
@@ -209,7 +217,7 @@ def _rooted_relations(n: int) -> tuple[_RootedRelation, ...]:
                        and all(mask >> u & 1 for w in range(n) if mask >> w & 1 for u in succ[w]))
         autos = tuple(tuple(sum(1 << p[w] for w in range(n) if mask >> w & 1) for mask in range(full + 1))
                       for p in perms[1:] if _relabel(rel, p) == rel)
-        out.append(_RootedRelation(rel, succ, upsets, autos))
+        out.append(_RootedRelation(rel, upsets, autos))
     return tuple(out)
 
 
@@ -239,7 +247,7 @@ def _rooted_frames(max_worlds: int, max_domain: int) -> Iterator[_Frame]:
                             continue
                         domains = tuple(frozenset(i for i, m in enumerate(profiles) if m >> w & 1)
                                         for w in range(n))
-                        yield _Frame(n, r.rel, domains, r.successors)
+                        yield _Frame(n, r.rel, domains)
 
 
 @functools.cache

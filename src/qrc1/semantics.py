@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from . import syntax
 from .syntax import (
@@ -124,16 +124,6 @@ def check_adequate(m: Model) -> AdequacyReport:
             if c not in iu or iu[c] != d:
                 return AdequacyReport(("concordant", w, u, c))
     return AdequacyReport()
-
-
-def transitive_closure(edges: Iterable[tuple[World, World]]) -> frozenset[tuple[World, World]]:
-    """The least transitive relation that contains edges."""
-    closed = set(edges)
-    while True:
-        new = {(w, v) for (w, u) in closed for (u2, v) in closed if u2 == u} - closed
-        if not new:
-            return frozenset(closed)
-        closed |= new
 
 
 # ---------------------------------------------------------------------------

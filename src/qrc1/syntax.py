@@ -1,4 +1,8 @@
-"""Formulas, terms, signatures and the syntactic operations shared by every module.
+"""Formulas, terms and signatures, and what the parsers, printers and
+certificate checkers do with them: free variables and constants, and
+substitution that refuses to capture. With calculus and semantics it is the
+trusted base, so it holds nothing else: closures and the depth measures live
+in termmodel, fresh names in canonical, and names_of in decider.
 
 The language is strictly positive: top, n-ary predicates over variables and
 constants, conjunction, diamond, and universal quantification. Nothing else.
@@ -14,7 +18,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar, Union
+from typing import Callable, Iterable, Mapping, TypeVar, Union
 
 
 class QRCError(Exception):
@@ -34,10 +38,6 @@ class SignatureError(QRCError):
 
 
 class SubstitutionError(QRCError):
-    pass
-
-
-class ClosureError(QRCError):
     pass
 
 
@@ -200,15 +200,6 @@ class Signature:
 # basic syntactic operations
 
 
-def fresh_names(prefix: str, used: Container[str]) -> Iterator[str]:
-    """prefix0, prefix1, ... in order, skipping the names in used. Every name
-    the decider and the term model invent comes from here."""
-    for k in itertools.count():
-        name = f"{prefix}{k}"
-        if name not in used:
-            yield name
-
-
 @functools.lru_cache(maxsize=None)
 def free_vars(f: Formula) -> frozenset[str]:
     match f:
@@ -240,23 +231,6 @@ def constants_of(f: Formula) -> frozenset[str]:
 
 
 @functools.lru_cache(maxsize=None)
-def names_of(f: Formula) -> frozenset[str]:
-    """Every constant and variable name of f, free or bound."""
-    match f:
-        case Top():
-            return frozenset()
-        case Pred(_, args):
-            return frozenset(t.name for t in args)
-        case And(l, r):
-            return names_of(l) | names_of(r)
-        case Diamond(b):
-            return names_of(b)
-        case Forall(x, b):
-            return names_of(b) | {x}
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@functools.lru_cache(maxsize=None)
 def formula_size(f: Formula) -> int:
     match f:
         case Top() | Pred():
@@ -284,151 +258,44 @@ def subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset(out)
 
 
-@functools.lru_cache(maxsize=None)
-def mdepth(f: Formula) -> int:
-    match f:
-        case Top() | Pred():
-            return 0
-        case And(l, r):
-            return max(mdepth(l), mdepth(r))
-        case Forall(_, b):
-            return mdepth(b)
-        case Diamond(b):
-            return mdepth(b) + 1
-    raise TypeError(f"not a formula: {f!r}")
-
-
-@functools.lru_cache(maxsize=None)
-def udepth(f: Formula) -> int:
-    match f:
-        case Top() | Pred():
-            return 0
-        case And(l, r):
-            return max(udepth(l), udepth(r))
-        case Forall(_, b):
-            return udepth(b) + 1
-        case Diamond(b):
-            return udepth(b)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def set_mdepth(gamma: Iterable[Formula]) -> int:
-    # max over the empty set is 0 by convention
-    return max((mdepth(f) for f in gamma), default=0)
-
-
-def set_udepth(gamma: Iterable[Formula]) -> int:
-    return max((udepth(f) for f in gamma), default=0)
-
-
-def free_for(t: Term, x: str, f: Formula) -> bool:
-    """True iff substituting t for free x in f captures no variable of t."""
-    if isinstance(t, Const):
-        return True
-    y = t.name
-    if y == x:
-        return True
-
-    def ok(g: Formula, bound: frozenset[str]) -> bool:
-        match g:
-            case Top():
-                return True
-            case Pred(_, args):
-                # a free occurrence of x here would put y under the binders
-                if any(isinstance(a, Var) and a.name == x for a in args):
-                    return y not in bound
-                return True
-            case And(l, r):
-                return ok(l, bound) and ok(r, bound)
-            case Diamond(b):
-                return ok(b, bound)
-            case Forall(z, b):
-                if z == x:
-                    return True
-                return ok(b, bound | {z})
-        raise TypeError(f"not a formula: {g!r}")
-
-    return ok(f, frozenset())
-
-
 def substitute(f: Formula, x: str, t: Term) -> Formula:
-    """f with every free occurrence of x replaced by t.
+    """f with every free occurrence of x replaced by t, in one walk.
 
-    Refuses to capture: raises SubstitutionError when t is not free for x.
+    Refuses to capture: raises SubstitutionError when t is not free for x,
+    that is, when a free x lies under a binder of t's variable.
     """
-    if not free_for(t, x, f):
-        raise SubstitutionError(
-            f"{term_str(t)} is not free for {x} in {pretty(f)}"
-        )
-    return _subst(f, x, t)
+    y = t.name if isinstance(t, Var) and t.name != x else None
+    try:
+        return _subst(f, x, t, y, False)
+    except SubstitutionError:
+        raise SubstitutionError(f"{t.name} is not free for {x} in {pretty(f)}") from None
 
 
-def _subst(f: Formula, x: str, t: Term) -> Formula:
+def _subst(f: Formula, x: str, t: Term, y: str | None, captured: bool) -> Formula:
+    """substitute's walk: y is the variable t would bring, if any, and captured
+    says whether a binder of y is open here, where a free x may not occur."""
     match f:
         case Top():
             return f
         case Pred(name, args):
             if any(isinstance(a, Var) and a.name == x for a in args):
+                if captured:
+                    raise SubstitutionError
                 return Pred(name, (t if isinstance(a, Var) and a.name == x else a for a in args))
             return f
         case And(l, r):
-            return And(_subst(l, x, t), _subst(r, x, t))
+            return And(_subst(l, x, t, y, captured), _subst(r, x, t, y, captured))
         case Diamond(b):
-            return Diamond(_subst(b, x, t))
+            return Diamond(_subst(b, x, t, y, captured))
         case Forall(z, b):
             if z == x:
                 return f
-            return Forall(z, _subst(b, x, t))
+            return Forall(z, _subst(b, x, t, y, captured or z == y))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def substitute_sequent(s: Sequent, x: str, t: Term) -> Sequent:
     return Sequent(substitute(s.lhs, x, t), substitute(s.rhs, x, t))
-
-
-# ---------------------------------------------------------------------------
-# closure
-
-
-def closure(gamma: Iterable[Formula], constants: Iterable[str]) -> frozenset[Formula]:
-    """Least set containing gamma, closed under subformulas with universals
-    unfolded by every constant in `constants`.
-
-    It is the union of the closures of gamma's members. Each formula's
-    closure is kept for the life of the process, as a tuple (a fifth of the
-    memory of a frozenset), by node and constants (in order, duplicates
-    dropped), as free_vars and constants_of are kept: nodes are hash-consed,
-    so a node is its own key. A member already in the union adds nothing,
-    since the union of closed sets is closed."""
-    cs = tuple(dict.fromkeys(constants))
-    out: set[Formula] = set()
-    for f in gamma:
-        if f not in out:
-            out.update(_closure(f, cs))
-    return frozenset(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _closure(f: Formula, cs: tuple[str, ...]) -> tuple[Formula, ...]:
-    match f:
-        case Top():
-            return (f,)
-        case Pred():
-            return (f, TOP)
-        case And(l, r):
-            parts = (_closure(l, cs), _closure(r, cs))
-        case Diamond(b):
-            return (f, *_closure(b, cs))
-        case Forall(x, b):
-            if not cs:
-                raise ClosureError(
-                    "closure of a universally quantified formula needs at "
-                    "least one constant"
-                )
-            parts = tuple(_closure(substitute(b, x, Const(c)), cs) for c in cs)
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
-    return (f, *dict.fromkeys(itertools.chain.from_iterable(parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +332,6 @@ def sorted_formulas(gamma: Iterable[Formula]) -> list[Formula]:
 # pretty-printing
 
 
-def term_str(t: Term) -> str:
-    return t.name
-
-
 def pretty(f: Formula) -> str:
     match f:
         case Top():
@@ -476,7 +339,7 @@ def pretty(f: Formula) -> str:
         case Pred(name, args):
             if not args:
                 return name
-            return f"{name}({','.join(term_str(a) for a in args)})"
+            return f"{name}({','.join(a.name for a in args)})"
         case And(l, r):
             ls = pretty(l)
             # a quantifier extends to the right, so one that ends the left

@@ -12,37 +12,44 @@ never consults the model it is building. The oracle for one left-hand side
 is built once (its conjunction and answers) and then asked about each formula
 of a closure. Its queries repeat across oracles, and the answers are kept in
 one process-wide memo.
+
+The closures the construction saturates over, and the modal and universal
+depth measures, are defined here too; `qrc1 closure` prints them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from .canonical import fresh_names
+
 # decide is not called here, but perfbench/tracing.py patches
 # termmodel.decide; the name stays until the tracer is retargeted
 # (ROADMAP item 2)
-from .decider import decide, entails, ground  # noqa: F401
-from .semantics import Model, default_assignment, forces, transitive_closure
+from .decider import decide, entails, ground, names_of  # noqa: F401
+from .generate import transitive_closure
+from .semantics import Model, default_assignment, forces
 from .syntax import (
     And,
+    Const,
     Diamond,
+    Forall,
     Formula,
     Pred,
     QRCError,
     Sequent,
     Signature,
     TOP,
-    closure,
+    Top,
     constants_of,
     free_vars,
-    fresh_names,
-    names_of,
     pretty,
-    set_udepth,
     sorted_formulas,
+    substitute,
 )
 
 
@@ -84,6 +91,92 @@ def conjunction(gamma: Iterable[Formula]) -> Formula:
     for f in ordered[1:]:
         out = And(out, f)
     return out
+
+
+# ---------------------------------------------------------------------------
+# closures and depth measures
+
+
+class ClosureError(QRCError):
+    pass
+
+
+def closure(gamma: Iterable[Formula], constants: Iterable[str]) -> frozenset[Formula]:
+    """Least set containing gamma, closed under subformulas with universals
+    unfolded by every constant in `constants`.
+
+    It is the union of the closures of gamma's members. Each formula's
+    closure is kept for the life of the process, as a tuple (a fifth of the
+    memory of a frozenset), by node and constants (in order, duplicates
+    dropped), as free_vars and constants_of are kept: nodes are hash-consed,
+    so a node is its own key. A member already in the union adds nothing,
+    since the union of closed sets is closed."""
+    cs = tuple(dict.fromkeys(constants))
+    out: set[Formula] = set()
+    for f in gamma:
+        if f not in out:
+            out.update(_closure(f, cs))
+    return frozenset(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _closure(f: Formula, cs: tuple[str, ...]) -> tuple[Formula, ...]:
+    match f:
+        case Top():
+            return (f,)
+        case Pred():
+            return (f, TOP)
+        case And(l, r):
+            parts = (_closure(l, cs), _closure(r, cs))
+        case Diamond(b):
+            return (f, *_closure(b, cs))
+        case Forall(x, b):
+            if not cs:
+                raise ClosureError(
+                    "closure of a universally quantified formula needs at "
+                    "least one constant"
+                )
+            parts = tuple(_closure(substitute(b, x, Const(c)), cs) for c in cs)
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    return (f, *dict.fromkeys(itertools.chain.from_iterable(parts)))
+
+
+@functools.lru_cache(maxsize=None)
+def mdepth(f: Formula) -> int:
+    match f:
+        case Top() | Pred():
+            return 0
+        case And(l, r):
+            return max(mdepth(l), mdepth(r))
+        case Forall(_, b):
+            return mdepth(b)
+        case Diamond(b):
+            return mdepth(b) + 1
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@functools.lru_cache(maxsize=None)
+def udepth(f: Formula) -> int:
+    match f:
+        case Top() | Pred():
+            return 0
+        case And(l, r):
+            return max(udepth(l), udepth(r))
+        case Forall(_, b):
+            return udepth(b) + 1
+        case Diamond(b):
+            return udepth(b)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def set_mdepth(gamma: Iterable[Formula]) -> int:
+    # max over the empty set is 0 by convention
+    return max((mdepth(f) for f in gamma), default=0)
+
+
+def set_udepth(gamma: Iterable[Formula]) -> int:
+    return max((udepth(f) for f in gamma), default=0)
 
 
 # (query sequent, signature) -> True, False, or None for undecided.
@@ -312,7 +405,7 @@ def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> Tru
     formula in that world's closure: the closure of the grounded input pair
     under the world's constants. Forcing reads only result.model, never the
     pairs, which give membership alone. The closures come from
-    syntax.closure, whose memo is kept for the life of the process."""
+    closure, whose memo is kept for the life of the process."""
     phi_set = _ground_pair(p, sig).formulas()
     checked = 0
     violations: list[tuple[int, str, str]] = []

@@ -26,13 +26,15 @@ from qrc1.calculus import (
     TOP_I,
     TRANS_AX,
     check_derivation,
+)
+from qrc1.decider import DERIVABLE, UNDERIVABLE, decide
+from qrc1.derived import (
     derived_gen_rhs,
     derived_inst,
     derived_inst_rhs,
     derived_rename,
     derived_swap_foralls,
 )
-from qrc1.decider import DERIVABLE, UNDERIVABLE, decide
 from qrc1.generate import DEFAULT_SIG, enumerate_models, random_formula, random_sequent
 from qrc1.semantics import check_adequate, forces
 from qrc1.syntax import (
@@ -42,22 +44,27 @@ from qrc1.syntax import (
     Forall,
     Sequent,
     Signature,
+    SubstitutionError,
     TOP,
     Var,
-    closure,
     free_vars,
-    mdepth,
     parse_formula,
     parse_sequent,
-    set_mdepth,
-    set_udepth,
     substitute,
     substitute_sequent,
-    udepth,
-    free_for,
 )
 from qrc1.semantics import Assignment
-from qrc1.termmodel import PairPM, build_term_model, is_consistent, truth_lemma_check
+from qrc1.termmodel import (
+    PairPM,
+    build_term_model,
+    closure,
+    is_consistent,
+    mdepth,
+    set_mdepth,
+    set_udepth,
+    truth_lemma_check,
+    udepth,
+)
 
 PRIMITIVE_RULES = {TOP_I, ID, AND_E_L, AND_E_R, AND_I, CUT, NEC, TRANS_AX,
                    BARCAN_AX, FORALL_R, FORALL_L, TERM_INST, CONST_GEN}
@@ -93,6 +100,15 @@ def rules_of(d):
     return out
 
 
+def _free_for(t, x: str, f) -> bool:
+    """Whether t is free for x in f: substitute refuses exactly where it is not."""
+    try:
+        substitute(f, x, t)
+    except SubstitutionError:
+        return False
+    return True
+
+
 def closed_formula(rng, sig=DEFAULT_SIG, md=2, ud=1, size=4):
     return random_formula(rng, sig, max_mdepth=md, max_udepth=ud, size=size)
 
@@ -118,10 +134,10 @@ def _axiom_instances(rng) -> list[Sequent]:
         Sequent(Diamond(Diamond(phi)), Diamond(phi)),        # transitivity axiom
         Sequent(Diamond(Forall("x", phix)), Forall("x", Diamond(phix))),  # quantifier/diamond axiom
         Sequent(Forall("x", phix), Forall("y", substitute(phix, "x", Var("y")))),  # right universal
-        Sequent(Forall("x", phix), substitute(phix, "x", t) if free_for(t, "x", phix) else phix),
+        Sequent(Forall("x", phix), substitute(phix, "x", t) if _free_for(t, "x", phix) else phix),
     ]
     # left universal instantiation needs t free for x; fall back to Id otherwise
-    if not free_for(t, "x", phix):
+    if not _free_for(t, "x", phix):
         out[-1] = Sequent(Forall("x", phix), Forall("x", phix))
     base = Sequent(Forall("v", phiv), substitute(phiv, "v", Var("x")))
     out.append(substitute_sequent(base, "x", Const("c0")))   # term instantiation
@@ -329,7 +345,7 @@ def test_acceptance_08_substitution_lemma():
         f = random_formula(rng, DEFAULT_SIG, max_mdepth=1, max_udepth=1, size=3,
                            scope=["x", "y"])
         t = rng.choice([Const("c0"), Const("c1"), Var("y")])
-        if not free_for(t, "x", f):
+        if not _free_for(t, "x", f):
             continue
         dom = sorted(m.domain[w])
         g = Assignment({"x": rng.choice(dom), "y": rng.choice(dom)}, dom[0])

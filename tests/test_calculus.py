@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qrc1 import syntax
 from qrc1.calculus import (
     AND_E_L,
+    AND_E_R,
     AND_I,
     BARCAN_AX,
     CONST_GEN,
@@ -23,14 +25,16 @@ from qrc1.calculus import (
     check_derivation,
     derivation_from_dict,
     derivation_to_dict,
+    prove,
+)
+from qrc1.decider import UNDECIDED, decide
+from qrc1.derived import (
     derived_gen_rhs,
     derived_inst,
     derived_inst_rhs,
     derived_rename,
     derived_swap_foralls,
-    prove,
 )
-from qrc1.decider import UNDECIDED, decide
 from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.syntax import (
     Const,
@@ -39,11 +43,11 @@ from qrc1.syntax import (
     Sequent,
     Signature,
     Var,
-    mdepth,
     parse_formula,
     parse_sequent,
     substitute,
 )
+from qrc1.termmodel import mdepth
 
 SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
 
@@ -176,7 +180,15 @@ def test_forall_left_capture_rejected():
         (Derivation(TOP_I, Sequent(substitute(body, "x", Const("c0")), f("T"))),),
         Instantiation("x", Var("y")),
     )
-    with pytest.raises(DerivationError):
+    with pytest.raises(DerivationError, match="side condition violated: term not free for the variable$"):
+        check_derivation(d, SIG)
+
+
+def test_term_instantiation_capture_rejected():
+    # substituting y for x in the premise's A y . R(x,y) would capture y
+    premise = Derivation(ID, Sequent(f("A y . R(x,y)"), f("A y . R(x,y)")))
+    d = Derivation(TERM_INST, premise.conclusion, (premise,), Instantiation("x", Var("y")))
+    with pytest.raises(DerivationError, match="side condition violated: term not free for the variable$"):
         check_derivation(d, SIG)
 
 
@@ -351,6 +363,27 @@ def test_derivation_round_trip():
     doc = derivation_to_dict(d, SIG)
     back = derivation_from_dict(doc, SIG)
     assert check_derivation(back, SIG.with_constants(doc.get("extra_constants", ()))) == s
+
+
+def test_extra_constants_list_every_constant_the_signature_lacks():
+    # k occurs only in the root's conclusion; d occurs below it only, in the
+    # Cut formula S(d), brought in by the ForallL step that instantiates x by
+    # d; e is the term of a vacuous TermInst and occurs in no formula
+    sig = Signature(relations=(("S", 1),))
+    wide = sig.with_constants(["d", "e", "k"])
+    s = lambda text: parse_sequent(text, wide)
+    to_cut = Derivation(FORALL_L, s("A x . S(x) |- S(d)"), (Derivation(ID, s("S(d) |- S(d)")),),
+                        Instantiation("x", Const("d")))
+    cut_d = Derivation(CUT, s("A x . S(x) |- T"), (to_cut, Derivation(TOP_I, s("S(d) |- T"))))
+    left = Derivation(CUT, s("S(k) & A x . S(x) |- T"),
+                      (Derivation(AND_E_R, s("S(k) & A x . S(x) |- A x . S(x)")), cut_d))
+    vacuous = Derivation(TERM_INST, s("T |- T"), (Derivation(TOP_I, s("T |- T")),), Instantiation("z", Const("e")))
+    root = Derivation(CUT, s("S(k) & A x . S(x) |- T"), (left, vacuous))
+    doc = json.loads(json.dumps(derivation_to_dict(root, sig)))
+    assert doc["extra_constants"] == ["d", "e", "k"]
+    back = derivation_from_dict(doc, sig)
+    assert back == root
+    assert check_derivation(back, sig) == root.conclusion
 
 
 def test_derivation_documents_parse_each_distinct_side_once(monkeypatch):

@@ -14,11 +14,13 @@ from qrc1.decider import (
     decide,
     entails,
     ground,
+    names_of,
     refute,
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Sequent, Signature, names_of, parse_sequent, udepth
+from qrc1.syntax import Sequent, Signature, parse_sequent
+from qrc1.termmodel import udepth
 
 SIG = DEFAULT_SIG
 # the models a certificate comes from, as the stats name them

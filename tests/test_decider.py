@@ -16,7 +16,8 @@ from qrc1.decider import (
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Const, Pred, Sequent, Signature, free_vars, mdepth, parse_sequent
+from qrc1.syntax import Const, Pred, Sequent, Signature, free_vars, parse_sequent
+from qrc1.termmodel import mdepth
 
 SIG = DEFAULT_SIG
 

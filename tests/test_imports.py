@@ -1,15 +1,17 @@
 """The trusted base, the modules that hold the parser and the two certificate
 checkers, imports nothing at module level from the decision procedure, the
-term-model construction or the generators (ROADMAP item 11)."""
+term-model construction or the generators, and defines nothing that its
+checkers, parsers, loaders and serializers do not use (ROADMAP item 11)."""
 
 import ast
+import re
 from pathlib import Path
 
 import qrc1
 
 SRC = Path(qrc1.__file__).parent
 TRUSTED = ("syntax", "calculus", "semantics")
-UNTRUSTED = {"canonical", "decider", "termmodel", "generate"}
+UNTRUSTED = {"canonical", "decider", "derived", "termmodel", "generate"}
 
 
 def _qrc1_imports(node: ast.AST, scope: str = "", in_function: bool = False):
@@ -52,3 +54,69 @@ def test_the_trusted_base_imports_no_decision_procedure_at_module_level():
     assert not {module for _, module in module_level} & UNTRUSTED, module_level
     # the one known exception until ProofSearch goes (ROADMAP item 2)
     assert function_level == [("calculus", "ProofSearch.prove", "decider")]
+
+
+# where the walk starts: the checkers, the parsers, the loaders and the serializers
+ROOTS = re.compile(
+    r"check_derivation|derivation_(to|from)_dict|parse_\w+|read_signed_file|pretty\w*|signature_str"
+    r"|forces|check_adequate|Countermodel|(counter)?model_\w+"
+)
+
+# reached by no root, and kept in the trusted base because perfbench, which
+# may not change with the code it measures, imports them from there
+PERFBENCH_PINNED = {
+    ("syntax", "sorted_formulas"),  # perfbench/workloads.py imports it (ROADMAP item 2)
+    ("syntax", "sort_key"),  # sorted_formulas' key (ROADMAP item 2)
+    ("syntax", "_tag_key"),  # sort_key's tie-break (ROADMAP item 2)
+    ("syntax", "formula_size"),  # sort_key's first field (ROADMAP item 2)
+    ("calculus", "ProofSearch"),  # perfbench/tracing.py patches ProofSearch.prove (ROADMAP item 2)
+    ("calculus", "SearchStats"),  # ProofSearch.stats, which the tracer reads (ROADMAP item 2)
+    ("calculus", "prove"),  # perfbench/tests imports it (ROADMAP item 2)
+    ("semantics", "default_assignment"),  # perfbench/tests calls it (ROADMAP item 2)
+}
+
+
+def _trusted_definitions():
+    """The module-level statement defining each (module, name) of the trusted
+    base, and per module the (module, name) each name in it stands for: its
+    own definitions and the names it imports from another trusted module."""
+    definitions, scopes = {}, {}
+    for module in TRUSTED:
+        scope = scopes[module] = {}
+        for stmt in ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 and stmt.module in TRUSTED:
+                scope.update((a.asname or a.name, (stmt.module, a.name)) for a in stmt.names)
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                definitions[module, name] = stmt
+                scope[name] = (module, name)
+    return definitions, scopes
+
+
+def test_the_trusted_base_defines_only_what_its_checkers_reach():
+    definitions, scopes = _trusted_definitions()
+    todo = [key for key in definitions if ROOTS.fullmatch(key[1])]
+    assert {("calculus", "check_derivation"), ("semantics", "forces"), ("syntax", "parse_sequent")} <= set(todo)
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        for node in ast.walk(definitions[key]):
+            if isinstance(node, ast.Name):
+                target = scopes[key[0]].get(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in TRUSTED:
+                target = (node.value.id, node.attr)  # syntax.parse_formula, from `from . import syntax`
+            else:
+                continue
+            if target in definitions:
+                todo.append(target)
+    assert set(definitions) - reached == PERFBENCH_PINNED

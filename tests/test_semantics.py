@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from qrc1 import canonical
 from qrc1.canonical import CanonicalModel
-from qrc1.decider import UNDERIVABLE, decide, ground, refute
+from qrc1.decider import UNDERIVABLE, decide, ground, names_of, refute
 from qrc1.generate import (
     DEFAULT_SIG,
     _rooted_frames,
@@ -45,16 +45,15 @@ from qrc1.syntax import (
     Signature,
     Term,
     Top,
+    SubstitutionError,
     Var,
-    free_for,
     free_vars,
-    names_of,
     parse_formula,
     parse_sequent,
     pretty_sequent,
     substitute,
-    udepth,
 )
+from qrc1.termmodel import udepth
 
 SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
 
@@ -192,6 +191,15 @@ def _value(m: Model, w, g: Assignment, t: Term):
     if isinstance(t, Const):
         return m.const_value(w, t.name)
     return g.mapping.get(t.name, g.default)
+
+
+def _free_for(t: Term, x: str, f: Formula) -> bool:
+    """Whether t is free for x in f: substitute refuses exactly where it is not."""
+    try:
+        substitute(f, x, t)
+    except SubstitutionError:
+        return False
+    return True
 
 
 def _set(g: Assignment, x: str, d) -> Assignment:
@@ -400,7 +408,7 @@ def test_substitution_lemma(seed):
     f = random_formula(rng, DEFAULT_SIG, max_mdepth=1, max_udepth=1, size=3,
                        scope=["x", "y"])
     t = rng.choice([Const("c0"), Const("c1"), Var("y")])
-    if not free_for(t, "x", f):
+    if not _free_for(t, "x", f):
         return
     dom = sorted(m.domain[w])
     g = Assignment({"x": rng.choice(dom), "y": rng.choice(dom)}, dom[0])
@@ -645,7 +653,6 @@ def test_rooted_frames_are_adequate_and_worlds_ascend():
                   {w: {} for w in worlds})
         assert check_adequate(m).adequate
         assert all((0, w) in f.rel for w in worlds[1:])
-        assert f.successors == tuple(tuple(u for u in worlds if (w, u) in f.rel) for w in worlds)
 
 
 def test_random_models_are_drawn_from_the_enumerated_frames():

@@ -16,10 +16,10 @@ from qrc1.generate import random_formula, random_sequent
 from qrc1.syntax import (
     MAX_NESTING,
     And,
-    ClosureError,
     Const,
     Diamond,
     Forall,
+    Formula,
     ParseError,
     Pred,
     Sequent,
@@ -27,26 +27,23 @@ from qrc1.syntax import (
     SignatureError,
     SubstitutionError,
     TOP,
+    Term,
+    Top,
     Var,
-    closure,
     constants_of,
-    free_for,
     free_vars,
-    mdepth,
     parse_formula,
     parse_sequent,
     parse_sequent_file,
     parse_signature,
     pretty,
     pretty_sequent,
-    set_mdepth,
-    set_udepth,
     signature_str,
     sorted_formulas,
     subformulas,
     substitute,
-    udepth,
 )
+from qrc1.termmodel import ClosureError, closure, mdepth, set_mdepth, set_udepth, udepth
 
 SIG = Signature(constants=("c0", "c1"), relations=(("S", 1), ("R", 2)))
 
@@ -197,17 +194,78 @@ def test_substitute_replaces_free_occurrences_only():
     assert parse_formula(pretty(g), SIG) == g
 
 
+def _free_for(t, x: str, f) -> bool:
+    """Whether t is free for x in f: substitute refuses exactly where it is not."""
+    try:
+        substitute(f, x, t)
+    except SubstitutionError:
+        return False
+    return True
+
+
 def test_substitute_detects_capture():
     f = parse_formula("A y . R(x, y)", SIG)
-    assert not free_for(Var("y"), "x", f)
+    assert not _free_for(Var("y"), "x", f)
     with pytest.raises(SubstitutionError):
         substitute(f, "x", Var("y"))
 
 
 def test_substitute_constant_always_free():
     f = parse_formula("A y . R(x, y)", SIG)
-    assert free_for(Const("c0"), "x", f)
+    assert _free_for(Const("c0"), "x", f)
     assert pretty(substitute(f, "x", Const("c0"))) == "A y . R(c0,y)"
+
+
+# capture found by a walk of its own, apart from substituting: the reference
+# for the check substitute makes while it substitutes
+def free_for(t: Term, x: str, f: Formula) -> bool:
+    """True iff substituting t for free x in f captures no variable of t."""
+    if isinstance(t, Const):
+        return True
+    y = t.name
+    if y == x:
+        return True
+
+    def ok(g: Formula, bound: frozenset[str]) -> bool:
+        match g:
+            case Top():
+                return True
+            case Pred(_, args):
+                # a free occurrence of x here would put y under the binders
+                if any(isinstance(a, Var) and a.name == x for a in args):
+                    return y not in bound
+                return True
+            case And(l, r):
+                return ok(l, bound) and ok(r, bound)
+            case Diamond(b):
+                return ok(b, bound)
+            case Forall(z, b):
+                if z == x:
+                    return True
+                return ok(b, bound | {z})
+        raise TypeError(f"not a formula: {g!r}")
+
+    return ok(f, frozenset())
+
+
+def test_substitute_refuses_exactly_where_the_reference_finds_capture():
+    rng = random.Random(27)
+    names = ["x0", "x1", "x2"]
+    terms = [*map(Var, names), Const("c0")]
+    captures = 0
+    for _ in range(20_000):
+        # binders are named x0, x1, ..., so they can shadow x and capture t
+        f = random_formula(rng, SIG, max_mdepth=2, max_udepth=2, size=6, scope=names[:2])
+        x, t = rng.choice(names), rng.choice(terms)
+        try:
+            substitute(f, x, t)
+        except SubstitutionError as e:
+            assert not free_for(t, x, f), (pretty(f), x, t)
+            assert str(e) == f"{t.name} is not free for {x} in {pretty(f)}"
+            captures += 1
+        else:
+            assert free_for(t, x, f), (pretty(f), x, t)
+    assert captures > 0
 
 
 @given(st.sampled_from(["x", "y", "z"]), st.sampled_from(["c0", "c1"]))

@@ -19,13 +19,11 @@ from qrc1.syntax import (
     Forall,
     Sequent,
     Signature,
-    closure,
     constants_of,
     free_vars,
     parse_formula,
     parse_signature,
     pretty_sequent,
-    set_mdepth,
     signature_str,
     sorted_formulas,
     substitute,
@@ -36,11 +34,13 @@ from qrc1.termmodel import (
     PairPM,
     PairError,
     build_term_model,
+    closure,
     conjunction,
     is_consistent,
     lindenbaum,
     oracle,
     pair_existence,
+    set_mdepth,
     truth_lemma_check,
 )
 

@@ -30,6 +30,11 @@ each left universal over the whole domain, and so stops once it holds
 CANONICAL_FACT_CAP facts. A part of M_phi still serves the YES side: each
 of its facts and worlds keeps its derivation, so whatever the part forces
 has a derivation read off it.
+
+`countermodel` keeps the Model it reads off, one per tuple of constants, as
+only the constants' map depends on the signature and the sequent. decide
+keeps the one-element model M_phi^1 between calls (decider._ONE_ELEMENT),
+and its Models with it; M_phi lives for one call.
 """
 
 from __future__ import annotations
@@ -171,6 +176,7 @@ class CanonicalModel:
         k = _layer_udepth(s.rhs)
         self._names = fresh_names(FRESH_VAR_PREFIX, used)
         self._forced: dict[tuple[int, Formula], bool] = {}
+        self.models: dict[tuple[str, ...], Model] = {}  # by constants tuple, see countermodel
         self.worlds: list[_World] = []
         self.elements = 0
         self.facts = 0
@@ -237,12 +243,15 @@ class CanonicalModel:
             world.below = below
         return world.below
 
-    def forces(self, w: int, f: Formula) -> bool:
+    def forces(self, w: int, f: Formula, forced: Optional[dict] = None) -> bool:
         """Whether world w forces the closed formula f (whose terms are the
         constants and fresh variables of w's domain), a universal tested at
-        its generic instance."""
+        its generic instance. The answers are kept in forced, by default in
+        the model itself."""
+        if forced is None:
+            forced = self._forced
         key = (w, f)
-        known = self._forced.get(key)
+        known = forced.get(key)
         if known is not None:
             return known
         world = self.worlds[w]
@@ -254,12 +263,12 @@ class CanonicalModel:
             case Pred():
                 result = False
             case And(l, r):
-                result = self.forces(w, l) and self.forces(w, r)
+                result = self.forces(w, l, forced) and self.forces(w, r, forced)
             case Diamond(b):
-                result = any(self.forces(v, b) for v in self._below(w))
+                result = any(self.forces(v, b, forced) for v in self._below(w))
             case Forall(x, b):
-                result = self.forces(w, substitute(b, x, _generic(world, b)))
-        self._forced[key] = result
+                result = self.forces(w, substitute(b, x, _generic(world, b)), forced)
+        forced[key] = result
         return result
 
     def derive(self, w: int, f: Formula) -> Derivation:
@@ -301,7 +310,19 @@ class CanonicalModel:
         """M_phi as a countermodel to the original sequent, whose free
         variables ground_pairs names by constants of the grounded one. The
         signature's and the sequent's constants that do not occur are sent to
-        a root element."""
+        a root element. That map is the only part of the Model that depends
+        on the signature and the sequent, so each tuple of constants has its
+        Model built once and kept in self.models."""
+        constants = sig.with_constants(sorted(constants_of(original.lhs) | constants_of(original.rhs))).constants
+        model = self.models.get(constants)
+        if model is None:
+            model = self.models[constants] = self._model(constants)
+        # the root's domain, where the grounding constants are, takes the first element ids
+        root = self.worlds[0].domain
+        g = Assignment({x: root.index(Const(c)) for x, c in ground_pairs}, 0)
+        return Countermodel(model, 0, g, original)
+
+    def _model(self, constants: tuple[str, ...]) -> Model:
         element: dict[Term, int] = {}
         for world in self.worlds:
             for t in world.domain:
@@ -312,14 +333,11 @@ class CanonicalModel:
             for f in world.facts:
                 if isinstance(f, Pred):
                     relJ[w].setdefault(f.name, set()).add(tuple(element[t] for t in f.args))
-        constants = sig.with_constants(sorted(constants_of(original.lhs) | constants_of(original.rhs))).constants
         cmap = {c: element.get(Const(c), 0) for c in constants}
-        model = Model(
+        return Model(
             worlds=tuple(range(n)),
             R=frozenset((w, v) for w in range(n) for v in self._below(w)),
             domain={w: frozenset(element[t] for t in world.domain) for w, world in enumerate(self.worlds)},
             constI={w: cmap for w in range(n)},
             relJ={w: {name: frozenset(ts) for name, ts in relJ[w].items()} for w in range(n) if relJ[w]},
         )
-        g = Assignment({x: element[Const(c)] for x, c in ground_pairs}, 0)
-        return Countermodel(model, 0, g, original)

@@ -14,6 +14,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from . import canonical
 from .calculus import (
     CONST_GEN,
     Derivation,
@@ -32,6 +33,7 @@ from .syntax import (
     Pred,
     Sequent,
     Signature,
+    TOP,
     Top,
     Var,
     free_vars,
@@ -132,12 +134,15 @@ def entails(s: Sequent, sig: Signature) -> bool | None:
 
 # the ignored config is passed by perfbench/tracing.py (ROADMAP item 2)
 def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
-    """Decide derivability, returning a validated certificate either way. A
-    pure function: it keeps nothing between calls. Constants of s that sig
-    does not declare join it, so that a countermodel interprets them."""
+    """Decide derivability, returning a validated certificate either way.
+    Constants of s that sig does not declare join it, so that a countermodel
+    interprets them. Between calls decide keeps M_phi^1 per collapsed
+    left-hand side and fact cap, and its Model per constants tuple, within
+    the bound of _ONE_ELEMENT; every countermodel read off them is validated
+    here, so the verdict depends on s and sig alone."""
     one = _one_element(s)
     if one is not None:
-        return _verdict(UNDERIVABLE, "one-element", None, countermodel=_countermodel(one, s, sig, []))
+        return _verdict(UNDERIVABLE, "one-element", None, countermodel=_refutation(one, s, sig))
     grounded, ground_pairs, canon = _canonical(s, sig)
     # a derivation reads off whatever the part of M_phi built forces
     if canon.worlds and canon.forces(0, grounded.rhs):
@@ -153,7 +158,7 @@ def refute(s: Sequent, sig: Signature) -> Optional[Countermodel]:
     """decide's first step alone: M_phi^1 as a validated countermodel to s, or
     None where decide goes on to build M_phi."""
     one = _one_element(s)
-    return None if one is None else _countermodel(one, s, sig, [])
+    return None if one is None else _refutation(one, s, sig)
 
 
 def _countermodel(canon: CanonicalModel, s: Sequent, sig: Signature, ground_pairs: list) -> Countermodel:
@@ -162,18 +167,42 @@ def _countermodel(canon: CanonicalModel, s: Sequent, sig: Signature, ground_pair
     return cm
 
 
-def _collapse(f: Formula, e: Var) -> Formula:
-    """f with every term read as e and each universal as its body."""
+# M_phi^1's one element: the root's first fresh name, as no other name is in
+# use; with no universal on the right, no child world adds another
+_E = Var(next(fresh_names(FRESH_VAR_PREFIX, ())))
+
+
+@functools.lru_cache(maxsize=None)
+def _collapse(f: Formula) -> Formula:
+    """f with every term read as _E and each universal as its body."""
     match f:
         case Pred(name, args):
-            return Pred(name, (e,) * len(args))
+            return Pred(name, (_E,) * len(args))
         case And(l, r):
-            return And(_collapse(l, e), _collapse(r, e))
+            return And(_collapse(l), _collapse(r))
         case Diamond(b):
-            return Diamond(_collapse(b, e))
+            return Diamond(_collapse(b))
         case Forall(_, b):
-            return _collapse(b, e)
+            return _collapse(b)
     return f
+
+
+# M_phi^1 by collapsed left-hand side and fact cap, None where its build
+# stops: the collapsed right-hand side holds no constant and no universal,
+# so it changes nothing in the build, and it is forced per call. A kept
+# model also keeps a Model per constants tuple (CanonicalModel.countermodel).
+# The memo weighs a model by its facts, and as much again for each Model it
+# keeps; when the weight passes CANONICAL_FACT_CAP, the memo is emptied.
+_ONE_ELEMENT: dict[tuple[Formula, int], Optional[CanonicalModel]] = {}
+_one_element_weight = 0
+
+
+def _weigh(weight: int) -> None:
+    global _one_element_weight
+    _one_element_weight += weight
+    if _one_element_weight > canonical.CANONICAL_FACT_CAP:
+        _ONE_ELEMENT.clear()
+        _one_element_weight = 0
 
 
 def _one_element(s: Sequent) -> Optional[CanonicalModel]:
@@ -181,12 +210,27 @@ def _one_element(s: Sequent) -> Optional[CanonicalModel]:
     and each universal as its body, when it is built in full within the fact
     cap and refutes s. Its size is linear in s, and every one-element
     model of the left-hand side is an image of it."""
-    # the root's one fresh element when no other name is in use; with no
-    # universal on the right, no child world adds another
-    e = Var(next(fresh_names(FRESH_VAR_PREFIX, ())))
-    collapsed = Sequent(_collapse(s.lhs, e), _collapse(s.rhs, e))
-    canon = CanonicalModel(collapsed, ())
-    return canon if canon.complete and not canon.forces(0, collapsed.rhs) else None
+    lhs = _collapse(s.lhs)
+    key = (lhs, canonical.CANONICAL_FACT_CAP)
+    if key in _ONE_ELEMENT:
+        canon = _ONE_ELEMENT[key]
+    else:
+        canon = CanonicalModel(Sequent(lhs, TOP), ())
+        if not canon.complete:
+            canon = None
+        _ONE_ELEMENT[key] = canon
+        _weigh(canon.facts if canon else 1)
+    # the forcing is kept per call, so that a kept model does not grow with it
+    return canon if canon is not None and not canon.forces(0, _collapse(s.rhs), {}) else None
+
+
+def _refutation(one: CanonicalModel, s: Sequent, sig: Signature) -> Countermodel:
+    """The validated countermodel read off M_phi^1, a new Model weighed into the memo."""
+    kept = len(one.models)
+    cm = _countermodel(one, s, sig, [])
+    if len(one.models) > kept:
+        _weigh(one.facts)
+    return cm
 
 
 def _verdict(status: str, model: Optional[str], canon: Optional[CanonicalModel], **certificate) -> Verdict:

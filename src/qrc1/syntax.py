@@ -332,6 +332,7 @@ def sorted_formulas(gamma: Iterable[Formula]) -> list[Formula]:
 # pretty-printing
 
 
+@functools.lru_cache(maxsize=None)
 def pretty(f: Formula) -> str:
     match f:
         case Top():

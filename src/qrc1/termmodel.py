@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from . import canonical
 from .canonical import fresh_names
 
 # decide is not called here, but perfbench/tracing.py patches
@@ -179,9 +180,9 @@ def set_udepth(gamma: Iterable[Formula]) -> int:
     return max((udepth(f) for f in gamma), default=0)
 
 
-# (query sequent, signature) -> True, False, or None for undecided.
+# (query sequent, signature, fact cap) -> True, False, or None for undecided.
 # entails is a pure function of these, so an answer never goes stale; entries
-# past the cap are not kept.
+# past _MEMO_MAX are not kept.
 _MEMO: dict[tuple, bool | None] = {}
 _MEMO_MAX = 100_000
 
@@ -211,7 +212,7 @@ def oracle(
 
     def ask(f: Formula) -> bool | None:
         query = Sequent(lhs, f)
-        key = (query, sig)
+        key = (query, sig, canonical.CANONICAL_FACT_CAP)
         a = _MEMO.get(key, _MEMO)  # the memo itself marks a miss
         if a is not _MEMO:
             tally["memo"] += 1

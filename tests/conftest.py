@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qrc1 import canonical, termmodel
+from qrc1 import canonical
 from qrc1.syntax import Signature
 
 
@@ -24,11 +24,10 @@ def rng() -> random.Random:
 @pytest.fixture
 def fact_cap(monkeypatch):
     """Sets CANONICAL_FACT_CAP for the test, so that builds of M_phi and of
-    M_phi^1 stop early, and empties the oracle memo, whose answers were
-    given under the cap before."""
+    M_phi^1 stop early. The memos of the oracle and of M_phi^1 key their
+    entries by the cap, so they are left as they are."""
 
     def set_cap(cap: int) -> None:
         monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", cap)
-        monkeypatch.setattr(termmodel, "_MEMO", {})
 
     return set_cap

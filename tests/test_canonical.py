@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from qrc1 import canonical, semantics
+from qrc1 import canonical, decider, semantics, termmodel
 from qrc1.calculus import check_derivation, derivation_from_dict
 from qrc1.decider import (
     DERIVABLE,
@@ -271,12 +271,17 @@ def _status_by_the_canonical_model_first(s, sig):
     return UNDECIDED
 
 
-def test_refuting_by_the_one_element_model_first_keeps_every_status(fact_cap):
+def _seeded_corpus():
+    """1,500 seeded sequents at three sizes, over SIG and over no constants."""
     rng = random.Random(11)
     open_sig = Signature(relations=SIG.relations)  # no constants, so atoms take free variables
-    corpus = [(random_sequent(rng, sig, *bounds), sig)
-              for bounds in ((2, 2, 8), (3, 3, 15), (5, 5, 30))
-              for sig in (SIG,) * 400 + (open_sig,) * 100]
+    return [(random_sequent(rng, sig, *bounds), sig)
+            for bounds in ((2, 2, 8), (3, 3, 15), (5, 5, 30))
+            for sig in (SIG,) * 400 + (open_sig,) * 100]
+
+
+def test_refuting_by_the_one_element_model_first_keeps_every_status(fact_cap):
+    corpus = _seeded_corpus()
     seen = Counter()
     # a cap of 10 facts stops some builds, of M_phi or M_phi^1, so that every
     # status occurs
@@ -295,3 +300,102 @@ def test_refuting_by_the_one_element_model_first_keeps_every_status(fact_cap):
                 assert len(set().union(*cm.model.domain.values())) == 1
     assert seen.keys() == {(DERIVABLE, CANONICAL), (UNDERIVABLE, CANONICAL), (UNDERIVABLE, ONE_ELEMENT),
                            (UNDECIDED, None)}
+
+
+def _by_the_oracle(s, sig):
+    try:
+        return termmodel.oracle([s.lhs], sig)(s.rhs)
+    except termmodel.OracleUndecidedError:
+        return None
+
+
+def test_memos_warmed_under_one_cap_answer_as_empty_ones_under_another(monkeypatch, fact_cap):
+    """The memos of M_phi^1 and of the oracle key their entries by the fact
+    cap: warmed at the default cap, they give under a cap of 10 the statuses
+    that empty memos give, though many differ from the default cap's."""
+    corpus = _seeded_corpus()
+    default_cap = canonical.CANONICAL_FACT_CAP
+
+    def statuses():
+        return [(decide(s, sig).status, _by_the_oracle(s, sig)) for s, sig in corpus]
+
+    def empty_memos():
+        monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
+        monkeypatch.setattr(termmodel, "_MEMO", {})
+
+    empty_memos()
+    fact_cap(10)
+    cold = statuses()
+    empty_memos()
+    fact_cap(default_cap)
+    at_default = statuses()
+    fact_cap(10)
+    assert statuses() == cold
+    assert sum(a != b for a, b in zip(at_default, cold)) > 20
+
+
+def _printed(corpus):
+    return [json.dumps(verdict_to_dict(decide(s, sig), sig)) for s, sig in corpus]
+
+
+def test_verdict_bytes_do_not_depend_on_the_one_element_memo(monkeypatch):
+    """Each verdict decided with an empty memo, the corpus decided twice with
+    one memo, and the corpus decided in reverse print the same bytes; the
+    warm pass reads many countermodels off one kept Model."""
+    corpus = _seeded_corpus()
+    memo = {}
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
+    cold = []
+    for item in corpus:
+        memo.clear()
+        cold += _printed([item])
+    _printed(corpus)
+    assert _printed(corpus) == cold
+    memo.clear()
+    assert _printed(corpus[::-1])[::-1] == cold
+    models = Counter(id(v.countermodel.model) for v in (decide(s, sig) for s, sig in corpus)
+                     if v.stats["certificate_model"] == ONE_ELEMENT)
+    assert sum(models.values()) > 500 and len(models) < sum(models.values()) / 3
+
+
+def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
+    """Two left-hand sides that collapse alike share M_phi^1, and each
+    signature's countermodels get a Model of their own, with that
+    signature's constants, built once."""
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
+    narrow = Signature(constants=("c0",), relations=SIG.relations)
+    wide = Signature(constants=("c0", "c1", "d"), relations=SIG.relations)
+    texts = ["A x . R(x,c0) & <>S(c0) |- S(c0)", "R(c0,c0) & <>S(y) |- <>R(c0,c0)"]
+    models = {}
+    for sig in (narrow, wide, narrow):
+        for text in texts:
+            s = parse_sequent(text, sig)
+            v = decide(s, sig)
+            assert v.stats["certificate_model"] == ONE_ELEMENT
+            cm = v.countermodel
+            assert cm.model.constI[0].keys() == set(sig.constants)
+            assert models.setdefault(sig, cm.model) is cm.model
+            doc = json.loads(json.dumps(verdict_to_dict(v, sig)))["certificate"]["countermodel"]
+            loaded = semantics.countermodel_from_dict(doc, sig)
+            loaded.validate()
+            assert loaded.sequent == s
+            assert refute(s, sig).model is cm.model
+    assert len(decider._ONE_ELEMENT) == 1
+    assert models[narrow] is not models[wide]
+
+
+def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch, fact_cap):
+    """Distinct left-hand sides, each refuted with a Model kept, are fed
+    past a cap of 60 facts: the facts the memo holds, once per model and
+    once per Model kept, stay within the cap, and entries are dropped."""
+    memo = {}
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
+    monkeypatch.setattr(decider, "_one_element_weight", 0)
+    fact_cap(60)
+    held = []
+    for depth in range(12):
+        s = seq("<>" * depth + "S(c0) |- R(c0,c0)")
+        assert decide(s, SIG).stats["certificate_model"] == ONE_ELEMENT
+        held.append(sum(1 if canon is None else canon.facts * (1 + len(canon.models)) for canon in memo.values()))
+        assert held[-1] <= 60
+    assert max(held) > 30 and len(memo) < 12

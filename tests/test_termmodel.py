@@ -430,7 +430,7 @@ def test_oracle_answers_by_the_one_element_model_where_the_build_stops(fact_cap)
 def test_a_stuck_query_builds_each_canonical_model_once(monkeypatch):
     """The 12 nested universals fill the fact cap in M_Gamma's root world, and
     the one-element canonical model forces the right-hand side: the query is
-    undecided after one build of each model."""
+    undecided after one build of each model, from an empty memo of M_phi^1."""
     sig = parse_signature("sig: constants c0 c1; relations S/1 R/2;")
     universals = " . ".join(f"A x{i}" for i in range(1, 13))
     chain = " & ".join(f"R(x{i},x{i + 1})" for i in range(1, 12))
@@ -444,6 +444,7 @@ def test_a_stuck_query_builds_each_canonical_model_once(monkeypatch):
 
     monkeypatch.setattr(decider, "CanonicalModel", counting_canonical_model)
     monkeypatch.setattr(termmodel, "_MEMO", {})
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, sig)(parse_formula("<>S(c1)", sig))
     assert len(builds) == 2

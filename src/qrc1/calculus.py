@@ -303,17 +303,7 @@ def _field(node: dict, key: str, kind: type, default=None):
 
 def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
     """Rebuild a derivation; a document of the wrong shape raises DerivationError.
-    Each distinct side text of its conclusions is parsed once."""
-    sides: dict[str, Formula] = {}
-
-    def conclusion(text: str) -> Sequent:
-        # no token holds |-, so the sides of a sequent that parses parse alone as within it
-        lhs, _, rhs = (part.strip() for part in text.partition("|-"))
-        try:
-            sides.update((s, syntax.parse_formula(s, sig)) for s in {lhs, rhs} if s not in sides)
-        except syntax.ParseError:  # raised again, at its offset in the whole text
-            return syntax.parse_sequent(text, sig)
-        return Sequent(sides[lhs], sides[rhs])
+    parse_sequent's memo parses each distinct side text once, across documents."""
 
     def build(node: dict) -> Derivation:
         if not isinstance(node, dict):
@@ -328,7 +318,7 @@ def derivation_from_dict(doc: dict, sig: Signature) -> Derivation:
             inst = Instantiation(_field(raw, "var", str), Const(name) if kind == "const" else Var(name))
         return Derivation(
             rule=_field(node, "rule", str),
-            conclusion=conclusion(_field(node, "conclusion", str)),
+            conclusion=syntax.parse_sequent(_field(node, "conclusion", str), sig),
             premises=tuple(build(p) for p in _field(node, "premises", list, [])),
             instantiation=inst,
         )

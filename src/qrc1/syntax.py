@@ -523,6 +523,7 @@ class _Parser:
         lhs = self.formula()
         self.expect("|-")
         rhs = self.formula()
+        self.done()
         return Sequent(lhs, rhs)
 
     def done(self) -> None:
@@ -531,7 +532,13 @@ class _Parser:
             raise self.error(f"trailing input {tok!r}")
 
 
+PARSE_MEMO_SIZE = 4096  # the (text, signature) pairs parse_formula keeps
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
 def parse_formula(text: str, sig: Signature) -> Formula:
+    """The formula text denotes under sig, memoized by both: nodes are
+    interned and immutable, so a repeat returns the same node."""
     p = _Parser(text, sig)
     f = p.formula()
     p.done()
@@ -539,10 +546,13 @@ def parse_formula(text: str, sig: Signature) -> Formula:
 
 
 def parse_sequent(text: str, sig: Signature) -> Sequent:
-    p = _Parser(text, sig)
-    s = p.parse_sequent()
-    p.done()
-    return s
+    """Both sides, split at the first |-, through parse_formula: no token holds |-, so each
+    parses alone as within the text. If one fails, the whole text is parsed, for the offset."""
+    lhs, _, rhs = text.partition("|-")
+    try:
+        return Sequent(parse_formula(lhs.strip(), sig), parse_formula(rhs.strip(), sig))
+    except ParseError:
+        return _Parser(text, sig).parse_sequent()
 
 
 def parse_signature(text: str) -> Signature:

@@ -395,15 +395,21 @@ def test_derivation_documents_parse_each_distinct_side_once(monkeypatch):
         node = stack.pop()
         sides.update(side.strip() for side in node["conclusion"].split("|-"))
         stack.extend(node.get("premises", []))
-    calls = {"parse_formula": 0, "parse_sequent": 0}
-    for name in calls:
-        def counted(*args, _name=name, _parse=getattr(syntax, name), **kwargs):
-            calls[_name] += 1
-            return _parse(*args, **kwargs)
-        monkeypatch.setattr(syntax, name, counted)
+    parses = []
+
+    class Counted(syntax._Parser):
+        def __init__(self, text, sig):
+            parses.append(text)
+            super().__init__(text, sig)
+
+    monkeypatch.setattr(syntax, "_Parser", Counted)
+    parse_formula.cache_clear()
     assert len(sides) < 2 * d.size()  # sides repeat across the document's conclusions
     assert derivation_from_dict(doc, SIG) == d
-    assert calls == {"parse_formula": len(sides), "parse_sequent": 0}
+    assert sorted(parses) == sorted(sides)  # each distinct side once, and no whole conclusion
+    parses.clear()
+    assert derivation_from_dict(doc, SIG) == d
+    assert parses == []  # a second load of the document parses nothing
 
 
 def test_a_conclusion_side_that_fails_to_parse_reports_the_sequents_error():

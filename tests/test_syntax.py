@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from qrc1 import syntax
 from qrc1.generate import random_formula, random_sequent
 from qrc1.syntax import (
     MAX_NESTING,
@@ -463,6 +464,85 @@ def test_signature_header_round_trip():
 def test_undeclared_name_is_a_variable():
     f = parse_formula("S(w)", SIG)
     assert f == Pred("S", (Var("w"),))
+
+
+# ---------------------------------------------------------------------------
+# the parse memo: keyed by the whole input, and sequents read side by side
+
+
+def test_the_memo_keys_by_signature_as_well_as_text():
+    with_c = Signature(constants=("c",), relations=(("S", 1),))
+    without_c = Signature(relations=(("S", 1),))
+    for order in ([with_c, without_c], [without_c, with_c]):
+        parse_formula.cache_clear()
+        for sig in order + order:
+            expected = Const("c") if sig is with_c else Var("c")
+            assert parse_formula("S(c)", sig) is Pred("S", (expected,))
+            assert parse_sequent("S(c) |- S(c)", sig).rhs is Pred("S", (expected,))
+
+
+def test_parse_errors_are_not_memoized():
+    parse_formula.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as seen:
+            parse_formula("S(c0) & Q(c0)", SIG)
+        messages.append((str(seen.value), seen.value.position))
+    assert messages == [("undeclared relation 'Q' (at position 8)", 8)] * 2
+    with_q = Signature(constants=("c0",), relations=(("S", 1), ("Q", 1)))
+    assert parse_formula("S(c0) & Q(c0)", with_q) is And(Pred("S", (Const("c0"),)), Pred("Q", (Const("c0"),)))
+    assert parse_formula("S(c0)", SIG) is Pred("S", (Const("c0"),))
+
+
+def reference_parse_sequent(text: str, sig: Signature) -> Sequent:
+    """The whole-text parse that parse_sequent falls back to, as it read
+    before sequents were parsed side by side."""
+    p = syntax._Parser(text, sig)
+    s = p.parse_sequent()
+    p.done()
+    return s
+
+
+#: what a one-character mutant inserts, or puts in place of a character
+_MUTANT_CHARACTERS = "|-<>?()&.x"
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    i = rng.randrange(len(text) + 1)
+    c = rng.choice(_MUTANT_CHARACTERS)
+    op = rng.randrange(3)
+    if op == 0:
+        return text[:i] + c + text[i:]
+    if op == 1:
+        return text[:i] + text[i + 1:]
+    return text[:i] + c + text[i + 1:]
+
+
+def test_sequents_parsed_side_by_side_agree_with_the_whole_text_parse():
+    rng = random.Random(29)
+    texts = []
+    for _ in range(1200):
+        text = pretty_sequent(random_sequent(
+            rng, SIG, rng.randint(0, 3), rng.randint(0, 2), rng.randint(1, 16)))
+        texts += [text, _mutant(rng, text)]
+    texts += ["", "|-", "T |- T |- T", "T", "T |-", "|- T", " T|-T ", "T |- (T"]
+
+    def outcome(parse, text):
+        try:
+            return parse(text, SIG)
+        except ParseError as e:
+            return str(e), e.position
+
+    errors = 0
+    for text in texts:
+        expected = outcome(reference_parse_sequent, text)
+        parse_formula.cache_clear()
+        assert outcome(parse_sequent, text) == expected, text  # cold
+        assert outcome(parse_sequent, text) == expected, text  # warm
+        errors += isinstance(expected, tuple)
+    for text in texts:  # warm with every other text's sides
+        assert outcome(parse_sequent, text) == outcome(reference_parse_sequent, text), text
+    assert 300 < errors < len(texts) - 300
 
 
 # ---------------------------------------------------------------------------

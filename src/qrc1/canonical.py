@@ -32,9 +32,9 @@ of its facts and worlds keeps its derivation, so whatever the part forces
 has a derivation read off it.
 
 `countermodel` keeps the Model it reads off, one per tuple of constants, as
-only the constants' map depends on the signature and the sequent. decide
-keeps the one-element model M_phi^1 between calls (decider._ONE_ELEMENT),
-and its Models with it; M_phi lives for one call.
+only the constants' map depends on the signature and the sequent. The
+decider keeps the one-element model M_phi^1 between calls
+(decider._ONE_ELEMENT), and its Models with it; M_phi lives for one call.
 """
 
 from __future__ import annotations

@@ -118,18 +118,19 @@ def _canonical(s: Sequent, sig: Signature) -> tuple[Sequent, list[tuple[str, str
     used = {*sig.constants, *names_of(s.lhs), *names_of(s.rhs)}
     # the canonical model takes free variables as fresh constants
     (lhs, rhs), ground_pairs = ground((s.lhs, s.rhs), used)
-    grounded = Sequent(lhs, rhs) if ground_pairs else s
+    grounded = Sequent(lhs, rhs)
     return grounded, ground_pairs, CanonicalModel(grounded, used)
 
 
 def entails(s: Sequent, sig: Signature) -> bool | None:
-    """decide's status with no certificate: True derivable, False underivable,
-    None undecided. M_phi answers first, and M_phi^1 only where its build
-    stops; decide asks M_phi^1 first, for its small certificates."""
+    """decide's status, by decide's steps in decide's order, with no
+    certificate: True derivable, False underivable, None undecided."""
+    if _one_element(s) is not None:
+        return False
     grounded, _, canon = _canonical(s, sig)
-    if canon.worlds and canon.forces(0, grounded.rhs):
+    if canon.forces(0, grounded.rhs):
         return True
-    return False if canon.complete or _one_element(s) is not None else None
+    return False if canon.complete else None
 
 
 # the ignored config is passed by perfbench/tracing.py (ROADMAP item 2)
@@ -145,7 +146,7 @@ def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
         return _verdict(UNDERIVABLE, "one-element", None, countermodel=_refutation(one, s, sig))
     grounded, ground_pairs, canon = _canonical(s, sig)
     # a derivation reads off whatever the part of M_phi built forces
-    if canon.worlds and canon.forces(0, grounded.rhs):
+    if canon.forces(0, grounded.rhs):
         d = reattach_free_variables(canon.derive(0, grounded.rhs), s, ground_pairs)
         check_derivation(d, sig)
         return _verdict(DERIVABLE, "canonical", canon, derivation=d)
@@ -191,18 +192,21 @@ def _collapse(f: Formula) -> Formula:
 # stops: the collapsed right-hand side holds no constant and no universal,
 # so it changes nothing in the build, and it is forced per call. A kept
 # model also keeps a Model per constants tuple (CanonicalModel.countermodel).
-# The memo weighs a model by its facts, and as much again for each Model it
-# keeps; when the weight passes CANONICAL_FACT_CAP, the memo is emptied.
+# The memo weighs a model by its facts, and as much again per Model kept;
+# _one_element_weight is the weight of what it holds, never past the cap.
 _ONE_ELEMENT: dict[tuple[Formula, int], Optional[CanonicalModel]] = {}
 _one_element_weight = 0
 
 
-def _weigh(weight: int) -> None:
+def _weigh(weight: int) -> bool:
+    """Adds weight to the memo's, True; or empties the memo where that would pass the cap, False."""
     global _one_element_weight
-    _one_element_weight += weight
-    if _one_element_weight > canonical.CANONICAL_FACT_CAP:
+    if _one_element_weight + weight > canonical.CANONICAL_FACT_CAP:
         _ONE_ELEMENT.clear()
         _one_element_weight = 0
+        return False
+    _one_element_weight += weight
+    return True
 
 
 def _one_element(s: Sequent) -> Optional[CanonicalModel]:
@@ -216,16 +220,16 @@ def _one_element(s: Sequent) -> Optional[CanonicalModel]:
         canon = _ONE_ELEMENT[key]
     else:
         canon = CanonicalModel(Sequent(lhs, TOP), ())
-        if not canon.complete:
-            canon = None
-        _ONE_ELEMENT[key] = canon
-        _weigh(canon.facts if canon else 1)
+        canon, weight = (canon, canon.facts) if canon.complete else (None, 1)
+        # a memo with no room for the new model is emptied, and then holds it
+        if _weigh(weight) or _weigh(weight):
+            _ONE_ELEMENT[key] = canon
     # the forcing is kept per call, so that a kept model does not grow with it
     return canon if canon is not None and not canon.forces(0, _collapse(s.rhs), {}) else None
 
 
 def _refutation(one: CanonicalModel, s: Sequent, sig: Signature) -> Countermodel:
-    """The validated countermodel read off M_phi^1, a new Model weighed into the memo."""
+    """The validated countermodel read off M_phi^1; a new Model is weighed into the memo."""
     kept = len(one.models)
     cm = _countermodel(one, s, sig, [])
     if len(one.models) > kept:

@@ -297,7 +297,7 @@ def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
     interprets a relation outside sig or at the wrong arity, raises ModelError."""
     doc = _shaped(doc, dict, "a countermodel must be an object")
     model = model_from_dict(doc.get("model"))
-    arity = dict(sig.relations)
+    arity = sig.arities
     for w in model.worlds:
         for name, tuples in model.relJ[w].items():
             if name not in arity:

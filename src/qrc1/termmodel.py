@@ -2,16 +2,13 @@
 
 Derivability from a left-hand side is answered by `oracle`: T, members of the
 left-hand side and conjunctions by the rules of the calculus, and every other
-formula by decider.entails, which gives decide's status: whether the
-canonical model M_Gamma of the left-hand side forces it, which by
-completeness is derivability, or, where the build of M_Gamma stops at its
-fact cap, whether the one-element canonical model refutes it. So an oracle
-answer has no checked certificate behind it; the term model built from the
-answers is checked instead, by `truth_lemma_check` and adequacy. This module
-never consults the model it is building. The oracle for one left-hand side
-is built once (its conjunction and answers) and then asked about each formula
-of a closure. Its queries repeat across oracles, and the answers are kept in
-one process-wide memo.
+formula by decider.entails, which takes decide's steps for decide's status.
+So an oracle answer has no checked certificate behind it; the term model
+built from the answers is checked instead, by `truth_lemma_check` and
+adequacy. This module never consults the model it is building. The oracle
+for one left-hand side is built once (its conjunction and answers) and then
+asked about each formula of a closure. Its queries repeat across oracles,
+and the answers are kept in one process-wide memo.
 
 The closures the construction saturates over, and the modal and universal
 depth measures, are defined here too; `qrc1 closure` prints them.
@@ -55,8 +52,8 @@ from .syntax import (
 
 
 class OracleUndecidedError(QRCError):
-    """entails left a query undecided (the build of M_Gamma stopped at its
-    fact cap, and M_phi^1 does not refute it); the construction cannot proceed."""
+    """entails left a query undecided, as decide would; the construction
+    cannot proceed."""
 
 
 class PairError(QRCError):
@@ -198,9 +195,7 @@ def oracle(
     member of gamma is entailed (Id, then AndE out of the conjunction), and
     A & B is entailed exactly when A and B both are (AndI one way, AndE and
     Cut the other). Every other formula is a query, answered from the memo
-    or by entails, which gives decide's status: whether M_Gamma forces it,
-    and, where the build of M_Gamma stops, refuted where the one-element
-    canonical model refutes it, else undecided. Answers are kept, so a
+    or by entails, which gives decide's status. Answers are kept, so a
     conjunction asks about each conjunct once. A conjunction with an
     undecided conjunct and no refuted one is itself a query. `tally` counts
     the answers by source: "rule", "memo" and "model" (entails)."""

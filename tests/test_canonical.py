@@ -262,7 +262,7 @@ def test_generic_instance_forcing_equals_forcing():
 def _status_by_the_canonical_model_first(s, sig):
     """The status decide gave when it built M_phi first and asked M_phi^1
     only where that build stopped; built here from CanonicalModel and refute,
-    not from entails, which asks in the same order and is under test."""
+    not from entails, which asks in decide's order and is under test."""
     grounded, _, canon = _canonical_model(s, sig)
     if canon.worlds and canon.forces(0, grounded.rhs):
         return DERIVABLE
@@ -384,10 +384,16 @@ def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
     assert models[narrow] is not models[wide]
 
 
+def _memo_weight(memo):
+    """The facts the memo of M_phi^1 holds, once per model and once per Model kept."""
+    return sum(1 if canon is None else canon.facts * (1 + len(canon.models)) for canon in memo.values())
+
+
 def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch, fact_cap):
     """Distinct left-hand sides, each refuted with a Model kept, are fed
-    past a cap of 60 facts: the facts the memo holds, once per model and
-    once per Model kept, stay within the cap, and entries are dropped."""
+    past a cap of 60 facts: the facts the memo holds stay within the cap,
+    are the weight the memo keeps, and entries are dropped. A model built
+    when the memo has no room is held after the memo is emptied."""
     memo = {}
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
     monkeypatch.setattr(decider, "_one_element_weight", 0)
@@ -396,6 +402,21 @@ def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch, fact_cap):
     for depth in range(12):
         s = seq("<>" * depth + "S(c0) |- R(c0,c0)")
         assert decide(s, SIG).stats["certificate_model"] == ONE_ELEMENT
-        held.append(sum(1 if canon is None else canon.facts * (1 + len(canon.models)) for canon in memo.values()))
-        assert held[-1] <= 60
+        held.append(_memo_weight(memo))
+        assert held[-1] == decider._one_element_weight <= 60
     assert max(held) > 30 and len(memo) < 12
+
+    # under a cap of 12, a model of 4 facts with its Model, then one of 8
+    # facts: the memo is emptied for the second model, which it then holds,
+    # and emptied again for that model's Model
+    memo.clear()
+    monkeypatch.setattr(decider, "_one_element_weight", 0)
+    fact_cap(12)
+    first, second = seq("S(c0) & <>S(c0) |- <><>T"), seq("R(c0,c0) & <>R(c0,c0) & <><>S(c0) |- <><><>T")
+    assert decide(first, SIG).stats["certificate_model"] == ONE_ELEMENT
+    assert _memo_weight(memo) == decider._one_element_weight == 8
+    one = decider._one_element(second)
+    assert list(memo.values()) == [one]
+    assert _memo_weight(memo) == decider._one_element_weight == 8
+    assert decide(second, SIG).stats["certificate_model"] == ONE_ELEMENT
+    assert _memo_weight(memo) == decider._one_element_weight == 0

@@ -361,8 +361,8 @@ def test_entails_agrees_with_decide(monkeypatch, fact_cap):
     """entails, which builds no certificate, gives decide's status, None
     exactly where decide is undecided: on random sequents, closed and (over no
     constants) open, and on every query the oracle asks while building term
-    models of the demo pairs; also under a cap of 5 facts, where the build of
-    M_Gamma stops and entails asks the one-element canonical model."""
+    models of the demo pairs; also under a cap of 5 facts, where some builds
+    stop. entails asks the one-element canonical model exactly once, first."""
     rng = random.Random(17)
     open_sig = parse_signature("sig: relations S/1 R/2;")
     sequents = [(random_sequent(rng, query_sig, 3, 2, 6), query_sig)
@@ -397,18 +397,93 @@ def test_entails_agrees_with_decide(monkeypatch, fact_cap):
         for s, query_sig in sequents + asked:
             refuted.clear()
             a = entails(s, query_sig)
-            # entails asks the one-element step at most once, where M_Gamma stops
-            by_one_element = refuted == [True]
+            # entails asks the one-element step exactly once, first
+            assert len(refuted) == 1
+            by_one_element = refuted[0]
             assert decide(s, query_sig).status == STATUS[a], pretty_sequent(s)
             answers[cap, a, by_one_element] += 1
     assert answers[5, False, True] > 0 and answers[5, None, False] > 0
 
 
+def test_entails_builds_the_canonical_models_decide_builds(monkeypatch, fact_cap):
+    """On seeded sequents, closed and (over no constants) open, under the
+    default cap and a cap of 5 facts, entails builds exactly the canonical
+    models decide builds, in decide's order, each from an empty memo of
+    M_phi^1, and gives decide's status: where M_phi^1 refutes the sequent,
+    neither builds M_phi."""
+    rng = random.Random(23)
+    open_sig = parse_signature("sig: relations S/1 R/2;")
+    sequents = [(random_sequent(rng, query_sig, 3, 2, 6), query_sig)
+                for query_sig in [DEFAULT_SIG] * 400 + [open_sig] * 200]
+    assert any(free_vars(s.lhs) | free_vars(s.rhs) for s, _ in sequents)
+    builds = []
+    original = decider.CanonicalModel
+
+    def recording_canonical_model(s, used):
+        builds.append(s)
+        return original(s, used)
+
+    monkeypatch.setattr(decider, "CanonicalModel", recording_canonical_model)
+    memo = {}
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
+
+    def cold(ask, s, query_sig):
+        """ask's answer from an empty memo, and the models it builds."""
+        memo.clear()
+        monkeypatch.setattr(decider, "_one_element_weight", 0)
+        builds.clear()
+        return ask(s, query_sig), list(builds)
+
+    seen = Counter()
+    for cap in (canonical.CANONICAL_FACT_CAP, 5):
+        fact_cap(cap)
+        for s, query_sig in sequents:
+            v, by_decide = cold(decide, s, query_sig)
+            a, by_entails = cold(entails, s, query_sig)
+            assert by_entails == by_decide and STATUS[a] == v.status, pretty_sequent(s)
+            model = v.stats["certificate_model"]
+            assert len(by_entails) == (1 if model == "one-element" else 2), pretty_sequent(s)
+            seen[cap, v.status, model] += 1
+    assert seen.keys() >= {(cap, UNDERIVABLE, "one-element") for cap in (canonical.CANONICAL_FACT_CAP, 5)}
+    assert seen.keys() >= {(5, DERIVABLE, "canonical"), (5, UNDERIVABLE, "canonical"), (5, UNDECIDED, None)}
+
+
+def test_term_models_do_not_depend_on_the_one_element_memo(monkeypatch):
+    """The oracle reads the memo of M_phi^1 that decide fills. The term models
+    of the demo pairs, their truth-lemma reports and the oracle's answers by
+    source are the same from an empty memo, after deciding the seed-7 CI
+    corpus, and with the pairs built in reverse order. The oracle's own memo
+    is emptied before each pair, so each pair asks its queries."""
+    sig, pairs = _demo_pairs(150)
+    oracle_memo = {}
+    monkeypatch.setattr(termmodel, "_MEMO", oracle_memo)
+
+    def built(order):
+        out = []
+        for p in order:
+            oracle_memo.clear()
+            result = build_term_model(p, sig)
+            report = truth_lemma_check(result, p, sig)
+            out.append((result.annotations(), sorted(result.model.R), report.checked,
+                        report.violations, result.oracle_answers))
+        return out
+
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
+    monkeypatch.setattr(decider, "_one_element_weight", 0)
+    first = built(pairs)
+    assert sum(answers["model"] for *_, answers in first) > 0
+    rng = random.Random(7)  # scripts/gen_corpus.py --count 500 --seed 7
+    for _ in range(500):
+        decide(random_sequent(rng, DEFAULT_SIG, 2, 1, 4), DEFAULT_SIG)
+    assert built(pairs) == first
+    assert built(pairs[::-1])[::-1] == first
+
+
 def test_oracle_answers_by_the_one_element_model_where_the_build_stops(fact_cap):
-    """Where M_Gamma is built in full, entails answers by it; under a cap of
-    5 facts the build stops in the root, which instantiates the universals
-    over c and a fresh element, and entails answers by the one-element
-    canonical model, of 4 facts, which refutes the query."""
+    """entails answers by the one-element canonical model, of 4 facts, which
+    refutes the query, whether or not M_Gamma would be built in full: under a
+    cap of 5 facts its build stops in the root, which instantiates the
+    universals over c and a fresh element."""
     fact_cap(canonical.CANONICAL_FACT_CAP)
     sig = Signature(constants=("c",), relations=(("S", 1), ("R", 2)))
     gamma, query = [f("A x . A y . R(x,y)", sig), f("<>S(c)", sig)], f("S(c)", sig)

@@ -59,6 +59,9 @@ class Verdict:
 
 
 def verdict_to_dict(v: Verdict, sig: Signature) -> dict:
+    """The verdict's JSON document, a fresh dict at the top level. A
+    countermodel's "model" is its Model's document (semantics.model_to_dict),
+    shared by every verdict read off that Model: read it, never change it."""
     doc: dict = {"schema": SCHEMA_VERSION, "status": v.status, "stats": v.stats}
     if v.derivation is not None:
         doc["certificate"] = {"kind": "derivation", "derivation": derivation_to_dict(v.derivation, sig)}
@@ -192,7 +195,8 @@ def _collapse(f: Formula) -> Formula:
 # stops: the collapsed right-hand side holds no constant and no universal,
 # so it changes nothing in the build, and it is forced per call. A kept
 # model also keeps a Model per constants tuple (CanonicalModel.countermodel).
-# The memo weighs a model by its facts, and as much again per Model kept;
+# The memo weighs a model by its facts, and as much again per Model kept,
+# which covers the Model together with its document and adequacy report;
 # _one_element_weight is the weight of what it holds, never past the cap.
 _ONE_ELEMENT: dict[tuple[Formula, int], Optional[CanonicalModel]] = {}
 _one_element_weight = 0

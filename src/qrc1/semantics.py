@@ -89,6 +89,32 @@ class Model:
                     if not dom.issuperset(tup):
                         return f"tuple {tup!r} of {s!r} at {w!r} leaves the domain"
 
+    @functools.cached_property
+    def _adequacy(self) -> AdequacyReport:
+        for (w, u) in self.R:
+            missing = self.domain[w] - self.domain[u]
+            if missing:
+                return AdequacyReport(("inclusive", w, u, min(missing, key=str)))
+        for (w, u) in self.R:
+            for v in self.successors(u):
+                if (w, v) not in self.R:
+                    return AdequacyReport(("transitive", w, u, v))
+        for (w, u) in self.R:
+            iw, iu = self.constI.get(w, {}), self.constI.get(u, {})
+            for c, d in iw.items():
+                if c not in iu or iu[c] != d:
+                    return AdequacyReport(("concordant", w, u, c))
+        return AdequacyReport()
+
+    @functools.cached_property
+    def _document(self) -> dict:
+        worlds = [{"id": w,
+                   "domain": sorted(self.domain[w], key=str),
+                   "constants": dict(sorted(self.constI.get(w, {}).items())),
+                   "relations": {s: sorted(map(list, ts)) for s, ts in sorted(self.relJ.get(w, {}).items())}}
+                  for w in self.worlds]
+        return {"worlds": worlds, "edges": sorted(map(list, self.R))}
+
 
 def validate_model(m: Model) -> None:
     """Structural well-formedness; adequacy is checked separately."""
@@ -109,21 +135,9 @@ class AdequacyReport:
 
 
 def check_adequate(m: Model) -> AdequacyReport:
+    """The model's adequacy, after its structure is checked; both answers are kept on the model."""
     validate_model(m)
-    for (w, u) in m.R:
-        missing = m.domain[w] - m.domain[u]
-        if missing:
-            return AdequacyReport(("inclusive", w, u, min(missing, key=str)))
-    for (w, u) in m.R:
-        for v in m.successors(u):
-            if (w, v) not in m.R:
-                return AdequacyReport(("transitive", w, u, v))
-    for (w, u) in m.R:
-        iw, iu = m.constI.get(w, {}), m.constI.get(u, {})
-        for c, d in iw.items():
-            if c not in iu or iu[c] != d:
-                return AdequacyReport(("concordant", w, u, c))
-    return AdequacyReport()
+    return m._adequacy
 
 
 # ---------------------------------------------------------------------------
@@ -225,57 +239,58 @@ class Countermodel:
 
 
 def model_to_dict(m: Model) -> dict:
-    return {
-        "worlds": [
-            {
-                "id": w,
-                "domain": sorted(m.domain[w], key=str),
-                "constants": {c: d for c, d in sorted(m.constI.get(w, {}).items())},
-                "relations": {
-                    s: sorted([list(t) for t in ts])
-                    for s, ts in sorted(m.relJ.get(w, {}).items())
-                },
-            }
-            for w in m.worlds
-        ],
-        "edges": sorted([list(e) for e in m.R]),
-    }
-
-
-def _shaped(value, kind, what: str):
-    """value when it has the given JSON type; otherwise the document is malformed.
-    JSON's true and false are no integers, though Python's bool is an int."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ModelError(f"malformed model document: {what}")
-    return value
-
-
-def _ids(values, what: str) -> tuple[Element, ...]:
-    if {*map(type, _shaped(values, list, f"{what} must be a list"))} <= {int, str}:  # no bool
-        return tuple(values)
-    raise ModelError(f"malformed model document: {what} must hold integers or strings")
+    """The model's JSON document. It is built once per Model and kept on it, so
+    every caller shares one document: read it, copy it, never change it."""
+    return m._document
 
 
 def model_from_dict(doc: dict) -> Model:
-    """Rebuild a model; a document of the wrong shape raises ModelError."""
-    doc = _shaped(doc, dict, "a model must be an object")
-    worlds: list[World] = []
-    domain, constI, relJ = {}, {}, {}
-    for entry in _shaped(doc.get("worlds"), list, "'worlds' must be a list"):
-        entry = _shaped(entry, dict, "a world must be an object")
-        w = _shaped(entry.get("id"), World, "a world id must be an integer or a string")
+    """Rebuild a model in one pass; a document of the wrong shape raises ModelError.
+    An id or a value is an int or a str, never a bool: JSON's true is no integer."""
+    if not isinstance(doc, dict):
+        raise ModelError("malformed model document: a model must be an object")
+    if not isinstance(entries := doc.get("worlds"), list):
+        raise ModelError("malformed model document: 'worlds' must be a list")
+    worlds, domain, constI, relJ = [], {}, {}, {}
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ModelError("malformed model document: a world must be an object")
+        if not isinstance(w := entry.get("id"), (int, str)) or type(w) is bool:
+            raise ModelError("malformed model document: a world id must be an integer or a string")
+        if not isinstance(elements := entry.get("domain"), list):
+            raise ModelError("malformed model document: a domain must be a list")
+        for d in elements:
+            if type(d) is not int and type(d) is not str:
+                raise ModelError("malformed model document: a domain must hold integers or strings")
+        if not isinstance(constants := entry.get("constants", {}), dict):
+            raise ModelError("malformed model document: 'constants' must be an object")
+        if not {*map(type, constants.values())} <= {int, str}:
+            raise ModelError("malformed model document: a constant's value must be an integer or a string")
+        if not isinstance(relations := entry.get("relations", {}), dict):
+            raise ModelError("malformed model document: 'relations' must be an object")
+        for tuples in relations.values():
+            if not isinstance(tuples, list):
+                raise ModelError("malformed model document: a relation must be a list")
+            for t in tuples:
+                if not isinstance(t, list):
+                    raise ModelError("malformed model document: a tuple must be a list")
+                for d in t:
+                    if type(d) is not int and type(d) is not str:
+                        raise ModelError("malformed model document: a tuple must hold integers or strings")
         worlds.append(w)
-        domain[w] = frozenset(_ids(entry.get("domain"), "a domain"))
-        constants = _shaped(entry.get("constants", {}), dict, "'constants' must be an object")
-        constI[w] = {c: _shaped(d, Element, "a constant's value must be an integer or a string")
-                     for c, d in constants.items()}
-        relations = _shaped(entry.get("relations", {}), dict, "'relations' must be an object")
-        relJ[w] = {name: frozenset(_ids(t, "a tuple") for t in _shaped(ts, list, "a relation must be a list"))
-                   for name, ts in relations.items()}
-    edges = [_ids(e, "an edge") for e in _shaped(doc.get("edges", []), list, "'edges' must be a list")]
+        domain[w], constI[w] = frozenset(elements), dict(constants)
+        relJ[w] = {name: frozenset(map(tuple, tuples)) for name, tuples in relations.items()}
+    if not isinstance(edges := doc.get("edges", []), list):
+        raise ModelError("malformed model document: 'edges' must be a list")
+    for e in edges:
+        if not isinstance(e, list):
+            raise ModelError("malformed model document: an edge must be a list")
+        for w in e:
+            if type(w) is not int and type(w) is not str:
+                raise ModelError("malformed model document: an edge must hold integers or strings")
     if any(len(e) != 2 for e in edges):
         raise ModelError("malformed model document: an edge must name two worlds")
-    m = Model(worlds=tuple(worlds), R=frozenset(edges), domain=domain, constI=constI, relJ=relJ)
+    m = Model(worlds=tuple(worlds), R=frozenset(map(tuple, edges)), domain=domain, constI=constI, relJ=relJ)
     validate_model(m)
     return m
 
@@ -295,7 +310,8 @@ def countermodel_to_dict(cm: Countermodel) -> dict:
 def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
     """Rebuild a countermodel; a document of the wrong shape, or a model that
     interprets a relation outside sig or at the wrong arity, raises ModelError."""
-    doc = _shaped(doc, dict, "a countermodel must be an object")
+    if not isinstance(doc, dict):
+        raise ModelError("malformed model document: a countermodel must be an object")
     model = model_from_dict(doc.get("model"))
     arity = sig.arities
     for w in model.worlds:
@@ -304,15 +320,19 @@ def countermodel_from_dict(doc: dict, sig: Signature) -> Countermodel:
                 raise ModelError(f"relation {name!r} at {w!r} is not in the signature")
             if any(len(t) != arity[name] for t in tuples):
                 raise ModelError(f"a tuple of {name!r} at {w!r} does not have arity {arity[name]}")
-    root = _shaped(doc.get("root"), World, "'root' must be an integer or a string")
-    raw = _shaped(doc.get("assignment"), dict, "'assignment' must be an object")
-    mapping = _shaped(raw.get("map"), dict, "the assignment's 'map' must be an object")
-    g = Assignment(
-        {x: _shaped(d, Element, "an assigned value must be an integer or a string") for x, d in mapping.items()},
-        _shaped(raw.get("default"), Element, "the assignment's 'default' must be an integer or a string"),
-    )
-    seq = syntax.parse_sequent(_shaped(doc.get("sequent"), str, "'sequent' must be a string"), sig)
-    return Countermodel(model, root, g, seq)
+    if not isinstance(root := doc.get("root"), (int, str)) or type(root) is bool:
+        raise ModelError("malformed model document: 'root' must be an integer or a string")
+    if not isinstance(raw := doc.get("assignment"), dict):
+        raise ModelError("malformed model document: 'assignment' must be an object")
+    if not isinstance(mapping := raw.get("map"), dict):
+        raise ModelError("malformed model document: the assignment's 'map' must be an object")
+    if not {*map(type, mapping.values())} <= {int, str}:
+        raise ModelError("malformed model document: an assigned value must be an integer or a string")
+    if not isinstance(default := raw.get("default"), (int, str)) or type(default) is bool:
+        raise ModelError("malformed model document: the assignment's 'default' must be an integer or a string")
+    if not isinstance(text := doc.get("sequent"), str):
+        raise ModelError("malformed model document: 'sequent' must be a string")
+    return Countermodel(model, root, Assignment(dict(mapping), default), syntax.parse_sequent(text, sig))
 
 
 def model_text(m: Model) -> str:

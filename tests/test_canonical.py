@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -197,10 +198,9 @@ def test_large_canonical_models_are_bounded(text, facts):
 )
 def test_the_fallback_refutes_past_the_cap(text, worlds):
     # M_phi stops at the cap without forcing the right-hand side, and M_phi^1
-    # refutes the sequent: decide never builds M_phi, and entails, which
-    # builds it first, asks M_phi^1 where it stops; M_phi^1 has one world per
-    # diamond of the left-hand side, while the ids name the smallest
-    # countermodel
+    # refutes the sequent: neither decide nor entails, which both ask M_phi^1
+    # first, builds M_phi; M_phi^1 has one world per diamond of the
+    # left-hand side, while the ids name the smallest countermodel
     s = seq(text)
     grounded, _, canon = _canonical_model(s, SIG)
     assert not canon.complete and canon.facts == canonical.CANONICAL_FACT_CAP
@@ -382,6 +382,34 @@ def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
             assert refute(s, sig).model is cm.model
     assert len(decider._ONE_ELEMENT) == 1
     assert models[narrow] is not models[wide]
+
+
+def test_a_kept_model_serializes_and_checks_as_a_fresh_build_does(monkeypatch):
+    """A Model keeps its document and its adequacy report. After the CI corpus
+    (scripts/gen_corpus.py --count 500 --seed 7) is decided and printed, each
+    Model the M_phi^1 memo keeps gives what a copy with no caches gives, and
+    the verdicts refuted by one kept Model print a fresh build's bytes."""
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
+    monkeypatch.setattr(decider, "_one_element_weight", 0)
+    rng = random.Random(7)
+    verdicts = [decide(random_sequent(rng, SIG, 2, 1, 4), SIG) for _ in range(500)]
+    printed = [json.dumps(verdict_to_dict(v, SIG)) for v in verdicts]
+    models = [m for canon in decider._ONE_ELEMENT.values() if canon is not None for m in canon.models.values()]
+    assert len(models) > 10
+    for m in models:
+        fresh = dataclasses.replace(m)
+        assert semantics.model_to_dict(m) is semantics.model_to_dict(m)
+        assert semantics.model_to_dict(m) == semantics.model_to_dict(fresh)
+        assert semantics.check_adequate(m) is semantics.check_adequate(m)
+        assert semantics.check_adequate(m) == semantics.check_adequate(fresh)
+    shared = Counter(id(v.countermodel.model) for v in verdicts if v.stats["certificate_model"] == ONE_ELEMENT)
+    checked = 0
+    for v, text in zip(verdicts, printed):
+        if v.countermodel is not None and shared[id(v.countermodel.model)] > 1:
+            cm = dataclasses.replace(v.countermodel, model=dataclasses.replace(v.countermodel.model))
+            assert json.dumps(verdict_to_dict(dataclasses.replace(v, countermodel=cm), SIG)) == text
+            checked += 1
+    assert checked > 100
 
 
 def _memo_weight(memo):

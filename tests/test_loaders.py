@@ -44,6 +44,9 @@ def _paths(doc, prefix=()):
         yield from _paths(value, prefix + (key,))
 
 
+MISSING = object()  # as a value for _replaced: the key is deleted
+
+
 def _replaced(doc, path, value):
     if not path:
         return value
@@ -51,7 +54,10 @@ def _replaced(doc, path, value):
     node = doc
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is MISSING:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return doc
 
 
@@ -91,6 +97,81 @@ def test_derivation_loader_is_total_on_a_damaged_document(data):
 def test_countermodel_loader_is_total_on_a_damaged_document(data):
     path = data.draw(st.sampled_from(list(_paths(COUNTERMODEL_DOC))))
     _load_and_check_countermodel(_replaced(COUNTERMODEL_DOC, path, data.draw(JSON)))
+
+
+# One damage per field of COUNTERMODEL_DOC, and a few documents with two
+# faults, with the exact ModelError each gives when loaded and validated (None:
+# it checks). A tuple or an edge missing a value is one element short.
+W0 = ("model", "worlds", 0)
+DAMAGES = [
+    ("worlds-type", [(("model", "worlds"), {})], "malformed model document: 'worlds' must be a list"),
+    ("worlds-true", [(("model", "worlds"), True)], "malformed model document: 'worlds' must be a list"),
+    ("worlds-missing", [(("model", "worlds"), MISSING)], "malformed model document: 'worlds' must be a list"),
+    ("world-type", [(W0, [])], "malformed model document: a world must be an object"),
+    ("id-type", [(W0 + ("id",), [0])], "malformed model document: a world id must be an integer or a string"),
+    ("id-true", [(W0 + ("id",), True)], "malformed model document: a world id must be an integer or a string"),
+    ("id-missing", [(W0 + ("id",), MISSING)], "malformed model document: a world id must be an integer or a string"),
+    ("domain-type", [(W0 + ("domain",), {})], "malformed model document: a domain must be a list"),
+    ("domain-true", [(W0 + ("domain", 1), True)], "malformed model document: a domain must hold integers or strings"),
+    ("domain-missing", [(W0 + ("domain",), MISSING)], "malformed model document: a domain must be a list"),
+    ("constants-type", [(W0 + ("constants",), [])], "malformed model document: 'constants' must be an object"),
+    ("constants-true", [(W0 + ("constants", "c0"), True)],
+     "malformed model document: a constant's value must be an integer or a string"),
+    ("constants-missing", [(W0 + ("constants",), MISSING)], None),
+    ("relations-type", [(W0 + ("relations",), [])], "malformed model document: 'relations' must be an object"),
+    ("relations-true", [(W0 + ("relations", "S"), True)], "malformed model document: a relation must be a list"),
+    ("relations-missing", [(W0 + ("relations",), MISSING)], "countermodel does not force the left-hand side"),
+    ("relation-unknown", [(W0 + ("relations", "Q"), [[0]])], "relation 'Q' at 0 is not in the signature"),
+    ("tuple-type", [(W0 + ("relations", "S", 0), 0)], "malformed model document: a tuple must be a list"),
+    ("tuple-true", [(W0 + ("relations", "S", 0, 0), True)],
+     "malformed model document: a tuple must hold integers or strings"),
+    ("tuple-missing", [(W0 + ("relations", "S", 0), [])], "a tuple of 'S' at 0 does not have arity 1"),
+    ("edges-type", [(("model", "edges"), {})], "malformed model document: 'edges' must be a list"),
+    ("edges-true", [(("model", "edges", 0, 1), True)], "malformed model document: an edge must hold integers or strings"),
+    ("edges-missing", [(("model", "edges"), MISSING)], "countermodel does not force the left-hand side"),
+    ("edge-type", [(("model", "edges", 0), "01")], "malformed model document: an edge must be a list"),
+    ("edge-missing", [(("model", "edges", 0), [0])], "malformed model document: an edge must name two worlds"),
+    ("root-type", [(("root",), [0])], "malformed model document: 'root' must be an integer or a string"),
+    ("root-true", [(("root",), True)], "malformed model document: 'root' must be an integer or a string"),
+    ("root-missing", [(("root",), MISSING)], "malformed model document: 'root' must be an integer or a string"),
+    ("map-type", [(("assignment", "map"), [])], "malformed model document: the assignment's 'map' must be an object"),
+    ("map-true", [(("assignment", "map", "x"), True)],
+     "malformed model document: an assigned value must be an integer or a string"),
+    ("map-missing", [(("assignment", "map"), MISSING)],
+     "malformed model document: the assignment's 'map' must be an object"),
+    ("default-type", [(("assignment", "default"), [0])],
+     "malformed model document: the assignment's 'default' must be an integer or a string"),
+    ("default-true", [(("assignment", "default"), True)],
+     "malformed model document: the assignment's 'default' must be an integer or a string"),
+    ("default-missing", [(("assignment", "default"), MISSING)],
+     "malformed model document: the assignment's 'default' must be an integer or a string"),
+    ("model-type", [(("model",), [])], "malformed model document: a model must be an object"),
+    ("assignment-type", [(("assignment",), [])], "malformed model document: 'assignment' must be an object"),
+    ("sequent-missing", [(("sequent",), MISSING)], "malformed model document: 'sequent' must be a string"),
+    # the first fault in the order the loader reads: worlds, edges, the
+    # structure, the signature, root, map, default
+    ("edges-after-worlds", [(("model", "edges"), {}), (W0 + ("domain",), {})],
+     "malformed model document: a domain must be a list"),
+    ("structure-before-arity", [(("model", "edges", 0, 1), 5), (W0 + ("relations", "S", 0), [])],
+     "edge (0, 5) mentions an unknown world"),
+    ("arity-before-root", [(("root",), True), (W0 + ("relations", "S", 0), [])],
+     "a tuple of 'S' at 0 does not have arity 1"),
+    ("map-before-default", [(("assignment", "default"), MISSING), (("assignment", "map", "y"), True)],
+     "malformed model document: an assigned value must be an integer or a string"),
+]
+
+
+@pytest.mark.parametrize("changes, message", [pytest.param(c, m, id=i) for i, c, m in DAMAGES])
+def test_each_damage_to_a_countermodel_document_gives_its_message(changes, message):
+    doc = COUNTERMODEL_DOC
+    for path, value in changes:
+        doc = _replaced(doc, path, value)
+    if message is None:
+        countermodel_from_dict(doc, SIG).validate()
+        return
+    with pytest.raises(ModelError) as raised:
+        countermodel_from_dict(doc, SIG).validate()
+    assert str(raised.value) == message
 
 
 TOKENS = ["<>", "A", "x", "y", ".", "(", ")", "&", "|-", "T", "S", "R", ",", "c0", " ", "@", "#"]

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from . import syntax
 from .syntax import (
@@ -28,7 +28,6 @@ from .syntax import (
     Var,
     free_vars,
     constants_of,
-    pretty,
     pretty_sequent,
     substitute,
     substitute_sequent,
@@ -85,8 +84,15 @@ def _fail(d: Derivation, msg: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _relations(f: Formula) -> frozenset[tuple[str, int]]:
-    """The name and arity of every atom of f, found once per formula."""
-    return frozenset((g.name, len(g.args)) for g in syntax.subformulas(f) if isinstance(g, Pred))
+    """The name and arity of every atom of f, in one walk cached per subformula."""
+    match f:
+        case Pred(name, args):
+            return frozenset({(name, len(args))})
+        case And(l, r):
+            return _relations(l) | _relations(r)
+        case Diamond(b) | Forall(_, b):
+            return _relations(b)
+    return frozenset()
 
 
 def _well_formed(f: Formula, sig: Signature, d: Derivation) -> None:
@@ -257,8 +263,9 @@ def prove(s: Sequent, sig: Signature, budget: int = 12) -> Optional[Derivation]:
 # certificate serialization
 
 
-def _node_to_dict(d: Derivation, text: Callable[[Formula], str], constants: set[str]) -> dict:
-    doc: dict = {"rule": d.rule, "conclusion": f"{text(d.conclusion.lhs)} |- {text(d.conclusion.rhs)}"}
+def _node_to_dict(d: Derivation, constants: set[str]) -> dict:
+    constants.update(constants_of(d.conclusion.lhs), constants_of(d.conclusion.rhs))
+    doc: dict = {"rule": d.rule, "conclusion": pretty_sequent(d.conclusion)}
     if d.instantiation is not None:
         t = d.instantiation.term
         if isinstance(t, Const):
@@ -269,25 +276,16 @@ def _node_to_dict(d: Derivation, text: Callable[[Formula], str], constants: set[
             "kind": "const" if isinstance(t, Const) else "var",
         }
     if d.premises:
-        doc["premises"] = [_node_to_dict(p, text, constants) for p in d.premises]
+        doc["premises"] = [_node_to_dict(p, constants) for p in d.premises]
     return doc
 
 
 def derivation_to_dict(d: Derivation, sig: Signature) -> dict:
-    """d as a document, in one walk. Each distinct formula is printed once,
-    and its constants are collected then, with each constant instantiation's:
-    those sig lacks are listed as extra_constants."""
-    texts: dict[Formula, str] = {}
+    """d as a document, in one walk. pretty and constants_of are memoized per
+    formula; the constants of each conclusion and each constant instantiation
+    that sig lacks are listed as extra_constants."""
     constants: set[str] = set()
-
-    def text(f: Formula) -> str:
-        printed = texts.get(f)
-        if printed is None:
-            printed = texts[f] = pretty(f)
-            constants.update(constants_of(f))
-        return printed
-
-    doc = _node_to_dict(d, text, constants)
+    doc = _node_to_dict(d, constants)
     extra = sorted(constants - set(sig.constants))
     if extra:
         doc["extra_constants"] = extra

@@ -59,12 +59,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as e:
         raise QRCError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise QRCError(f"cannot read {path}: {e}") from e
 
 
 def _load_signature(args) -> Optional[Signature]:
@@ -164,8 +164,8 @@ def _certificate_docs(text: str) -> list[dict]:
             continue
         try:
             docs.append(json.loads(line))
-        except json.JSONDecodeError as e:
-            raise QRCError(f"line {lineno}: not a JSON document ({e.msg})") from e
+        except ValueError as e:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
+            raise QRCError(f"line {lineno}: not a JSON document ({getattr(e, 'msg', e)})") from e
         except RecursionError:
             raise QRCError(f"line {lineno}: JSON nested too deeply") from None
     if not docs:

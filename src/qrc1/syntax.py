@@ -230,34 +230,6 @@ def constants_of(f: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-@functools.lru_cache(maxsize=None)
-def formula_size(f: Formula) -> int:
-    match f:
-        case Top() | Pred():
-            return 1
-        case And(l, r):
-            return 1 + formula_size(l) + formula_size(r)
-        case Diamond(b) | Forall(_, b):
-            return 1 + formula_size(b)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def subformulas(f: Formula) -> frozenset[Formula]:
-    out: set[Formula] = set()
-
-    def walk(g: Formula) -> None:
-        out.add(g)
-        match g:
-            case And(l, r):
-                walk(l)
-                walk(r)
-            case Diamond(b) | Forall(_, b):
-                walk(b)
-
-    walk(f)
-    return frozenset(out)
-
-
 def substitute(f: Formula, x: str, t: Term) -> Formula:
     """f with every free occurrence of x replaced by t, in one walk.
 
@@ -304,23 +276,22 @@ def substitute_sequent(s: Sequent, x: str, t: Term) -> Sequent:
 
 @functools.lru_cache(maxsize=None)
 def sort_key(f: Formula) -> tuple:
-    """Total order on formulas: size, then constructor tag, then names."""
-    return (formula_size(f), _tag_key(f))
-
-
-@functools.lru_cache(maxsize=None)
-def _tag_key(f: Formula) -> tuple:
+    """Total order on formulas: size, then constructor tag, then names. One
+    walk: a node's key (size, tag) is built from its children's."""
     match f:
         case Top():
-            return (0,)
+            return (1, (0,))
         case Pred(name, args):
-            return (1, name, tuple((isinstance(a, Const), a.name) for a in args))
+            return (1, (1, name, tuple((isinstance(a, Const), a.name) for a in args)))
         case And(l, r):
-            return (2, _tag_key(l), _tag_key(r))
+            (l_size, l_tag), (r_size, r_tag) = sort_key(l), sort_key(r)
+            return (1 + l_size + r_size, (2, l_tag, r_tag))
         case Diamond(b):
-            return (3, _tag_key(b))
+            size, tag = sort_key(b)
+            return (1 + size, (3, tag))
         case Forall(x, b):
-            return (4, x, _tag_key(b))
+            size, tag = sort_key(b)
+            return (1 + size, (4, x, tag))
     raise TypeError(f"not a formula: {f!r}")
 
 

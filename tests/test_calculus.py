@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qrc1 import syntax
+from qrc1 import calculus, syntax
 from qrc1.calculus import (
     AND_E_L,
     AND_E_R,
@@ -37,14 +37,21 @@ from qrc1.derived import (
 )
 from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
 from qrc1.syntax import (
+    And,
     Const,
+    Diamond,
     Forall,
+    Formula,
     ParseError,
+    Pred,
     Sequent,
     Signature,
     Var,
+    constants_of,
     parse_formula,
     parse_sequent,
+    parse_signature,
+    pretty,
     substitute,
 )
 from qrc1.termmodel import mdepth
@@ -430,3 +437,78 @@ def test_an_ill_formed_side_names_its_first_atom_at_fault():
         check_derivation(d, SIG)
     with pytest.raises(DerivationError, match=r"arity mismatch for 'R'$"):
         check_derivation(d, Signature(constants=("c0",), relations=(("Q", 1), ("R", 2))))
+
+
+def _atoms(f: Formula) -> set[tuple[str, int]]:
+    match f:
+        case Pred(name, args):
+            return {(name, len(args))}
+        case And(l, r):
+            return _atoms(l) | _atoms(r)
+        case Diamond(b) | Forall(_, b):
+            return _atoms(b)
+    return set()
+
+
+def test_relations_are_the_name_and_arity_of_each_atom():
+    rng = random.Random(5)
+    sig = Signature(constants=("c0",), relations=(("P", 0), ("S", 1), ("R", 2), ("Q", 3)))
+    for size in (1, 4, 12, 30):
+        for _ in range(200):
+            f = random_formula(rng, sig, max_mdepth=3, max_udepth=2, size=size, scope=["y"])
+            assert calculus._relations(f) == _atoms(f), pretty(f)
+
+
+# derivation_to_dict as it was written with a per-document print memo: each
+# distinct formula printed once, and its constants collected then
+
+
+def _reference_node(d: Derivation, text, constants: set[str]) -> dict:
+    doc: dict = {"rule": d.rule, "conclusion": f"{text(d.conclusion.lhs)} |- {text(d.conclusion.rhs)}"}
+    if d.instantiation is not None:
+        t = d.instantiation.term
+        if isinstance(t, Const):
+            constants.add(t.name)
+        doc["instantiation"] = {
+            "var": d.instantiation.var,
+            "term": t.name,
+            "kind": "const" if isinstance(t, Const) else "var",
+        }
+    if d.premises:
+        doc["premises"] = [_reference_node(p, text, constants) for p in d.premises]
+    return doc
+
+
+def _reference_derivation_to_dict(d: Derivation, sig: Signature) -> dict:
+    texts: dict[Formula, str] = {}
+    constants: set[str] = set()
+
+    def text(f: Formula) -> str:
+        printed = texts.get(f)
+        if printed is None:
+            printed = texts[f] = pretty(f)
+            constants.update(constants_of(f))
+        return printed
+
+    doc = _reference_node(d, text, constants)
+    extra = sorted(constants - set(sig.constants))
+    if extra:
+        doc["extra_constants"] = extra
+    return doc
+
+
+@pytest.mark.parametrize("header", [None, "sig: relations S/1 R/2;"], ids=["closed", "open"])
+def test_derivation_documents_match_the_memoized_serializer(header):
+    # the CI corpora: scripts/gen_corpus.py --count 500 --seed 7 [--sig HEADER]
+    sig = parse_signature(header) if header else DEFAULT_SIG
+    rng = random.Random(7)
+    derivations = [decide(random_sequent(rng, sig, 2, 1, 4), sig).derivation for _ in range(500)]
+    derivations = [d for d in derivations if d is not None]
+    assert len(derivations) > 100
+    extra = sum("extra_constants" in derivation_to_dict(d, sig) for d in derivations)
+    assert extra > 0 if header else extra == 0
+    # k only on a right-hand side, where no checked derivation has a constant of its own
+    unchecked = Derivation(ID, parse_sequent("S(c0) |- S(k)", sig.with_constants(["c0", "k"])))
+    for d in derivations + [unchecked]:
+        doc, expected = derivation_to_dict(d, sig), _reference_derivation_to_dict(d, sig)
+        assert json.dumps(doc) == json.dumps(expected)

@@ -330,6 +330,45 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, command):
     assert "nested too deeply" in err
 
 
+_OVER_LONG = "1" * 5000  # past CPython's default of 4,300 digits for int(str)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="this interpreter has no integer digit limit")
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("check-derivation", '{"derivation": ' + _OVER_LONG + "}"),
+        ("check-model", '{"countermodel": {"model": {"worlds": [{"id": ' + _OVER_LONG
+         + ', "domain": [0]}], "edges": []}, "root": 0, "sequent": "T |- <>T"}}'),
+    ],
+    ids=["derivation", "world-id"],
+)
+def test_an_over_long_json_integer_is_an_input_error(capsys, tmp_path, command, line):
+    doc_path = tmp_path / "big.jsonl"
+    doc_path.write_text("\n" + line + "\n")
+    code, out, err = run(capsys, command, str(doc_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: not a JSON document (") and "4300" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "{bad}"],
+        ["decide", "T |- T", "--sig", "{bad}"],
+        ["check-model", "{bad}"],
+        ["translate", "T |- T", "--realization", "{bad}"],
+    ],
+    ids=["decide", "sig", "check-model", "realization"],
+)
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"sig: relations S/1;\nT |- \xff\n")
+    code, out, err = run(capsys, *(str(bad) if a == "{bad}" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def _nested_derivation(depth: int) -> str:
     """A premise chain of depth nodes, as text: json.dumps would recurse too deep."""
     node = '{"rule": "Nec", "conclusion": "S(c0) |- T", "premises": ['

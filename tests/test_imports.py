@@ -63,12 +63,11 @@ ROOTS = re.compile(
 )
 
 # reached by no root, and kept in the trusted base because perfbench, which
-# may not change with the code it measures, imports them from there
+# may not change with the code it measures, imports them from there; each goes
+# with the benchmark change of ROADMAP item 2
 PERFBENCH_PINNED = {
     ("syntax", "sorted_formulas"),  # perfbench/workloads.py imports it (ROADMAP item 2)
-    ("syntax", "sort_key"),  # sorted_formulas' key (ROADMAP item 2)
-    ("syntax", "_tag_key"),  # sort_key's tie-break (ROADMAP item 2)
-    ("syntax", "formula_size"),  # sort_key's first field (ROADMAP item 2)
+    ("syntax", "sort_key"),  # sorted_formulas' key, one walk giving (size, tag) (ROADMAP item 2)
     ("calculus", "ProofSearch"),  # perfbench/tracing.py patches ProofSearch.prove (ROADMAP item 2)
     ("calculus", "SearchStats"),  # ProofSearch.stats, which the tracer reads (ROADMAP item 2)
     ("calculus", "prove"),  # perfbench/tests imports it (ROADMAP item 2)

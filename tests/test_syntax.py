@@ -40,8 +40,8 @@ from qrc1.syntax import (
     pretty,
     pretty_sequent,
     signature_str,
+    sort_key,
     sorted_formulas,
-    subformulas,
     substitute,
 )
 from qrc1.termmodel import ClosureError, closure, mdepth, set_mdepth, set_udepth, udepth
@@ -124,6 +124,17 @@ def _rebuilt(f):
     return type(f)()
 
 
+def _subformulas(f: Formula):
+    """f and each formula below it, left to right, repeats included."""
+    yield f
+    match f:
+        case And(l, r):
+            yield from _subformulas(l)
+            yield from _subformulas(r)
+        case Diamond(b) | Forall(_, b):
+            yield from _subformulas(b)
+
+
 @pytest.mark.parametrize("scope", [[], ["y", "z"]], ids=["closed", "free-variables"])
 def test_equal_formulas_are_one_object(scope):
     for seed in range(300):
@@ -136,7 +147,7 @@ def test_equal_formulas_are_one_object(scope):
             renamed = substitute(f, x, Var("w"))
             assert substitute(renamed, "w", Var(x)) is f
             assert substitute(renamed, "w", Const("c0")) is substitute(f, x, Const("c0"))
-        for g in subformulas(f):
+        for g in _subformulas(f):
             if isinstance(g, Pred):
                 assert Pred(g.name, list(g.args)) is g
         s = random_sequent(random.Random(seed), SIG, 3, 2, 12)
@@ -554,6 +565,54 @@ def test_sorted_formulas_is_deterministic():
     once = sorted_formulas(fs)
     assert sorted_formulas(reversed(fs)) == once
     assert once[0] == TOP
+
+
+# The order key as three functions, one walk each: the size, the tag, and
+# the pair of them. sort_key must give the same key in one walk.
+
+
+def _reference_size(f: Formula) -> int:
+    match f:
+        case Top() | Pred():
+            return 1
+        case And(l, r):
+            return 1 + _reference_size(l) + _reference_size(r)
+        case Diamond(b) | Forall(_, b):
+            return 1 + _reference_size(b)
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_tag(f: Formula) -> tuple:
+    match f:
+        case Top():
+            return (0,)
+        case Pred(name, args):
+            return (1, name, tuple((isinstance(a, Const), a.name) for a in args))
+        case And(l, r):
+            return (2, _reference_tag(l), _reference_tag(r))
+        case Diamond(b):
+            return (3, _reference_tag(b))
+        case Forall(x, b):
+            return (4, x, _reference_tag(b))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _reference_sort_key(f: Formula) -> tuple:
+    return (_reference_size(f), _reference_tag(f))
+
+
+@pytest.mark.parametrize(
+    "max_mdepth, max_udepth, size", [(1, 1, 3), (2, 1, 6), (3, 2, 12), (4, 3, 24)]
+)
+def test_sort_key_is_the_three_walk_key(max_mdepth, max_udepth, size):
+    rng = random.Random(size)
+    fs = [random_formula(rng, SIG, max_mdepth, max_udepth, size, ["y", "z"]) for _ in range(500)]
+    for f in fs:
+        for g in _subformulas(f):
+            assert sort_key(g) == _reference_sort_key(g), pretty(g)
+    assert sorted_formulas(fs) == sorted(fs, key=_reference_sort_key)
+    with pytest.raises(TypeError):
+        sort_key(Var("y"))
 
 
 # ---------------------------------------------------------------------------

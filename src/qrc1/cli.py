@@ -156,14 +156,15 @@ def cmd_certificate(args, out) -> int:
 # certificate checking
 
 
-def _certificate_docs(text: str) -> list[dict]:
+def _certificate_docs(text: str) -> list[tuple[int, dict]]:
+    """Each JSON document of the text with the number of its line."""
     docs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            docs.append(json.loads(line))
+            docs.append((lineno, json.loads(line)))
         except ValueError as e:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
             raise QRCError(f"line {lineno}: not a JSON document ({getattr(e, 'msg', e)})") from e
         except RecursionError:
@@ -210,10 +211,10 @@ def cmd_check(args, out) -> int:
     field, checked, valid_text = _CHECKS[kind]
     sig = _load_signature(args) or Signature()
     status = EXIT_OK
-    for doc in _certificate_docs(_read_text(args.input)):
+    for lineno, doc in _certificate_docs(_read_text(args.input)):
         inner = _extract(doc, kind)
         if inner is None:
-            raise QRCError(f"document carries no {kind}")
+            raise QRCError(f"line {lineno}: document carries no {kind}")
         label = doc.get("sequent", inner.get(field, "?") if isinstance(inner, dict) else "?")
         try:
             concluded = checked(inner, sig)

@@ -4,7 +4,6 @@ from qrc1.generate, and countermodels from qrc1.canonical."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -20,6 +19,7 @@ from .syntax import (
     Sequent,
     Signature,
     Top,
+    cached_attribute,
     pretty_sequent,
 )
 
@@ -49,7 +49,7 @@ class Model:
     def successors(self, w: World) -> tuple[World, ...]:
         return self._successors.get(w, ())
 
-    @functools.cached_property
+    @cached_attribute
     def _successors(self) -> dict[World, tuple[World, ...]]:
         # forcing asks for the successors of a world at every diamond; each
         # list is in the order of self.worlds
@@ -66,7 +66,7 @@ class Model:
         except KeyError:
             raise ModelError(f"constant {c!r} is not interpreted at world {w!r}") from None
 
-    @functools.cached_property
+    @cached_attribute
     def _defect(self) -> Optional[str]:
         """What makes the model ill-formed, or None; loading and validating ask."""
         wset = set(self.worlds)
@@ -89,7 +89,7 @@ class Model:
                     if not dom.issuperset(tup):
                         return f"tuple {tup!r} of {s!r} at {w!r} leaves the domain"
 
-    @functools.cached_property
+    @cached_attribute
     def _adequacy(self) -> AdequacyReport:
         for (w, u) in self.R:
             missing = self.domain[w] - self.domain[u]
@@ -106,7 +106,7 @@ class Model:
                     return AdequacyReport(("concordant", w, u, c))
         return AdequacyReport()
 
-    @functools.cached_property
+    @cached_attribute
     def _document(self) -> dict:
         worlds = [{"id": w,
                    "domain": sorted(self.domain[w], key=str),
@@ -244,14 +244,45 @@ def model_to_dict(m: Model) -> dict:
     return m._document
 
 
+# The models model_from_dict has loaded and checked, keyed by their documents'
+# content, and their total weight: worlds, domain elements, constant entries,
+# relation tuples and edges. A model that would take the weight past
+# MODEL_MEMO_WEIGHT empties the memo first; a heavier one is not kept.
+MODEL_MEMO_WEIGHT = 10_000
+_MODELS: dict[tuple, Model] = {}
+_models_weight = 0
+
+
+def _keep(key: tuple, m: Model) -> None:
+    global _models_weight
+    *content, edges = key
+    weight = len(edges) + sum(1 + len(elements) + len(constants) + sum(len(ts) for _, ts in relations)
+                              for _, elements, constants, relations in content)
+    if weight > MODEL_MEMO_WEIGHT:
+        return
+    if _models_weight + weight > MODEL_MEMO_WEIGHT:
+        _MODELS.clear()
+        _models_weight = 0
+    _MODELS[key] = m
+    _models_weight += weight
+
+
 def model_from_dict(doc: dict) -> Model:
     """Rebuild a model in one pass; a document of the wrong shape raises ModelError.
-    An id or a value is an int or a str, never a bool: JSON's true is no integer."""
+    An id or a value is an int or a str, never a bool: JSON's true is no integer.
+
+    A well-formed model is kept, within MODEL_MEMO_WEIGHT, keyed by the
+    document's content in the order it is written: per world its id, domain,
+    constants and relations, then the edges. A document with the same content
+    gets the same Model, whose structure, successors, adequacy and document
+    are worked out once. It is the Model that document would build, set
+    iteration order included, so no result depends on what was loaded before.
+    A loaded Model is shared: read it, never change it."""
     if not isinstance(doc, dict):
         raise ModelError("malformed model document: a model must be an object")
     if not isinstance(entries := doc.get("worlds"), list):
         raise ModelError("malformed model document: 'worlds' must be a list")
-    worlds, domain, constI, relJ = [], {}, {}, {}
+    content = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ModelError("malformed model document: a world must be an object")
@@ -277,9 +308,8 @@ def model_from_dict(doc: dict) -> Model:
                 for d in t:
                     if type(d) is not int and type(d) is not str:
                         raise ModelError("malformed model document: a tuple must hold integers or strings")
-        worlds.append(w)
-        domain[w], constI[w] = frozenset(elements), dict(constants)
-        relJ[w] = {name: frozenset(map(tuple, tuples)) for name, tuples in relations.items()}
+        content.append((w, tuple(elements), tuple(constants.items()),
+                        tuple((name, tuple(map(tuple, tuples))) for name, tuples in relations.items())))
     if not isinstance(edges := doc.get("edges", []), list):
         raise ModelError("malformed model document: 'edges' must be a list")
     for e in edges:
@@ -290,8 +320,16 @@ def model_from_dict(doc: dict) -> Model:
                 raise ModelError("malformed model document: an edge must hold integers or strings")
     if any(len(e) != 2 for e in edges):
         raise ModelError("malformed model document: an edge must name two worlds")
-    m = Model(worlds=tuple(worlds), R=frozenset(map(tuple, edges)), domain=domain, constI=constI, relJ=relJ)
-    validate_model(m)
+    key = (*content, tuple(map(tuple, edges)))
+    m = _MODELS.get(key)
+    if m is None:
+        m = Model(worlds=tuple(w for w, *_ in content), R=frozenset(key[-1]),
+                  domain={w: frozenset(elements) for w, elements, _, _ in content},
+                  constI={w: dict(constants) for w, _, constants, _ in content},
+                  relJ={w: {name: frozenset(tuples) for name, tuples in relations}
+                        for w, _, _, relations in content})
+        validate_model(m)
+        _keep(key, m)
     return m
 
 

@@ -161,8 +161,27 @@ class Sequent(_Node):
 RESERVED_NAMES = frozenset({"T", "A"})
 
 
+class cached_attribute:
+    """functools.cached_property without the lock that CPython 3.11 takes on
+    every first access: the value is worked out on first access and stored on
+    the instance, whose attribute is then read directly. Two threads may both
+    work it out; each stores the same value."""
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class Signature:
+    """Equal signatures hash equal; the hash is worked out once, when the
+    signature is built, since the parse and oracle memos hash it per lookup."""
+
     constants: tuple[str, ...] = ()
     relations: tuple[tuple[str, int], ...] = ()
 
@@ -182,12 +201,20 @@ class Signature:
         for name, arity in self.relations:
             if arity < 0:
                 raise SignatureError(f"negative arity for {name}")
+        object.__setattr__(self, "_hash", hash((self.constants, self.relations)))
 
-    @functools.cached_property
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt, not copied: a string's hash differs from process to process
+        return Signature, (self.constants, self.relations)
+
+    @cached_attribute
     def arities(self) -> Mapping[str, int]:
         return dict(self.relations)
 
-    @functools.cached_property
+    @cached_attribute
     def constant_names(self) -> frozenset[str]:
         return frozenset(self.constants)
 

@@ -351,6 +351,21 @@ def test_an_over_long_json_integer_is_an_input_error(capsys, tmp_path, command, 
     assert err.startswith("error: line 2: not a JSON document (") and "4300" in err
 
 
+@pytest.mark.parametrize("command, certificate", [("check-derivation", "T |- T"), ("check-model", "T |- <>T")])
+def test_a_document_without_the_certificate_names_its_line(capsys, tmp_path, command, certificate):
+    _, verdict, _ = run(capsys, "decide", certificate, "--format", "json-lines")
+    _, other, _ = run(capsys, "decide", "T |- <>T" if certificate == "T |- T" else "T |- T", "--format", "json-lines")
+    kind = command.removeprefix("check-").replace("model", "countermodel")
+    # a blank line is skipped, and counted
+    for body, line in [(verdict + "[1, 2]\n" + verdict, 2), ("\n" + verdict + other, 3)]:
+        doc_path = tmp_path / "docs.jsonl"
+        doc_path.write_text(body)
+        code, out, err = run(capsys, command, str(doc_path))
+        assert code == 1
+        assert out.startswith("valid ") and len(out.splitlines()) == 1
+        assert err == f"error: line {line}: document carries no {kind}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,12 +7,13 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from qrc1 import semantics
 from qrc1.calculus import check_derivation, derivation_from_dict, derivation_to_dict
 from qrc1.cli import main
 from qrc1.decider import decide
 from qrc1.generate import DEFAULT_SIG
-from qrc1.semantics import ModelError, countermodel_from_dict, countermodel_to_dict
-from qrc1.syntax import QRCError, parse_sequent, signature_str
+from qrc1.semantics import ModelError, countermodel_from_dict, countermodel_to_dict, model_from_dict
+from qrc1.syntax import QRCError, Signature, parse_sequent, signature_str
 
 SIG = DEFAULT_SIG
 
@@ -225,3 +226,124 @@ def test_check_model_refuses_json_booleans(capsys, tmp_path):
     sig.write_text(signature_str(SIG) + "\n")
     assert main(["check-model", str(doc), "--sig", str(sig)]) == 2
     assert capsys.readouterr().out.startswith("INVALID countermodel")
+
+
+# ---------------------------------------------------------------------------
+# the model memo: a loaded model is kept, keyed by its document's content
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty model memo for the test, and a function giving its weight."""
+    monkeypatch.setattr(semantics, "_MODELS", {})
+    monkeypatch.setattr(semantics, "_models_weight", 0)
+    return lambda: semantics._models_weight
+
+
+def _weight(model_doc) -> int:
+    """Worlds, domain elements, constant entries, relation tuples and edges."""
+    worlds = model_doc["worlds"]
+    return (len(worlds) + len(model_doc["edges"])
+            + sum(len(w["domain"]) + len(w["constants"]) + sum(map(len, w["relations"].values()))
+                  for w in worlds))
+
+
+MODEL_DOC = COUNTERMODEL_DOC["model"]
+W1 = ("worlds", 1)
+# each a change to one field of MODEL_DOC that gives another model
+ONE_FIELD = {
+    "world order": [(("worlds",), MODEL_DOC["worlds"][::-1])],
+    "edge": [(("edges", 0), [1, 0])],
+    "domain element": [(W1 + ("domain",), [0, 1, 2, 3])],
+    "constant value": [(W1 + ("constants", "c1"), 1)],
+    "relation tuple": [(W1 + ("relations", "S", 0), [2])],
+    "empty relation": [(W1 + ("relations", "R"), [])],
+}
+
+
+@pytest.mark.parametrize("field", list(ONE_FIELD))
+def test_documents_that_differ_in_one_field_load_as_different_models(memo, monkeypatch, field):
+    doc = MODEL_DOC
+    for path, value in ONE_FIELD[field]:
+        doc = _replaced(doc, path, value)
+    kept = model_from_dict(MODEL_DOC)
+    loaded = model_from_dict(doc)
+    monkeypatch.setattr(semantics, "_MODELS", {})
+    assert loaded == model_from_dict(doc) != kept
+    assert model_from_dict(MODEL_DOC) == kept
+
+
+def test_equal_documents_load_as_one_model(memo):
+    kept = model_from_dict(MODEL_DOC)
+    assert model_from_dict(copy.deepcopy(MODEL_DOC)) is kept
+    assert countermodel_from_dict(copy.deepcopy(COUNTERMODEL_DOC), SIG).model is kept
+    assert memo() == _weight(MODEL_DOC) == 15
+
+
+def test_a_kept_model_gives_each_document_its_own_first_fault(memo):
+    # the same relations in another order: the signature check names the first
+    # relation each document lists, whichever document was loaded first
+    s_first = _replaced(COUNTERMODEL_DOC, W0 + ("relations",), {"S": [[0]], "R": []})
+    r_first = _replaced(COUNTERMODEL_DOC, W0 + ("relations",), {"R": [], "S": [[0]]})
+    for order in ([s_first, r_first], [r_first, s_first]):
+        semantics._MODELS.clear()
+        for doc in order + order:
+            with pytest.raises(ModelError) as raised:
+                countermodel_from_dict(doc, Signature())
+            name = "S" if doc is s_first else "R"
+            assert str(raised.value) == f"relation {name!r} at 0 is not in the signature"
+
+
+def test_the_memo_weight_never_passes_its_bound(memo, monkeypatch):
+    weight = _weight(MODEL_DOC)
+    monkeypatch.setattr(semantics, "MODEL_MEMO_WEIGHT", 2 * weight + 1)
+    docs = [_replaced(MODEL_DOC, W1 + ("domain",), list(range(3 + k))) for k in range(6)]
+    for k, doc in enumerate(docs):
+        m = model_from_dict(doc)
+        assert semantics._MODELS[next(reversed(semantics._MODELS))] is m
+        assert memo() <= semantics.MODEL_MEMO_WEIGHT
+        assert memo() == sum(map(_weight, docs[k - len(semantics._MODELS) + 1:k + 1]))
+    # one model heavier than the bound is checked and not kept
+    monkeypatch.setattr(semantics, "MODEL_MEMO_WEIGHT", weight - 1)
+    semantics._MODELS.clear()
+    monkeypatch.setattr(semantics, "_models_weight", 0)
+    first = countermodel_from_dict(COUNTERMODEL_DOC, SIG)
+    first.validate()
+    assert countermodel_from_dict(COUNTERMODEL_DOC, SIG).model is not first.model
+    assert (semantics._MODELS, memo()) == ({}, 0)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("edges", 0, 1), 5, "edge (0, 5) mentions an unknown world"),
+    (W1 + ("domain",), [], "world 1 has an empty domain"),
+    (W1 + ("id",), 0, "duplicate world ids"),
+])
+def test_an_ill_formed_model_is_not_kept(memo, path, value, message):
+    doc = _replaced(MODEL_DOC, path, value)
+    for _ in range(2):
+        with pytest.raises(ModelError) as raised:
+            model_from_dict(doc)
+        assert str(raised.value) == message
+        assert (semantics._MODELS, memo()) == ({}, 0)
+
+
+@pytest.mark.parametrize("path, value, sig, message", [
+    (("root",), 2, SIG, "root 2 is not a world of the model"),
+    (("assignment", "map", "x"), 3, SIG, "the assignment's value 3 is not in the root's domain"),
+    (("assignment", "default"), 7, SIG, "the assignment's value 7 is not in the root's domain"),
+    (("sequent",), "S(x) |- <>S(y)", SIG, "countermodel forces the right-hand side"),
+    (("sequent",), "S(y) |- <>S(x)", SIG, "countermodel does not force the left-hand side"),
+    (("sequent",), "S(x) |- <>Q(x)", SIG, "undeclared relation 'Q' (at position 10)"),
+    ((), None, Signature(relations=(("S", 2),)), "a tuple of 'S' at 0 does not have arity 2"),
+    ((), None, Signature(relations=(("R", 2),)), "relation 'S' at 0 is not in the signature"),
+])
+def test_a_damaged_document_of_a_kept_model_fails_on_its_own(memo, path, value, sig, message):
+    kept = countermodel_from_dict(COUNTERMODEL_DOC, SIG)
+    kept.validate()
+    doc = _replaced(COUNTERMODEL_DOC, path, value) if path else COUNTERMODEL_DOC
+    with pytest.raises(QRCError) as raised:
+        cm = countermodel_from_dict(doc, sig)
+        assert cm.model is kept.model
+        cm.validate()
+    assert str(raised.value) == message
+    countermodel_from_dict(COUNTERMODEL_DOC, SIG).validate()

@@ -492,6 +492,26 @@ def test_the_memo_keys_by_signature_as_well_as_text():
             assert parse_sequent("S(c) |- S(c)", sig).rhs is Pred("S", (expected,))
 
 
+def test_equal_signatures_hash_equal_and_share_one_memo_entry():
+    first = Signature(constants=("c",), relations=(("S", 1),))
+    second = Signature(constants=("c",), relations=(("S", 1),))
+    assert first is not second and first == second and hash(first) == hash(second)
+    parse_formula.cache_clear()
+    assert parse_formula("S(c)", first) is parse_formula("S(c)", second)
+    info = parse_formula.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+
+
+def test_a_pickled_signature_hashes_anew_under_another_hash_seed():
+    # a signature's hash is worked out when it is built, so a pickle rebuilds it
+    dumped = _python(_PARSE + "hash(sig)\nsys.stdout.buffer.write(pickle.dumps(sig))", hash_seed=1)
+    checks = _python(_PARSE + """
+other = pickle.loads(sys.stdin.buffer.read())
+print(json.dumps([other == sig, hash(other) == hash(sig), {sig: 1}.get(other)]))
+""", hash_seed=2, stdin=dumped)
+    assert json.loads(checks) == [True, True, 1]
+
+
 def test_parse_errors_are_not_memoized():
     parse_formula.cache_clear()
     messages = []

@@ -31,10 +31,10 @@ CANONICAL_FACT_CAP facts. A part of M_phi still serves the YES side: each
 of its facts and worlds keeps its derivation, so whatever the part forces
 has a derivation read off it.
 
-`countermodel` keeps the Model it reads off, one per tuple of constants, as
-only the constants' map depends on the signature and the sequent. The
-decider keeps the one-element model M_phi^1 between calls
-(decider._ONE_ELEMENT), and its Models with it; M_phi lives for one call.
+`model` builds the Model for a tuple of constants, the only part of it that
+depends on the signature and the sequent. The decider keeps the one-element
+model M_phi^1 between calls, and each Model read off it as an entry of its
+own (decider._ONE_ELEMENT); M_phi lives for one call.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .syntax import (
     Formula,
     Pred,
     Sequent,
-    Signature,
     Term,
     TOP,
     Top,
@@ -176,7 +175,6 @@ class CanonicalModel:
         k = _layer_udepth(s.rhs)
         self._names = fresh_names(FRESH_VAR_PREFIX, used)
         self._forced: dict[tuple[int, Formula], bool] = {}
-        self.models: dict[tuple[str, ...], Model] = {}  # by constants tuple, see countermodel
         self.worlds: list[_World] = []
         self.elements = 0
         self.facts = 0
@@ -306,23 +304,18 @@ class CanonicalModel:
             d = _then(_nec(self._from_formula(self.worlds[u], edge)), _then(trans, d))
             v = u
 
-    def countermodel(self, original: Sequent, sig: Signature, ground_pairs: list[tuple[str, str]]) -> Countermodel:
-        """M_phi as a countermodel to the original sequent, whose free
-        variables ground_pairs names by constants of the grounded one. The
-        signature's and the sequent's constants that do not occur are sent to
-        a root element. That map is the only part of the Model that depends
-        on the signature and the sequent, so each tuple of constants has its
-        Model built once and kept in self.models."""
-        constants = sig.with_constants(sorted(constants_of(original.lhs) | constants_of(original.rhs))).constants
-        model = self.models.get(constants)
-        if model is None:
-            model = self.models[constants] = self._model(constants)
+    def countermodel(self, model: Model, original: Sequent, ground_pairs: list[tuple[str, str]]) -> Countermodel:
+        """M_phi's Model, built by `model`, as a countermodel to the original
+        sequent, whose free variables ground_pairs names by constants of the
+        grounded one."""
         # the root's domain, where the grounding constants are, takes the first element ids
         root = self.worlds[0].domain
         g = Assignment({x: root.index(Const(c)) for x, c in ground_pairs}, 0)
         return Countermodel(model, 0, g, original)
 
-    def _model(self, constants: tuple[str, ...]) -> Model:
+    def model(self, constants: tuple[str, ...]) -> Model:
+        """M_phi as a Model that interprets constants, those that do not occur
+        sent to a root element."""
         element: dict[Term, int] = {}
         for world in self.worlds:
             for t in world.domain:

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .arith import arith_sequent, arith_to_dict, default_realization, parse_realization, render
@@ -156,22 +156,22 @@ def cmd_certificate(args, out) -> int:
 # certificate checking
 
 
-def _certificate_docs(text: str) -> list[tuple[int, dict]]:
-    """Each JSON document of the text with the number of its line."""
-    docs = []
+def _certificate_docs(text: str) -> Iterator[tuple[int, dict]]:
+    """Each JSON document of the text with the number of its line, parsed
+    when it is asked for, so that the lines before a broken one are checked."""
+    if not text.strip():  # every line blank: each line separator is whitespace too
+        raise QRCError("no certificate documents in input")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            docs.append((lineno, json.loads(line)))
+            doc = json.loads(line)
         except ValueError as e:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
             raise QRCError(f"line {lineno}: not a JSON document ({getattr(e, 'msg', e)})") from e
         except RecursionError:
             raise QRCError(f"line {lineno}: JSON nested too deeply") from None
-    if not docs:
-        raise QRCError("no certificate documents in input")
-    return docs
+        yield lineno, doc
 
 
 def _extract(doc: dict, kind: str) -> Optional[dict]:

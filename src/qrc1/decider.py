@@ -23,7 +23,7 @@ from .calculus import (
     derivation_to_dict,
 )
 from .canonical import FRESH_VAR_PREFIX, CanonicalModel, fresh_names
-from .semantics import Countermodel, countermodel_to_dict
+from .semantics import Countermodel, Model, WeighedMemo, countermodel_to_dict
 from .syntax import (
     And,
     Const,
@@ -36,6 +36,7 @@ from .syntax import (
     TOP,
     Top,
     Var,
+    constants_of,
     free_vars,
     substitute,
     substitute_sequent,
@@ -141,9 +142,9 @@ def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
     """Decide derivability, returning a validated certificate either way.
     Constants of s that sig does not declare join it, so that a countermodel
     interprets them. Between calls decide keeps M_phi^1 per collapsed
-    left-hand side and fact cap, and its Model per constants tuple, within
-    the bound of _ONE_ELEMENT; every countermodel read off them is validated
-    here, so the verdict depends on s and sig alone."""
+    left-hand side and fact cap, and each Model read off it per constants
+    tuple, as weighed entries of _ONE_ELEMENT; every countermodel read off
+    them is validated here, so the verdict depends on s and sig alone."""
     one = _one_element(s)
     if one is not None:
         return _verdict(UNDERIVABLE, "one-element", None, countermodel=_refutation(one, s, sig))
@@ -154,7 +155,8 @@ def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
         check_derivation(d, sig)
         return _verdict(DERIVABLE, "canonical", canon, derivation=d)
     if canon.complete:
-        return _verdict(UNDERIVABLE, "canonical", canon, countermodel=_countermodel(canon, s, sig, ground_pairs))
+        cm = _countermodel(canon, canon.model(_constants(s, sig)), s, ground_pairs)
+        return _verdict(UNDERIVABLE, "canonical", canon, countermodel=cm)
     return _verdict(UNDECIDED, None, canon)
 
 
@@ -165,8 +167,13 @@ def refute(s: Sequent, sig: Signature) -> Optional[Countermodel]:
     return None if one is None else _refutation(one, s, sig)
 
 
-def _countermodel(canon: CanonicalModel, s: Sequent, sig: Signature, ground_pairs: list) -> Countermodel:
-    cm = canon.countermodel(s, sig, ground_pairs)
+def _constants(s: Sequent, sig: Signature) -> tuple[str, ...]:
+    """The constants a countermodel to s interprets: sig's and then s's own."""
+    return sig.with_constants(sorted(constants_of(s.lhs) | constants_of(s.rhs))).constants
+
+
+def _countermodel(canon: CanonicalModel, model: Model, s: Sequent, ground_pairs: list) -> Countermodel:
+    cm = canon.countermodel(model, s, ground_pairs)
     cm.validate()
     return cm
 
@@ -191,26 +198,13 @@ def _collapse(f: Formula) -> Formula:
     return f
 
 
-# M_phi^1 by collapsed left-hand side and fact cap, None where its build
-# stops: the collapsed right-hand side holds no constant and no universal,
-# so it changes nothing in the build, and it is forced per call. A kept
-# model also keeps a Model per constants tuple (CanonicalModel.countermodel).
-# The memo weighs a model by its facts, and as much again per Model kept,
-# which covers the Model together with its document and adequacy report;
-# _one_element_weight is the weight of what it holds, never past the cap.
-_ONE_ELEMENT: dict[tuple[Formula, int], Optional[CanonicalModel]] = {}
-_one_element_weight = 0
-
-
-def _weigh(weight: int) -> bool:
-    """Adds weight to the memo's, True; or empties the memo where that would pass the cap, False."""
-    global _one_element_weight
-    if _one_element_weight + weight > canonical.CANONICAL_FACT_CAP:
-        _ONE_ELEMENT.clear()
-        _one_element_weight = 0
-        return False
-    _one_element_weight += weight
-    return True
+# M_phi^1 by (collapsed left-hand side, fact cap), None where its build
+# stops, and each Model read off it by (collapsed left-hand side, fact cap,
+# constants). The collapsed right-hand side holds no constant and no
+# universal, so it changes nothing in the build, and it is forced per call.
+# Each entry weighs M_phi^1's facts (1 for None): for a Model, that covers
+# the Model together with its document and adequacy report.
+_ONE_ELEMENT = WeighedMemo()
 
 
 def _one_element(s: Sequent) -> Optional[CanonicalModel]:
@@ -218,27 +212,27 @@ def _one_element(s: Sequent) -> Optional[CanonicalModel]:
     and each universal as its body, when it is built in full within the fact
     cap and refutes s. Its size is linear in s, and every one-element
     model of the left-hand side is an image of it."""
-    lhs = _collapse(s.lhs)
-    key = (lhs, canonical.CANONICAL_FACT_CAP)
+    lhs, cap = _collapse(s.lhs), canonical.CANONICAL_FACT_CAP
+    key = (lhs, cap)
     if key in _ONE_ELEMENT:
         canon = _ONE_ELEMENT[key]
     else:
         canon = CanonicalModel(Sequent(lhs, TOP), ())
-        canon, weight = (canon, canon.facts) if canon.complete else (None, 1)
-        # a memo with no room for the new model is emptied, and then holds it
-        if _weigh(weight) or _weigh(weight):
-            _ONE_ELEMENT[key] = canon
+        canon = canon if canon.complete else None
+        _ONE_ELEMENT.keep(key, canon, 1 if canon is None else canon.facts, cap)
     # the forcing is kept per call, so that a kept model does not grow with it
     return canon if canon is not None and not canon.forces(0, _collapse(s.rhs), {}) else None
 
 
 def _refutation(one: CanonicalModel, s: Sequent, sig: Signature) -> Countermodel:
-    """The validated countermodel read off M_phi^1; a new Model is weighed into the memo."""
-    kept = len(one.models)
-    cm = _countermodel(one, s, sig, [])
-    if len(one.models) > kept:
-        _weigh(one.facts)
-    return cm
+    """The validated countermodel read off M_phi^1, one, whose Model is kept."""
+    constants, cap = _constants(s, sig), canonical.CANONICAL_FACT_CAP
+    key = (_collapse(s.lhs), cap, constants)
+    model = _ONE_ELEMENT.get(key)
+    if model is None:
+        model = one.model(constants)
+        _ONE_ELEMENT.keep(key, model, one.facts, cap)
+    return _countermodel(one, model, s, [])
 
 
 def _verdict(status: str, model: Optional[str], canon: Optional[CanonicalModel], **certificate) -> Verdict:

@@ -244,27 +244,30 @@ def model_to_dict(m: Model) -> dict:
     return m._document
 
 
+class WeighedMemo(dict):
+    """A memo that keeps the summed weight of its entries within the cap each
+    keep names: an entry heavier than the cap is not kept, and one that would
+    take the sum past it empties the memo first."""
+
+    weight = 0
+
+    def keep(self, key, value, weight: int, cap: int) -> None:
+        if weight <= cap:
+            if self.weight + weight > cap:
+                self.clear()
+            self[key] = value
+            self.weight += weight
+
+    def clear(self) -> None:
+        super().clear()
+        self.weight = 0
+
+
 # The models model_from_dict has loaded and checked, keyed by their documents'
-# content, and their total weight: worlds, domain elements, constant entries,
-# relation tuples and edges. A model that would take the weight past
-# MODEL_MEMO_WEIGHT empties the memo first; a heavier one is not kept.
+# content, each weighing its worlds, domain elements, constant entries,
+# relation tuples and edges, within MODEL_MEMO_WEIGHT.
 MODEL_MEMO_WEIGHT = 10_000
-_MODELS: dict[tuple, Model] = {}
-_models_weight = 0
-
-
-def _keep(key: tuple, m: Model) -> None:
-    global _models_weight
-    *content, edges = key
-    weight = len(edges) + sum(1 + len(elements) + len(constants) + sum(len(ts) for _, ts in relations)
-                              for _, elements, constants, relations in content)
-    if weight > MODEL_MEMO_WEIGHT:
-        return
-    if _models_weight + weight > MODEL_MEMO_WEIGHT:
-        _MODELS.clear()
-        _models_weight = 0
-    _MODELS[key] = m
-    _models_weight += weight
+_MODELS = WeighedMemo()
 
 
 def model_from_dict(doc: dict) -> Model:
@@ -329,7 +332,9 @@ def model_from_dict(doc: dict) -> Model:
                   relJ={w: {name: frozenset(tuples) for name, tuples in relations}
                         for w, _, _, relations in content})
         validate_model(m)
-        _keep(key, m)
+        weight = sum(1 + len(elements) + len(constants) + sum(len(ts) for _, ts in relations)
+                     for _, elements, constants, relations in content)
+        _MODELS.keep(key, m, weight + len(edges), MODEL_MEMO_WEIGHT)
     return m
 
 

@@ -30,7 +30,7 @@ from .canonical import fresh_names
 # (ROADMAP item 2)
 from .decider import decide, entails, ground, names_of  # noqa: F401
 from .generate import transitive_closure
-from .semantics import Model, default_assignment, forces
+from .semantics import Model, WeighedMemo, default_assignment, forces
 from .syntax import (
     And,
     Const,
@@ -178,9 +178,9 @@ def set_udepth(gamma: Iterable[Formula]) -> int:
 
 
 # (query sequent, signature, fact cap) -> True, False, or None for undecided.
-# entails is a pure function of these, so an answer never goes stale; entries
-# past _MEMO_MAX are not kept.
-_MEMO: dict[tuple, bool | None] = {}
+# entails is a pure function of these, so an answer never goes stale. Each
+# answer weighs 1, so the memo is emptied when it would pass _MEMO_MAX.
+_MEMO = WeighedMemo()
 _MEMO_MAX = 100_000
 
 
@@ -214,8 +214,7 @@ def oracle(
             return a
         tally["model"] += 1
         a = entails(query, sig)
-        if len(_MEMO) < _MEMO_MAX:
-            _MEMO[key] = a
+        _MEMO.keep(key, a, 1, _MEMO_MAX)
         return a
 
     def answer(f: Formula) -> bool | None:

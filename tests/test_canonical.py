@@ -20,7 +20,7 @@ from qrc1.decider import (
     verdict_to_dict,
 )
 from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Sequent, Signature, parse_sequent
+from qrc1.syntax import TOP, Sequent, Signature, parse_sequent
 from qrc1.termmodel import udepth
 
 SIG = DEFAULT_SIG
@@ -252,7 +252,7 @@ def test_generic_instance_forcing_equals_forcing():
     for s, sig in corpus:
         grounded, pairs, canon = _canonical_model(s, sig)
         assert canon.complete
-        cm = canon.countermodel(s, sig, pairs)
+        cm = canon.countermodel(canon.model(decider._constants(s, sig)), s, pairs)
         assert semantics.forces(cm.model, 0, cm.assignment, s.lhs)
         forced.add(canon.forces(0, grounded.rhs))
         assert canon.forces(0, grounded.rhs) == semantics.forces(cm.model, 0, cm.assignment, s.rhs), s
@@ -320,8 +320,8 @@ def test_memos_warmed_under_one_cap_answer_as_empty_ones_under_another(monkeypat
         return [(decide(s, sig).status, _by_the_oracle(s, sig)) for s, sig in corpus]
 
     def empty_memos():
-        monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
-        monkeypatch.setattr(termmodel, "_MEMO", {})
+        monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo())
+        monkeypatch.setattr(termmodel, "_MEMO", semantics.WeighedMemo())
 
     empty_memos()
     fact_cap(10)
@@ -343,7 +343,7 @@ def test_verdict_bytes_do_not_depend_on_the_one_element_memo(monkeypatch):
     one memo, and the corpus decided in reverse print the same bytes; the
     warm pass reads many countermodels off one kept Model."""
     corpus = _seeded_corpus()
-    memo = {}
+    memo = semantics.WeighedMemo()
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
     cold = []
     for item in corpus:
@@ -361,8 +361,9 @@ def test_verdict_bytes_do_not_depend_on_the_one_element_memo(monkeypatch):
 def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
     """Two left-hand sides that collapse alike share M_phi^1, and each
     signature's countermodels get a Model of their own, with that
-    signature's constants, built once."""
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
+    signature's constants, built once and kept as an entry of the memo."""
+    memo = semantics.WeighedMemo()
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
     narrow = Signature(constants=("c0",), relations=SIG.relations)
     wide = Signature(constants=("c0", "c1", "d"), relations=SIG.relations)
     texts = ["A x . R(x,c0) & <>S(c0) |- S(c0)", "R(c0,c0) & <>S(y) |- <>R(c0,c0)"]
@@ -380,7 +381,11 @@ def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
             loaded.validate()
             assert loaded.sequent == s
             assert refute(s, sig).model is cm.model
-    assert len(decider._ONE_ELEMENT) == 1
+    ones = [v for v in memo.values() if isinstance(v, canonical.CanonicalModel)]
+    kept = {key[-1]: v for key, v in memo.items() if isinstance(v, semantics.Model)}
+    assert len(ones) == 1 and len(memo) == 3
+    assert kept.keys() == {narrow.constants, wide.constants}
+    assert kept[narrow.constants] is models[narrow] and kept[wide.constants] is models[wide]
     assert models[narrow] is not models[wide]
 
 
@@ -389,12 +394,11 @@ def test_a_kept_model_serializes_and_checks_as_a_fresh_build_does(monkeypatch):
     (scripts/gen_corpus.py --count 500 --seed 7) is decided and printed, each
     Model the M_phi^1 memo keeps gives what a copy with no caches gives, and
     the verdicts refuted by one kept Model print a fresh build's bytes."""
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
-    monkeypatch.setattr(decider, "_one_element_weight", 0)
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo())
     rng = random.Random(7)
     verdicts = [decide(random_sequent(rng, SIG, 2, 1, 4), SIG) for _ in range(500)]
     printed = [json.dumps(verdict_to_dict(v, SIG)) for v in verdicts]
-    models = [m for canon in decider._ONE_ELEMENT.values() if canon is not None for m in canon.models.values()]
+    models = [m for m in decider._ONE_ELEMENT.values() if isinstance(m, semantics.Model)]
     assert len(models) > 10
     for m in models:
         fresh = dataclasses.replace(m)
@@ -413,38 +417,42 @@ def test_a_kept_model_serializes_and_checks_as_a_fresh_build_does(monkeypatch):
 
 
 def _memo_weight(memo):
-    """The facts the memo of M_phi^1 holds, once per model and once per Model kept."""
-    return sum(1 if canon is None else canon.facts * (1 + len(canon.models)) for canon in memo.values())
+    """The facts of the M_phi^1 each entry of the memo is, or is a Model read
+    off; 1 for an M_phi^1 whose build stopped."""
+    return sum(1 if v is None else canonical.CanonicalModel(Sequent(key[0], TOP), ()).facts
+               for key, v in memo.items())
 
 
 def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch, fact_cap):
     """Distinct left-hand sides, each refuted with a Model kept, are fed
     past a cap of 60 facts: the facts the memo holds stay within the cap,
     are the weight the memo keeps, and entries are dropped. A model built
-    when the memo has no room is held after the memo is emptied."""
-    memo = {}
+    when the memo has no room is held after the memo is emptied, and so is
+    a Model read off it."""
+    memo = semantics.WeighedMemo()
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
-    monkeypatch.setattr(decider, "_one_element_weight", 0)
     fact_cap(60)
     held = []
     for depth in range(12):
         s = seq("<>" * depth + "S(c0) |- R(c0,c0)")
         assert decide(s, SIG).stats["certificate_model"] == ONE_ELEMENT
         held.append(_memo_weight(memo))
-        assert held[-1] == decider._one_element_weight <= 60
-    assert max(held) > 30 and len(memo) < 12
+        assert held[-1] == memo.weight <= 60
+    # each left-hand side kept an M_phi^1 and a Model
+    assert max(held) > 30 and len(memo) < 2 * 12
 
     # under a cap of 12, a model of 4 facts with its Model, then one of 8
     # facts: the memo is emptied for the second model, which it then holds,
-    # and emptied again for that model's Model
+    # and emptied again for that model's Model, which it then holds
     memo.clear()
-    monkeypatch.setattr(decider, "_one_element_weight", 0)
     fact_cap(12)
     first, second = seq("S(c0) & <>S(c0) |- <><>T"), seq("R(c0,c0) & <>R(c0,c0) & <><>S(c0) |- <><><>T")
     assert decide(first, SIG).stats["certificate_model"] == ONE_ELEMENT
-    assert _memo_weight(memo) == decider._one_element_weight == 8
+    assert _memo_weight(memo) == memo.weight == 8
     one = decider._one_element(second)
     assert list(memo.values()) == [one]
-    assert _memo_weight(memo) == decider._one_element_weight == 8
-    assert decide(second, SIG).stats["certificate_model"] == ONE_ELEMENT
-    assert _memo_weight(memo) == decider._one_element_weight == 0
+    assert _memo_weight(memo) == memo.weight == 8
+    v = decide(second, SIG)
+    assert v.stats["certificate_model"] == ONE_ELEMENT
+    assert len(memo) == 1 and next(iter(memo.values())) is v.countermodel.model
+    assert _memo_weight(memo) == memo.weight == 8

@@ -366,6 +366,25 @@ def test_a_document_without_the_certificate_names_its_line(capsys, tmp_path, com
         assert err == f"error: line {line}: document carries no {kind}\n"
 
 
+@pytest.mark.parametrize("command, certificate", [("check-derivation", "T |- T"), ("check-model", "T |- <>T")])
+def test_lines_before_a_broken_json_line_are_checked_first(capsys, tmp_path, command, certificate):
+    _, verdict, _ = run(capsys, "decide", certificate, "--format", "json-lines")
+    doc_path = tmp_path / "docs.jsonl"
+    doc_path.write_text(verdict + verdict + '{"broken\n')
+    code, out, err = run(capsys, command, str(doc_path))
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines()] == ["valid", "valid"]
+    assert err.startswith("error: line 3: not a JSON document (")
+
+
+@pytest.mark.parametrize("command", ["check-derivation", "check-model"])
+def test_an_input_without_documents_is_an_input_error(capsys, tmp_path, command):
+    doc_path = tmp_path / "docs.jsonl"
+    for body in ["", "\n  \n", "\t\x0b\x1c\u2028\n"]:
+        doc_path.write_text(body)
+        assert run(capsys, command, str(doc_path)) == (1, "", "error: no certificate documents in input\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

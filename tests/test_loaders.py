@@ -235,9 +235,8 @@ def test_check_model_refuses_json_booleans(capsys, tmp_path):
 @pytest.fixture
 def memo(monkeypatch):
     """An empty model memo for the test, and a function giving its weight."""
-    monkeypatch.setattr(semantics, "_MODELS", {})
-    monkeypatch.setattr(semantics, "_models_weight", 0)
-    return lambda: semantics._models_weight
+    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo())
+    return lambda: semantics._MODELS.weight
 
 
 def _weight(model_doc) -> int:
@@ -268,7 +267,7 @@ def test_documents_that_differ_in_one_field_load_as_different_models(memo, monke
         doc = _replaced(doc, path, value)
     kept = model_from_dict(MODEL_DOC)
     loaded = model_from_dict(doc)
-    monkeypatch.setattr(semantics, "_MODELS", {})
+    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo())
     assert loaded == model_from_dict(doc) != kept
     assert model_from_dict(MODEL_DOC) == kept
 
@@ -306,7 +305,6 @@ def test_the_memo_weight_never_passes_its_bound(memo, monkeypatch):
     # one model heavier than the bound is checked and not kept
     monkeypatch.setattr(semantics, "MODEL_MEMO_WEIGHT", weight - 1)
     semantics._MODELS.clear()
-    monkeypatch.setattr(semantics, "_models_weight", 0)
     first = countermodel_from_dict(COUNTERMODEL_DOC, SIG)
     first.validate()
     assert countermodel_from_dict(COUNTERMODEL_DOC, SIG).model is not first.model

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrc1 import canonical
+from qrc1 import canonical, decider
 from qrc1.canonical import CanonicalModel
 from qrc1.decider import UNDERIVABLE, decide, ground, names_of, refute
 from qrc1.generate import (
@@ -24,6 +24,7 @@ from qrc1.semantics import (
     Countermodel,
     Model,
     ModelError,
+    WeighedMemo,
     check_adequate,
     countermodel_from_dict,
     countermodel_to_dict,
@@ -360,7 +361,7 @@ def test_hard_countermodels_check_within_a_read_budget(monkeypatch, text, worlds
     monkeypatch.setattr(canonical, "_layer_udepth", udepth)
     canon = CanonicalModel(Sequent(lhs, rhs), used)
     assert canon.complete and not canon.forces(0, rhs)
-    model = canon.countermodel(s, HARD_SIG, pairs)
+    model = canon.countermodel(canon.model(decider._constants(s, HARD_SIG)), s, pairs)
     assert len(model.model.worlds) == worlds
     doc = json.loads(json.dumps(countermodel_to_dict(model)))
     cm = countermodel_from_dict(doc, HARD_SIG)
@@ -585,6 +586,33 @@ def test_countermodel_round_trip():
     cm = refute(s, SIG)
     back = countermodel_from_dict(countermodel_to_dict(cm), SIG)
     back.validate()
+
+
+def test_a_weighed_memo_keeps_its_weight_within_the_cap():
+    """Under a cap of 10: an entry that fits is added, one that would pass the
+    cap empties the memo first, one heavier than the cap is not kept, and
+    clear resets the weight. After every step the weight is the sum of the
+    held entries' weights."""
+    memo = WeighedMemo()
+    weights = {}
+    steps = [
+        ("keep", "a", 4, {"a"}),
+        ("keep", "b", 5, {"a", "b"}),
+        ("keep", "c", 2, {"c"}),  # 4 + 5 + 2 passes the cap
+        ("keep", "d", 11, {"c"}),  # heavier than the cap
+        ("keep", "e", 8, {"c", "e"}),  # reaches the cap, and fits
+        ("keep", "f", 0, {"c", "e", "f"}),
+        ("clear", None, None, set()),
+        ("keep", "g", 10, {"g"}),
+    ]
+    for step, key, weight, held in steps:
+        if step == "clear":
+            memo.clear()
+        else:
+            weights[key] = weight
+            memo.keep(key, key.upper(), weight, 10)
+        assert memo == {k: k.upper() for k in held}
+        assert memo.weight == sum(weights[k] for k in memo) <= 10
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import qrc1.termmodel as termmodel
 
 from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, decide, entails
 from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
-from qrc1.semantics import check_adequate
+from qrc1.semantics import WeighedMemo, check_adequate
 from qrc1.syntax import (
     And,
     Diamond,
@@ -298,7 +298,7 @@ def test_oracle_queries_are_pinned(monkeypatch):
     digest also pins each truth-lemma report and the oracle's answers by
     source."""
     sig, pairs = _demo_pairs(150)
-    monkeypatch.setattr(termmodel, "_MEMO", {})
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
     queries = hashlib.sha256()
     models = hashlib.sha256()
     calls = 0
@@ -327,7 +327,7 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     """A query is answered once across oracles and term-model builds, and again
     under another signature; build_term_model counts its answers by
     source."""
-    monkeypatch.setattr(termmodel, "_MEMO", {})
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
     asked = []
     original = termmodel.entails
 
@@ -357,6 +357,33 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     assert second == first
 
 
+def test_an_oracle_memo_emptied_under_pressure_builds_the_same_term_models(monkeypatch):
+    """The term models of test_oracle_queries_are_pinned, built with an oracle
+    memo bounded at 3 answers, which empties it again and again, have the
+    worlds and models of those built at the default bound; only the split of
+    the oracle's answers between the memo and entails differs."""
+    sig, pairs = _demo_pairs(150)
+    default = termmodel._MEMO_MAX
+
+    def built(bound):
+        memo = WeighedMemo()
+        monkeypatch.setattr(termmodel, "_MEMO", memo)
+        monkeypatch.setattr(termmodel, "_MEMO_MAX", bound)
+        return [build_term_model(p, sig) for p in pairs], memo
+
+    pressed, small = built(3)
+    assert 0 < len(small) == small.weight <= 3
+    at_default, memo = built(default)
+    assert len(memo) == memo.weight > 3
+    assert pressed == at_default
+    assert [r.worlds for r in pressed] == [r.worlds for r in at_default]
+    assert [r.model for r in pressed] == [r.model for r in at_default]
+    for a, b in zip(pressed, at_default):
+        assert a.oracle_answers["rule"] == b.oracle_answers["rule"]
+        assert a.oracle_answers["memo"] + a.oracle_answers["model"] == b.oracle_answers["memo"] + b.oracle_answers["model"]
+    assert sum(r.oracle_answers["model"] for r in pressed) > sum(r.oracle_answers["model"] for r in at_default)
+
+
 def test_entails_agrees_with_decide(monkeypatch, fact_cap):
     """entails, which builds no certificate, gives decide's status, None
     exactly where decide is undecided: on random sequents, closed and (over no
@@ -369,7 +396,7 @@ def test_entails_agrees_with_decide(monkeypatch, fact_cap):
                 for query_sig in [DEFAULT_SIG] * 1000 + [open_sig] * 300]
     assert any(free_vars(s.lhs) | free_vars(s.rhs) for s, _ in sequents)
     sig, pairs = _demo_pairs(150)
-    monkeypatch.setattr(termmodel, "_MEMO", {})
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
     asked = []
     original = termmodel.entails
 
@@ -424,13 +451,12 @@ def test_entails_builds_the_canonical_models_decide_builds(monkeypatch, fact_cap
         return original(s, used)
 
     monkeypatch.setattr(decider, "CanonicalModel", recording_canonical_model)
-    memo = {}
+    memo = WeighedMemo()
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
 
     def cold(ask, s, query_sig):
         """ask's answer from an empty memo, and the models it builds."""
         memo.clear()
-        monkeypatch.setattr(decider, "_one_element_weight", 0)
         builds.clear()
         return ask(s, query_sig), list(builds)
 
@@ -455,7 +481,7 @@ def test_term_models_do_not_depend_on_the_one_element_memo(monkeypatch):
     corpus, and with the pairs built in reverse order. The oracle's own memo
     is emptied before each pair, so each pair asks its queries."""
     sig, pairs = _demo_pairs(150)
-    oracle_memo = {}
+    oracle_memo = WeighedMemo()
     monkeypatch.setattr(termmodel, "_MEMO", oracle_memo)
 
     def built(order):
@@ -468,8 +494,7 @@ def test_term_models_do_not_depend_on_the_one_element_memo(monkeypatch):
                         report.violations, result.oracle_answers))
         return out
 
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
-    monkeypatch.setattr(decider, "_one_element_weight", 0)
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", WeighedMemo())
     first = built(pairs)
     assert sum(answers["model"] for *_, answers in first) > 0
     rng = random.Random(7)  # scripts/gen_corpus.py --count 500 --seed 7
@@ -518,8 +543,8 @@ def test_a_stuck_query_builds_each_canonical_model_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(decider, "CanonicalModel", counting_canonical_model)
-    monkeypatch.setattr(termmodel, "_MEMO", {})
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", {})
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", WeighedMemo())
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, sig)(parse_formula("<>S(c1)", sig))
     assert len(builds) == 2
@@ -551,7 +576,7 @@ def test_oracle_asks_about_a_conjunction_with_an_undecided_conjunct(monkeypatch)
         return answer[s.rhs]
 
     monkeypatch.setattr(termmodel, "entails", fake_entails)
-    monkeypatch.setattr(termmodel, "_MEMO", {})
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
     gamma = [f("<>T & S(c)")]
     assert oracle(gamma, SIG)(f("T")) and oracle(gamma, SIG)(gamma[0])
     assert asked == []

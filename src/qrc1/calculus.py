@@ -29,6 +29,8 @@ from .syntax import (
     free_vars,
     constants_of,
     pretty_sequent,
+    shared,
+    shared_union,
     substitute,
     substitute_sequent,
 )
@@ -87,12 +89,12 @@ def _relations(f: Formula) -> frozenset[tuple[str, int]]:
     """The name and arity of every atom of f, in one walk cached per subformula."""
     match f:
         case Pred(name, args):
-            return frozenset({(name, len(args))})
+            return shared({(name, len(args))})
         case And(l, r):
-            return _relations(l) | _relations(r)
+            return shared_union(_relations(l), _relations(r))
         case Diamond(b) | Forall(_, b):
             return _relations(b)
-    return frozenset()
+    return shared(())
 
 
 def _well_formed(f: Formula, sig: Signature, d: Derivation) -> None:

@@ -38,6 +38,8 @@ from .syntax import (
     Var,
     constants_of,
     free_vars,
+    shared,
+    shared_union,
     substitute,
     substitute_sequent,
 )
@@ -85,15 +87,16 @@ def names_of(f: Formula) -> frozenset[str]:
     """Every constant and variable name of f, free or bound."""
     match f:
         case Top():
-            return frozenset()
+            return shared(())
         case Pred(_, args):
-            return frozenset(t.name for t in args)
+            return shared(t.name for t in args)
         case And(l, r):
-            return names_of(l) | names_of(r)
+            return shared_union(names_of(l), names_of(r))
         case Diamond(b):
             return names_of(b)
         case Forall(x, b):
-            return names_of(b) | {x}
+            body = names_of(b)
+            return body if x in body else shared(body | {x})
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -1,6 +1,7 @@
 """The sources of formulas, sequents and models that the decider is checked
-against, none of them trusted: seeded random generators, and the exhaustive,
-isomorphism-reduced enumeration of small adequate models.
+against, none of them trusted: seeded random generators, the exhaustive
+enumeration of small sequents, and the exhaustive, isomorphism-reduced
+enumeration of small adequate models.
 
 The experiment scripts and the randomized tests use them. Every random
 choice is drawn from an explicit random.Random, so runs are reproducible.
@@ -88,6 +89,34 @@ def random_sequent(
         random_formula(rng, sig, max_mdepth, max_udepth, size),
         random_formula(rng, sig, max_mdepth, max_udepth, size),
     )
+
+
+def enumerate_sequents(sig: Signature, max_size: int) -> Iterator[Sequent]:
+    """Every closed sequent over sig of total size at most max_size, by total
+    size, then by the size of the left-hand side. Size counts one per T, atom
+    and connective. The binder at depth d, counting the universals above it,
+    is named x<d>, so no two sequents that differ only in the names of bound
+    variables both appear."""
+
+    @functools.cache
+    def formulas(size: int, depth: int) -> tuple[Formula, ...]:
+        """The formulas of the given size over the binders x0 .. x<depth - 1>."""
+        if size == 1:
+            terms = [Const(c) for c in sig.constants] + [Var(f"x{i}") for i in range(depth)]
+            atoms = (Pred(name, args) for name, arity in sig.relations
+                     for args in itertools.product(terms, repeat=arity))
+            return (TOP, *atoms)
+        found = [And(l, r) for k in range(1, size - 1)
+                 for l in formulas(k, depth) for r in formulas(size - 1 - k, depth)]
+        found += [Diamond(b) for b in formulas(size - 1, depth)]
+        found += [Forall(f"x{depth}", b) for b in formulas(size - 1, depth + 1)]
+        return tuple(found)
+
+    for total in range(2, max_size + 1):
+        for left in range(1, total):
+            for lhs in formulas(left, 0):
+                for rhs in formulas(total - left, 0):
+                    yield Sequent(lhs, rhs)
 
 
 def random_adequate_model(

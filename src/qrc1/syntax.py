@@ -10,6 +10,10 @@ constants, conjunction, diamond, and universal quantification. Nothing else.
 Terms, formulas and sequents are hash-consed: equal ones are one object, so
 equality is identity and hashing is by id. A set of them iterates in memory
 order, so code whose output depends on the order sorts first (sorted_formulas).
+Terms and formulas are kept for the life of the process, since they recur as
+subterms across inputs; a sequent is interned while it is alive, and freed
+once nothing holds it. The fact sets that the cached walks return, such as
+free_vars and constants_of, are shared too: equal sets are one object.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
@@ -44,21 +50,64 @@ class SubstitutionError(QRCError):
 # ---------------------------------------------------------------------------
 # terms and formulas
 
-#: every node built, keyed by its class and fields; it lives as long as the process
+#: every term and formula built, keyed by its class and fields; it lives as
+#: long as the process, since terms and formulas recur as subterms across inputs
 _TABLE: dict[tuple, "_Node"] = {}
+
+
+class _KeyedRef(weakref.ref):
+    """A weak reference that knows its table key, for the callback."""
+
+    __slots__ = ("key",)
+
+
+class _WeakTable:
+    """A table that holds its nodes weakly, with dict's get and setdefault: a
+    node that nothing else holds is freed, and its entry goes with it. Each
+    change to the table is one dict operation, atomic under the interpreter
+    lock, so two threads building one node keep one copy."""
+
+    def __init__(self):
+        refs, remove = {}, _remove_dead_weakref
+
+        def drop(ref: _KeyedRef) -> None:
+            # removes the entry only while it holds a dead reference, as
+            # weakref.WeakValueDictionary does, so never a newer node's. It
+            # reads no global: a node may be freed at exit, after they are gone
+            remove(refs, ref.key)
+
+        self._refs: dict[tuple, _KeyedRef] = refs
+        self._callback = drop  # one function, shared by every reference
+
+    def get(self, key):
+        ref = self._refs.get(key)
+        return None if ref is None else ref()
+
+    def setdefault(self, key, node):
+        ref = _KeyedRef(node, self._callback)
+        ref.key = key
+        while True:
+            live = self._refs.setdefault(key, ref)()
+            if live is not None:
+                return live
+            # the entry of a freed node whose callback has not yet run
+            _remove_dead_weakref(self._refs, key)
 
 
 class _Node:
     """A hash-consed node: building one whose class and fields equal an
     existing node's returns that node. So equal nodes are one object, and
-    __eq__ and __hash__ are object's, by identity."""
+    __eq__ and __hash__ are object's, by identity. A class's nodes are kept
+    in its _table: _TABLE, or a _WeakTable for nodes interned while alive."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
+    _table = _TABLE
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _TABLE.get(key)
+        table = cls._table
+        node = table.get(key)
         if node is None:
             if len(fields) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
@@ -66,7 +115,7 @@ class _Node:
             for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(node, name, value)
             # setdefault, so that two threads building one node keep one copy
-            node = _TABLE.setdefault(key, node)
+            node = table.setdefault(key, node)
         return node
 
     def __setattr__(self, *_):
@@ -106,6 +155,8 @@ class Formula(_Node):
 
 
 class Top(Formula):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "Top"
 
@@ -145,7 +196,12 @@ TOP = Top()
 
 
 class Sequent(_Node):
-    __slots__ = __match_args__ = ("lhs", "rhs")
+    """Interned while alive: sequents seldom recur across inputs, so one that
+    nothing holds is freed, with its entry."""
+
+    __match_args__ = ("lhs", "rhs")
+    __slots__ = (*__match_args__, "__weakref__")
+    _table = _WeakTable()
 
     def __repr__(self) -> str:
         return f"Sequent(lhs={self.lhs!r}, rhs={self.rhs!r})"
@@ -227,19 +283,36 @@ class Signature:
 # basic syntactic operations
 
 
+#: each distinct fact set that shared has returned; there are few
+_FACTS: dict[frozenset, frozenset] = {}
+
+
+def shared(items: Iterable) -> frozenset:
+    """The frozenset of items, one object per value: the cached walks over
+    formulas return only shared sets, so that equal facts are kept once."""
+    facts = frozenset(items)
+    return _FACTS.setdefault(facts, facts)
+
+
+def shared_union(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, shared: an operand that holds the other is returned as it is."""
+    return a if b <= a else b if a <= b else shared(a | b)
+
+
 @functools.lru_cache(maxsize=None)
 def free_vars(f: Formula) -> frozenset[str]:
     match f:
         case Top():
-            return frozenset()
+            return shared(())
         case Pred(_, args):
-            return frozenset(t.name for t in args if isinstance(t, Var))
+            return shared(t.name for t in args if isinstance(t, Var))
         case And(l, r):
-            return free_vars(l) | free_vars(r)
+            return shared_union(free_vars(l), free_vars(r))
         case Diamond(b):
             return free_vars(b)
         case Forall(x, b):
-            return free_vars(b) - {x}
+            body = free_vars(b)
+            return shared(body - {x}) if x in body else body
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -247,11 +320,11 @@ def free_vars(f: Formula) -> frozenset[str]:
 def constants_of(f: Formula) -> frozenset[str]:
     match f:
         case Top():
-            return frozenset()
+            return shared(())
         case Pred(_, args):
-            return frozenset(t.name for t in args if isinstance(t, Const))
+            return shared(t.name for t in args if isinstance(t, Const))
         case And(l, r):
-            return constants_of(l) | constants_of(r)
+            return shared_union(constants_of(l), constants_of(r))
         case Diamond(b) | Forall(_, b):
             return constants_of(b)
     raise TypeError(f"not a formula: {f!r}")

@@ -1,7 +1,9 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +14,14 @@ from qrc1.decider import (
     DERIVABLE,
     UNDERIVABLE,
     decide,
+    entails,
     ground,
     verdict_to_dict,
 )
-from qrc1.generate import DEFAULT_SIG, random_sequent
-from qrc1.syntax import Const, Pred, Sequent, Signature, free_vars, parse_sequent
+from qrc1.generate import DEFAULT_SIG, enumerate_sequents, random_sequent
+from qrc1.syntax import (
+    And, Const, Diamond, Forall, Pred, Sequent, Signature, free_vars, parse_sequent, parse_signature, sort_key,
+)
 from qrc1.termmodel import mdepth
 
 SIG = DEFAULT_SIG
@@ -198,3 +203,49 @@ def test_certificates_check_after_the_json_round_trip_whatever_names_are_declare
         cm = semantics.countermodel_from_dict(cert["countermodel"], sig)
         cm.validate()
         assert cm.sequent == s
+
+
+# ---------------------------------------------------------------------------
+# every small sequent (ROADMAP item 16)
+
+SMALL_SIG = parse_signature("sig: constants c; relations S/1 R/2;")
+
+
+def _binders_named_by_depth(f, depth=0) -> bool:
+    match f:
+        case And(l, r):
+            return _binders_named_by_depth(l, depth) and _binders_named_by_depth(r, depth)
+        case Diamond(b):
+            return _binders_named_by_depth(b, depth)
+        case Forall(x, b):
+            return x == f"x{depth}" and _binders_named_by_depth(b, depth + 1)
+    return True
+
+
+def test_the_enumeration_holds_each_closed_sequent_once():
+    sequents = list(enumerate_sequents(SMALL_SIG, 6))
+    assert len(set(sequents)) == len(sequents)
+    totals = [sort_key(s.lhs)[0] + sort_key(s.rhs)[0] for s in sequents]
+    assert totals == sorted(totals)
+    assert Counter(totals) == {2: 9, 3: 60, 4: 334, 5: 1992, 6: 12605}
+    for s in sequents:
+        assert not free_vars(s.lhs) and not free_vars(s.rhs)
+        assert _binders_named_by_depth(s.lhs) and _binders_named_by_depth(s.rhs)
+    assert sum(1 for _ in enumerate_sequents(SMALL_SIG, 7)) == 98_348
+
+
+# decide's statuses at total size <= 6, in enumeration order, as recorded when
+# the enumeration was added; certificate_model tells M_phi^1 from M_phi
+SMALL_STATUSES = {(DERIVABLE, "canonical"): 3950, (UNDERIVABLE, "one-element"): 10012, (UNDERIVABLE, "canonical"): 1038}
+SMALL_DIGEST = "7e3e0a290322a0a7cf2c24b746eaa39cd9c067d99e486927dfaea5761da762af"
+
+
+def test_every_sequent_up_to_size_six_keeps_its_status():
+    counts, digest = Counter(), hashlib.sha256()
+    for s in enumerate_sequents(SMALL_SIG, 6):
+        v = decide(s, SMALL_SIG)
+        counts[v.status, v.stats["certificate_model"]] += 1
+        digest.update(f"{v.status}\n".encode())
+        assert entails(s, SMALL_SIG) is {DERIVABLE: True, UNDERIVABLE: False}[v.status], s
+    assert counts == SMALL_STATUSES
+    assert digest.hexdigest() == SMALL_DIGEST

@@ -7,12 +7,16 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qrc1 import syntax
+from qrc1.calculus import _relations
+from qrc1.decider import names_of
 from qrc1.generate import random_formula, random_sequent
 from qrc1.syntax import (
     MAX_NESTING,
@@ -91,13 +95,73 @@ print(json.dumps({
 def test_pickles_and_copies_are_the_interned_node():
     f = parse_formula("A x . <>(R(x,c0) & S(c1))", SIG)
     s = Sequent(f, TOP)
+    # a sequent is interned while it lives, as a formula is
+    assert Sequent(parse_formula("A x . <>(R(x,c0) & S(c1))", SIG), TOP) is s
     for node in (f, s):
         assert pickle.loads(pickle.dumps(node)) is node
         assert copy.copy(node) is node
         assert copy.deepcopy(node) is node
     # a pickle of a node built in another process interns on load too
-    dumped = _python(_PARSE + "sys.stdout.buffer.write(pickle.dumps(f))", hash_seed=1)
-    assert pickle.loads(dumped) is parse_formula("A x . <>(R(x,c0) & S(y))", SIG)
+    dumped = _python(_PARSE + "sys.stdout.buffer.write(pickle.dumps((f, s)))", hash_seed=1)
+    live = parse_sequent("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)", SIG)
+    g, t = pickle.loads(dumped)
+    assert g is parse_formula("A x . <>(R(x,c0) & S(y))", SIG) and t is live
+
+
+def test_a_sequent_that_nothing_holds_is_freed():
+    lhs = Pred("Freed", (Const("c0"),))  # built by no other test
+    s = Sequent(lhs, TOP)
+    ref = weakref.ref(s)
+    assert (Sequent, lhs, TOP) in Sequent._table._refs
+    del s
+    assert ref() is None
+    assert (Sequent, lhs, TOP) not in Sequent._table._refs
+    # an equal sequent built later is interned afresh
+    again = Sequent(lhs, TOP)
+    assert Sequent(lhs, TOP) is again and again.lhs is lhs
+    # an entry whose sequent is freed but whose callback has not yet run, as
+    # another thread may find it: building the sequent takes the entry over
+    table, key = Sequent._table._refs, (Sequent, lhs, lhs)
+    gone = Sequent(lhs, lhs)
+    dead = syntax._KeyedRef(gone)  # a second reference, with no callback
+    del gone
+    table[key] = dead
+    s = Sequent(lhs, lhs)
+    assert table[key]() is s and Sequent(lhs, lhs) is s
+
+
+def test_two_threads_building_one_sequent_keep_one_copy():
+    rounds, workers = 1000, 4
+    built = [[] for _ in range(workers)]
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def build(out):
+        for i in range(rounds):
+            barrier.wait()
+            out.append(Sequent(Pred(f"Race{i}", ()), TOP))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == rounds for out in built)
+    for copies in zip(*built):
+        assert all(c is copies[0] for c in copies)
+
+
+def test_no_node_carries_an_instance_dict():
+    f = parse_formula("A x . <>(R(x,c0) & S(c1)) & T", SIG)
+    nodes = [f, Sequent(f, TOP), *_subformulas(f), Var("x"), Const("c0")]
+    assert {type(n) for n in nodes} == {Var, Const, Top, Pred, And, Diamond, Forall, Sequent}
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), type(node)
 
 
 def test_nodes_are_immutable():
@@ -153,6 +217,88 @@ def test_equal_formulas_are_one_object(scope):
         s = random_sequent(random.Random(seed), SIG, 3, 2, 12)
         assert random_sequent(random.Random(seed), SIG, 3, 2, 12) is s
         assert Sequent(f, s.rhs) is Sequent(f, s.rhs)
+
+
+# reference walks: the four fact sets by plain set algebra, with no sharing
+
+
+def _free_vars(f: Formula) -> frozenset:
+    match f:
+        case Pred(_, args):
+            return frozenset(t.name for t in args if isinstance(t, Var))
+        case And(l, r):
+            return _free_vars(l) | _free_vars(r)
+        case Diamond(b):
+            return _free_vars(b)
+        case Forall(x, b):
+            return _free_vars(b) - {x}
+    return frozenset()
+
+
+def _constants_of(f: Formula) -> frozenset:
+    match f:
+        case Pred(_, args):
+            return frozenset(t.name for t in args if isinstance(t, Const))
+        case And(l, r):
+            return _constants_of(l) | _constants_of(r)
+        case Diamond(b) | Forall(_, b):
+            return _constants_of(b)
+    return frozenset()
+
+
+def _names_of(f: Formula) -> frozenset:
+    match f:
+        case Pred(_, args):
+            return frozenset(t.name for t in args)
+        case And(l, r):
+            return _names_of(l) | _names_of(r)
+        case Diamond(b):
+            return _names_of(b)
+        case Forall(x, b):
+            return _names_of(b) | {x}
+    return frozenset()
+
+
+def _relations_of(f: Formula) -> frozenset:
+    match f:
+        case Pred(name, args):
+            return frozenset({(name, len(args))})
+        case And(l, r):
+            return _relations_of(l) | _relations_of(r)
+        case Diamond(b) | Forall(_, b):
+            return _relations_of(b)
+    return frozenset()
+
+
+_WALKS = [(free_vars, _free_vars), (constants_of, _constants_of), (names_of, _names_of), (_relations, _relations_of)]
+
+
+@pytest.mark.parametrize("scope", [[], ["y", "z"]], ids=["closed", "free-variables"])
+def test_fact_walks_give_the_plain_sets_and_share_equal_ones(scope):
+    seen: dict[frozenset, frozenset] = {}
+    for seed in range(300):
+        f = random_formula(random.Random(seed), SIG, 3, 2, 12, list(scope))
+        for g in _subformulas(f):
+            for walk, reference in _WALKS:
+                facts = walk(g)
+                assert type(facts) is frozenset and facts == reference(g)
+                assert seen.setdefault(facts, facts) is facts
+
+
+def test_equal_fact_sets_are_one_object():
+    s0, r00 = parse_formula("S(c0)", SIG), parse_formula("R(c0,c0)", SIG)
+    assert constants_of(s0) is constants_of(r00)
+    assert _relations(parse_formula("S(x)", SIG)) is _relations(s0)
+    a, b = parse_formula("R(x,y) & S(c0)", SIG), parse_formula("<>S(y)", SIG)
+    # a union returns the operand that holds the other
+    assert free_vars(And(a, b)) is free_vars(a)
+    assert free_vars(And(b, a)) is free_vars(a)
+    assert names_of(And(b, a)) is names_of(a)
+    # a binder that binds nothing leaves the body's set as it is
+    assert free_vars(Forall("z", a)) is free_vars(a)
+    assert names_of(Forall("x", a)) is names_of(a)
+    assert free_vars(Forall("x", a)) is free_vars(parse_formula("S(y)", SIG))
+    assert free_vars(TOP) is constants_of(TOP) is names_of(TOP) is _relations(TOP)
 
 
 def test_signature_rejects_duplicates_and_reserved_names():

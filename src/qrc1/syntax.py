@@ -7,11 +7,11 @@ in termmodel, fresh names in canonical, and names_of in decider.
 The language is strictly positive: top, n-ary predicates over variables and
 constants, conjunction, diamond, and universal quantification. Nothing else.
 
-Terms, formulas and sequents are hash-consed: equal ones are one object, so
-equality is identity and hashing is by id. A set of them iterates in memory
-order, so code whose output depends on the order sorts first (sorted_formulas).
-Terms and formulas are kept for the life of the process, since they recur as
-subterms across inputs; a sequent is interned while it is alive, and freed
+Terms and formulas are hash-consed: equal ones are one object, so equality is
+identity and hashing is by id. A set of them iterates in memory order, so code
+whose output depends on the order sorts first (sorted_formulas). They are kept
+for the life of the process, since they recur as subterms across inputs. A
+sequent seldom recurs, so it is a plain value over two interned sides, freed
 once nothing holds it. The fact sets that the cached walks return, such as
 free_vars and constants_of, are shared too: equal sets are one object.
 """
@@ -21,8 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-import weakref
-from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, TypeVar, Union
 
@@ -55,59 +53,17 @@ class SubstitutionError(QRCError):
 _TABLE: dict[tuple, "_Node"] = {}
 
 
-class _KeyedRef(weakref.ref):
-    """A weak reference that knows its table key, for the callback."""
-
-    __slots__ = ("key",)
-
-
-class _WeakTable:
-    """A table that holds its nodes weakly, with dict's get and setdefault: a
-    node that nothing else holds is freed, and its entry goes with it. Each
-    change to the table is one dict operation, atomic under the interpreter
-    lock, so two threads building one node keep one copy."""
-
-    def __init__(self):
-        refs, remove = {}, _remove_dead_weakref
-
-        def drop(ref: _KeyedRef) -> None:
-            # removes the entry only while it holds a dead reference, as
-            # weakref.WeakValueDictionary does, so never a newer node's. It
-            # reads no global: a node may be freed at exit, after they are gone
-            remove(refs, ref.key)
-
-        self._refs: dict[tuple, _KeyedRef] = refs
-        self._callback = drop  # one function, shared by every reference
-
-    def get(self, key):
-        ref = self._refs.get(key)
-        return None if ref is None else ref()
-
-    def setdefault(self, key, node):
-        ref = _KeyedRef(node, self._callback)
-        ref.key = key
-        while True:
-            live = self._refs.setdefault(key, ref)()
-            if live is not None:
-                return live
-            # the entry of a freed node whose callback has not yet run
-            _remove_dead_weakref(self._refs, key)
-
-
 class _Node:
     """A hash-consed node: building one whose class and fields equal an
     existing node's returns that node. So equal nodes are one object, and
-    __eq__ and __hash__ are object's, by identity. A class's nodes are kept
-    in its _table: _TABLE, or a _WeakTable for nodes interned while alive."""
+    __eq__ and __hash__ are object's, by identity."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
-    _table = _TABLE
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        table = cls._table
-        node = table.get(key)
+        node = _TABLE.get(key)
         if node is None:
             if len(fields) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
@@ -115,7 +71,7 @@ class _Node:
             for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(node, name, value)
             # setdefault, so that two threads building one node keep one copy
-            node = table.setdefault(key, node)
+            node = _TABLE.setdefault(key, node)
         return node
 
     def __setattr__(self, *_):
@@ -195,16 +151,13 @@ class Forall(Formula):
 TOP = Top()
 
 
-class Sequent(_Node):
-    """Interned while alive: sequents seldom recur across inputs, so one that
-    nothing holds is freed, with its entry."""
+@dataclass(frozen=True, slots=True)
+class Sequent:
+    """A plain value, not interned: sequents seldom recur across inputs. Its
+    sides are interned formulas, so == and hash compare them by identity."""
 
-    __match_args__ = ("lhs", "rhs")
-    __slots__ = (*__match_args__, "__weakref__")
-    _table = _WeakTable()
-
-    def __repr__(self) -> str:
-        return f"Sequent(lhs={self.lhs!r}, rhs={self.rhs!r})"
+    lhs: Formula
+    rhs: Formula
 
     def __str__(self) -> str:
         return f"{pretty(self.lhs)} |- {pretty(self.rhs)}"
@@ -626,6 +579,13 @@ def parse_sequent(text: str, sig: Signature) -> Sequent:
         return _Parser(text, sig).parse_sequent()
 
 
+def _declared_name(name: str, decl: str) -> None:
+    """Checks that a declared name is one identifier token of the lexer: a
+    declared constant c0, is never read back, and S(c0) names a variable."""
+    if name in _SYMBOLS or not _TOKEN.fullmatch(name):
+        raise ParseError(f"bad name in {decl!r}: a name is one identifier token")
+
+
 def parse_signature(text: str) -> Signature:
     """Parse a header like ``sig: constants c0 c1; relations S/1 R/2;``."""
     body = text.strip()
@@ -639,17 +599,19 @@ def parse_signature(text: str) -> Signature:
             continue
         words = part.split()
         if words[0] == "constants":
-            constants.extend(words[1:])
+            for name in words[1:]:
+                _declared_name(name, name)
+                constants.append(name)
         elif words[0] == "relations":
             for decl in words[1:]:
                 if "/" not in decl:
                     raise ParseError(f"relation declaration {decl!r} lacks '/arity'")
                 name, _, ar = decl.partition("/")
-                try:
-                    arity = int(ar)
-                except ValueError:
-                    raise ParseError(f"bad arity in {decl!r}") from None
-                relations.append((name, arity))
+                _declared_name(name, decl)
+                # int() would also take 1_0, +1 and non-ASCII digits
+                if not (ar.isascii() and ar.isdigit()):
+                    raise ParseError(f"bad arity in {decl!r}: an arity is ASCII digits")
+                relations.append((name, int(ar)))
         else:
             raise ParseError(f"unknown signature section {words[0]!r}")
     return Signature(tuple(constants), tuple(relations))

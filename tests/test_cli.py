@@ -523,6 +523,23 @@ def test_sequent_and_pair_file_errors_name_their_line(capsys, tmp_path, command,
     assert err.startswith(f"error: line {line}: ")
 
 
+def test_a_malformed_signature_is_an_input_error(tmp_path):
+    # a fresh interpreter through the entry point, so that a traceback would show
+    sig_path, corpus = tmp_path / "sig.txt", tmp_path / "corpus.txt"
+    sig_path.write_text("sig: constants c0, c1; relations S/1;\n")
+    corpus.write_text("sig: constants c0; relations S/1_0;\nS(c0) |- S(c0)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for argv, error in [
+        (["decide", "S(c0) |- S(c0)", "--sig", str(sig_path)], "error: bad name in 'c0,'"),
+        (["decide", str(corpus)], "error: line 1: bad arity in 'S/1_0'"),
+    ]:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from qrc1.cli import main; sys.exit(main())", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(error) and len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 @pytest.mark.parametrize("command,text,expected", [
     ("decide", "T |- <>T\n", "underivable: T |- <>T"),
     ("termmodel", "pos: <><>T\n", "truth lemma: 12 formulas checked, 0 violations"),

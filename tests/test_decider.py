@@ -234,18 +234,31 @@ def test_the_enumeration_holds_each_closed_sequent_once():
     assert sum(1 for _ in enumerate_sequents(SMALL_SIG, 7)) == 98_348
 
 
-# decide's statuses at total size <= 6, in enumeration order, as recorded when
-# the enumeration was added; certificate_model tells M_phi^1 from M_phi
-SMALL_STATUSES = {(DERIVABLE, "canonical"): 3950, (UNDERIVABLE, "one-element"): 10012, (UNDERIVABLE, "canonical"): 1038}
-SMALL_DIGEST = "7e3e0a290322a0a7cf2c24b746eaa39cd9c067d99e486927dfaea5761da762af"
+# decide's statuses in enumeration order, per signature and total size, as
+# recorded before the change that added each case touched src/;
+# certificate_model tells M_phi^1 from M_phi
+SMALL_STATUS_CASES = {
+    "c-S1-R2-size6": (
+        SMALL_SIG, 6,
+        {(DERIVABLE, "canonical"): 3950, (UNDERIVABLE, "one-element"): 10012, (UNDERIVABLE, "canonical"): 1038},
+        "7e3e0a290322a0a7cf2c24b746eaa39cd9c067d99e486927dfaea5761da762af",
+    ),
+    "S1-R2-size7": (
+        parse_signature("sig: relations S/1 R/2;"), 7,
+        {(DERIVABLE, "canonical"): 3684, (UNDERIVABLE, "one-element"): 5634, (UNDERIVABLE, "canonical"): 118},
+        "d4c71269f95aee4dff134d8650f6624a3cd43623729abdf5d6eabf34ecffc7d2",
+    ),
+}
 
 
-def test_every_sequent_up_to_size_six_keeps_its_status():
+@pytest.mark.parametrize("case", SMALL_STATUS_CASES)
+def test_every_small_sequent_keeps_its_status(case):
+    sig, max_size, statuses, pinned = SMALL_STATUS_CASES[case]
     counts, digest = Counter(), hashlib.sha256()
-    for s in enumerate_sequents(SMALL_SIG, 6):
-        v = decide(s, SMALL_SIG)
+    for s in enumerate_sequents(sig, max_size):
+        v = decide(s, sig)
         counts[v.status, v.stats["certificate_model"]] += 1
         digest.update(f"{v.status}\n".encode())
-        assert entails(s, SMALL_SIG) is {DERIVABLE: True, UNDERIVABLE: False}[v.status], s
-    assert counts == SMALL_STATUSES
-    assert digest.hexdigest() == SMALL_DIGEST
+        assert entails(s, sig) is {DERIVABLE: True, UNDERIVABLE: False}[v.status], s
+    assert counts == statuses
+    assert digest.hexdigest() == pinned

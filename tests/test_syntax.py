@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import threading
-import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +15,7 @@ from hypothesis import given, strategies as st
 
 from qrc1 import syntax
 from qrc1.calculus import _relations
-from qrc1.decider import names_of
+from qrc1.decider import DERIVABLE, UNDERIVABLE, decide, names_of
 from qrc1.generate import random_formula, random_sequent
 from qrc1.syntax import (
     MAX_NESTING,
@@ -94,43 +93,37 @@ print(json.dumps({
 
 def test_pickles_and_copies_are_the_interned_node():
     f = parse_formula("A x . <>(R(x,c0) & S(c1))", SIG)
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    # a sequent is a plain value: a rebuilt or copied one is equal, hashes
+    # equal, and holds the interned sides
     s = Sequent(f, TOP)
-    # a sequent is interned while it lives, as a formula is
-    assert Sequent(parse_formula("A x . <>(R(x,c0) & S(c1))", SIG), TOP) is s
-    for node in (f, s):
-        assert pickle.loads(pickle.dumps(node)) is node
-        assert copy.copy(node) is node
-        assert copy.deepcopy(node) is node
+    rebuilt = Sequent(parse_formula("A x . <>(R(x,c0) & S(c1))", SIG), TOP)
+    for t in (rebuilt, pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert t == s and hash(t) == hash(s)
+        assert t.lhs is f and t.rhs is TOP
+    assert Sequent(TOP, f) != s
     # a pickle of a node built in another process interns on load too
     dumped = _python(_PARSE + "sys.stdout.buffer.write(pickle.dumps((f, s)))", hash_seed=1)
     live = parse_sequent("A x . A y . R(x,y) |- A y . A x . R(y,x) & R(c0,c1)", SIG)
     g, t = pickle.loads(dumped)
-    assert g is parse_formula("A x . <>(R(x,c0) & S(y))", SIG) and t is live
+    assert g is parse_formula("A x . <>(R(x,c0) & S(y))", SIG)
+    assert t == live and hash(t) == hash(live)
+    assert t.lhs is live.lhs and t.rhs is live.rhs
 
 
 def test_a_sequent_that_nothing_holds_is_freed():
-    lhs = Pred("Freed", (Const("c0"),))  # built by no other test
-    s = Sequent(lhs, TOP)
-    ref = weakref.ref(s)
-    assert (Sequent, lhs, TOP) in Sequent._table._refs
-    del s
-    assert ref() is None
-    assert (Sequent, lhs, TOP) not in Sequent._table._refs
-    # an equal sequent built later is interned afresh
-    again = Sequent(lhs, TOP)
-    assert Sequent(lhs, TOP) is again and again.lhs is lhs
-    # an entry whose sequent is freed but whose callback has not yet run, as
-    # another thread may find it: building the sequent takes the entry over
-    table, key = Sequent._table._refs, (Sequent, lhs, lhs)
-    gone = Sequent(lhs, lhs)
-    dead = syntax._KeyedRef(gone)  # a second reference, with no callback
-    del gone
-    table[key] = dead
-    s = Sequent(lhs, lhs)
-    assert table[key]() is s and Sequent(lhs, lhs) is s
+    # no table or cache keeps a sequent: the only references are the name s
+    # and getrefcount's argument, before deciding it and after
+    for text, status in [("A x . R(x,c0) |- <>S(c1)", UNDERIVABLE), ("S(c0) & R(c0,c1) |- S(c0)", DERIVABLE)]:
+        s = parse_sequent(text, SIG)
+        assert sys.getrefcount(s) == 2
+        assert decide(s, SIG).status == status
+        assert sys.getrefcount(s) == 2
 
 
-def test_two_threads_building_one_sequent_keep_one_copy():
+def test_two_threads_building_one_formula_keep_one_copy():
     rounds, workers = 1000, 4
     built = [[] for _ in range(workers)]
     barrier = threading.Barrier(workers, timeout=30)
@@ -138,7 +131,7 @@ def test_two_threads_building_one_sequent_keep_one_copy():
     def build(out):
         for i in range(rounds):
             barrier.wait()
-            out.append(Sequent(Pred(f"Race{i}", ()), TOP))
+            out.append(Pred(f"Race{i}", ()))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -215,8 +208,10 @@ def test_equal_formulas_are_one_object(scope):
             if isinstance(g, Pred):
                 assert Pred(g.name, list(g.args)) is g
         s = random_sequent(random.Random(seed), SIG, 3, 2, 12)
-        assert random_sequent(random.Random(seed), SIG, 3, 2, 12) is s
-        assert Sequent(f, s.rhs) is Sequent(f, s.rhs)
+        t = random_sequent(random.Random(seed), SIG, 3, 2, 12)
+        assert t == s and hash(t) == hash(s)
+        assert t.lhs is s.lhs and t.rhs is s.rhs
+        assert Sequent(f, s.rhs) == Sequent(f, s.rhs) and Sequent(f, s.rhs).lhs is f
 
 
 # reference walks: the four fact sets by plain set algebra, with no sharing
@@ -616,6 +611,33 @@ def test_parse_sequent_file_with_header_and_comments():
 
 def test_signature_header_round_trip():
     assert parse_signature(signature_str(SIG)) == SIG
+
+
+@pytest.mark.parametrize("header, declaration", [
+    ("sig: constants c0, c1;", "c0,"),
+    ("sig: constants c0 (;", "("),
+    ("sig: relations S/1_0;", "S/1_0"),
+    ("sig: relations S/+1;", "S/+1"),
+    ("sig: relations S/-1;", "S/-1"),
+    ("sig: relations S/\u0661;", "S/\u0661"),
+    ("sig: relations S/;", "S/"),
+    ("sig: relations S/1, R/2;", "S/1,"),
+    ("sig: relations /1;", "/1"),
+    ("sig: relations S&R/1;", "S&R/1"),
+])
+def test_a_declaration_is_identifier_tokens_and_ascii_digits(header, declaration):
+    # str.split and int() alone would read c0, as a constant that S(c0) never
+    # names, 1_0 as arity 10, and +1 and \u0661 as arity 1
+    with pytest.raises(ParseError) as error:
+        parse_signature(header)
+    assert repr(declaration) in str(error.value)
+
+
+def test_declared_names_are_the_lexer_identifiers():
+    sig = parse_signature("sig: constants @x v#0 a!b 0; relations S/0 R_2/10;")
+    assert sig == Signature(("@x", "v#0", "a!b", "0"), (("S", 0), ("R_2", 10)))
+    args = parse_formula("R_2(@x,v#0,a!b,0,y,y,y,y,y,y)", sig).args
+    assert args[:4] == tuple(map(Const, sig.constants))
 
 
 def test_undeclared_name_is_a_variable():

@@ -192,6 +192,7 @@ class CanonicalModel:
             self.complete = True
         except _TooBig:
             pass
+        del self._names  # only the build reads it, and a kept model would keep its frame
 
     def _add(self, formula: Formula, parent: int | None, inherited: tuple[Term, ...], k: int) -> None:
         self.elements += (len(inherited) if parent is None else 0) + k

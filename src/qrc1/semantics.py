@@ -5,7 +5,7 @@ from qrc1.generate, and countermodels from qrc1.canonical."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from . import syntax
 from .syntax import (
@@ -157,9 +157,16 @@ def default_assignment(m: Model, w: World) -> Assignment:
 
 
 def forces(m: Model, w: World, g: Assignment, f: Formula) -> bool:
-    """Truth at a world under an assignment (actualist quantification), with bounded
+    """Truth at a world under an assignment (actualist quantification)."""
+    return forces_each(m, w, g, (f,))[0]
+
+
+def forces_each(m: Model, w: World, g: Assignment, formulas: Iterable[Formula]) -> list[bool]:
+    """forces(m, w, g, f) for each f of formulas, in order, under one setup, with bounded
     variables (Vardi, PODS 1995): a diamond or universal with fewer free variables than the
-    universals entered around it keeps its result for the call, by world, subformula and values."""
+    universals entered around it keeps its result for the call, by world, subformula and
+    values. Each universal restores the environment it found, so a kept result holds for
+    every later formula too."""
     if w not in m.domain:
         raise ModelError(f"unknown world {w!r}")
     domain, relJ, successors = m.domain, m.relJ, m._successors
@@ -202,9 +209,9 @@ def forces(m: Model, w: World, g: Assignment, f: Formula) -> bool:
             memo[key] = result
         return result
 
-    result = holds(w, f, 0)
+    results = [holds(w, f, 0) for f in formulas]
     del holds  # it refers to itself: unless this breaks the cycle, only the collector frees it
-    return result
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ built from the answers is checked instead, by `truth_lemma_check` and
 adequacy. This module never consults the model it is building. The oracle
 for one left-hand side is built once (its conjunction and answers) and then
 asked about each formula of a closure. Its queries repeat across oracles,
-and the answers are kept in one process-wide memo.
+and the answers are kept in one process-wide memo, keyed by the query's
+two sides, the signature and the fact cap; the query Sequent is built only
+for entails, on a miss. A term model counts its oracle's answers by source
+in a plain dict of "rule", "memo" and "model".
 
 The closures the construction saturates over, and the modal and universal
 depth measures, are defined here too; `qrc1 closure` prints them.
@@ -18,19 +21,18 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from . import canonical
 from .canonical import fresh_names
 
-# decide is not called here, but perfbench/tracing.py patches
-# termmodel.decide; the name stays until the tracer is retargeted
-# (ROADMAP item 2)
+# decide and forces are not called here, but perfbench/tracing.py patches
+# termmodel.decide and termmodel.forces; the names stay until the tracer is
+# retargeted (ROADMAP item 2)
 from .decider import decide, entails, ground, names_of  # noqa: F401
 from .generate import transitive_closure
-from .semantics import Model, WeighedMemo, default_assignment, forces
+from .semantics import Model, WeighedMemo, default_assignment, forces, forces_each  # noqa: F401
 from .syntax import (
     And,
     Const,
@@ -177,9 +179,10 @@ def set_udepth(gamma: Iterable[Formula]) -> int:
     return max((udepth(f) for f in gamma), default=0)
 
 
-# (query sequent, signature, fact cap) -> True, False, or None for undecided.
-# entails is a pure function of these, so an answer never goes stale. Each
-# answer weighs 1, so the memo is emptied when it would pass _MEMO_MAX.
+# (left-hand side, right-hand side, signature, fact cap) -> True, False, or
+# None for undecided. entails is a pure function of these, so an answer never
+# goes stale. Each answer weighs 1, so the memo is emptied when it would pass
+# _MEMO_MAX.
 _MEMO = WeighedMemo()
 _MEMO_MAX = 100_000
 
@@ -187,7 +190,7 @@ _MEMO_MAX = 100_000
 def oracle(
     gamma: Iterable[Formula],
     sig: Signature,
-    tally: Counter | None = None,
+    tally: dict[str, int] | None = None,
 ) -> Callable[[Formula], bool]:
     """Derivability from the conjunction of gamma, asked one formula at a time.
 
@@ -198,22 +201,22 @@ def oracle(
     or by entails, which gives decide's status. Answers are kept, so a
     conjunction asks about each conjunct once. A conjunction with an
     undecided conjunct and no refuted one is itself a query. `tally` counts
-    the answers by source: "rule", "memo" and "model" (entails)."""
+    the answers by source in its keys "rule", "memo" and "model" (entails);
+    a Counter will do."""
     gamma = frozenset(gamma)
     lhs = conjunction(gamma)
-    tally = Counter() if tally is None else tally
+    tally = {"rule": 0, "memo": 0, "model": 0} if tally is None else tally
     truths = gamma | {TOP}
     answers: dict[Formula, bool | None] = {}
 
     def ask(f: Formula) -> bool | None:
-        query = Sequent(lhs, f)
-        key = (query, sig, canonical.CANONICAL_FACT_CAP)
+        key = (lhs, f, sig, canonical.CANONICAL_FACT_CAP)
         a = _MEMO.get(key, _MEMO)  # the memo itself marks a miss
         if a is not _MEMO:
             tally["memo"] += 1
             return a
         tally["model"] += 1
-        a = entails(query, sig)
+        a = entails(Sequent(lhs, f), sig)
         _MEMO.keep(key, a, 1, _MEMO_MAX)
         return a
 
@@ -243,7 +246,7 @@ def oracle(
     return entailed
 
 
-def is_consistent(p: PairPM, sig: Signature, tally: Counter | None = None) -> bool:
+def is_consistent(p: PairPM, sig: Signature, tally: dict[str, int] | None = None) -> bool:
     entailed = oracle(p.pos, sig, tally)
     return all(not entailed(delta) for delta in sorted_formulas(p.neg))
 
@@ -253,7 +256,7 @@ def lindenbaum(
     phi_set: Iterable[Formula],
     sig: Signature,
     fresh_prefix: str = "n",
-    tally: Counter | None = None,
+    tally: dict[str, int] | None = None,
 ) -> PairPM:
     """Extend p to a maximal consistent, fully witnessed pair over the closure
     of phi_set under p's constants plus udepth-many witnesses (one when p has
@@ -289,7 +292,7 @@ def pair_existence(
     dphi: Formula,
     sig: Signature,
     fresh_prefix: str = "n",
-    tally: Counter | None = None,
+    tally: dict[str, int] | None = None,
 ) -> PairPM:
     """Build a successor pair for a positive diamond formula of a saturated
     pair p.
@@ -335,12 +338,13 @@ class TermModelResult:
 
 def _ground_pair(p: PairPM, sig: Signature) -> PairPM:
     """p with each free variable grounded by decider.ground, past every name
-    of p and sig, by a constant that joins p's constants."""
+    of p and sig, by a constant that joins p's constants; p itself when it
+    has no free variable."""
     pos, neg = list(p.pos), list(p.neg)
+    if not any(map(free_vars, pos + neg)):
+        return p
     used = {*p.constants, *sig.constants}.union(*map(names_of, pos + neg))
     grounded, pairs = ground(pos + neg, used)
-    if not pairs:
-        return p
     return PairPM(frozenset(grounded[:len(pos)]), frozenset(grounded[len(pos):]),
                   tuple(dict.fromkeys(p.constants + tuple(c for _, c in pairs))))
 
@@ -355,7 +359,7 @@ def build_term_model(p: PairPM, sig: Signature, config=None) -> TermModelResult:
     formula_constants = set().union(*(constants_of(f) for f in p.formulas()))
     constants = tuple(dict.fromkeys(p.constants + tuple(sorted(formula_constants))))
     phi_set = sorted_formulas(p.formulas())
-    tally: Counter = Counter()
+    tally = {"rule": 0, "memo": 0, "model": 0}
     worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, "w0_c", tally)]
     edges: list[tuple[int, int]] = []
     for wi, world in enumerate(worlds):  # worlds grows as the loop runs
@@ -370,7 +374,7 @@ def build_term_model(p: PairPM, sig: Signature, config=None) -> TermModelResult:
         constI={i: {c: c for c in w.constants} for i, w in enumerate(worlds)},
         relJ={i: _atoms_of(w) for i, w in enumerate(worlds)},
     )
-    return TermModelResult(model, tuple(worlds), {k: tally[k] for k in ("rule", "memo", "model")})
+    return TermModelResult(model, tuple(worlds), tally)
 
 
 def _atoms_of(p: PairPM) -> dict[str, frozenset[tuple[str, ...]]]:
@@ -399,18 +403,19 @@ def truth_lemma_check(result: TermModelResult, p: PairPM, sig: Signature) -> Tru
     """Forcing at each world must coincide with positive membership for every
     formula in that world's closure: the closure of the grounded input pair
     under the world's constants. Forcing reads only result.model, never the
-    pairs, which give membership alone. The closures come from
-    closure, whose memo is kept for the life of the process."""
+    pairs, which give membership alone. A world's closure is forced under one
+    setup, and the violations are listed by world, then in sort_key's order.
+    The closures come from closure, whose memo is kept for the life of the
+    process."""
     phi_set = _ground_pair(p, sig).formulas()
     checked = 0
     violations: list[tuple[int, str, str]] = []
     m = result.model
     for i, w in enumerate(result.worlds):
-        g = default_assignment(m, i)
-        for f in sorted_formulas(closure(phi_set, w.constants)):
-            checked += 1
-            member = f in w.pos
-            forced = forces(m, i, g, f)
-            if member != forced:
-                violations.append((i, pretty(f), "forced-but-negative" if forced else "positive-but-unforced"))
+        fs = closure(phi_set, w.constants)
+        checked += len(fs)
+        wrong = [f for f, forced in zip(fs, forces_each(m, i, default_assignment(m, i), fs))
+                 if forced != (f in w.pos)]
+        for f in sorted_formulas(wrong):
+            violations.append((i, pretty(f), "positive-but-unforced" if f in w.pos else "forced-but-negative"))
     return TruthLemmaReport(checked, tuple(violations))

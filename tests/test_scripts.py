@@ -14,6 +14,8 @@ SCRIPT_RUNS = [
     (["soundness_sweep.py", "--count", "20", "--max-worlds", "3", "--max-domain", "2"],
      "0 soundness violations"),
     (["saturation_demo.py", "--count", "2"], "0 violations"),
+    (["small_statuses.py", "--sig", "sig: relations S/1 R/2;", "--max-size", "6", "--term-model"],
+     "digest e9d3db3c6aec7ca0ee8b8adf21c2b95e010defb21e923a79c00070fdfb0153e3\nterm models 956, at most 8 worlds"),
 ]
 
 

@@ -30,6 +30,7 @@ from qrc1.semantics import (
     countermodel_to_dict,
     default_assignment,
     forces,
+    forces_each,
     model_from_dict,
     model_to_dict,
     validate_model,
@@ -289,6 +290,55 @@ def test_forcing_agrees_with_the_reference(seed):
         # than they bind are where the evaluator keeps results
         for f in (f, Forall("x", Forall("y", f)), Forall("z", Diamond(Forall("x", f)))):
             assert _outcome(forces, m, w, g, f) == _outcome(reference_forces, m, w, g, f)
+
+
+@functools.cache
+def _enumerated_models() -> tuple[Model, ...]:
+    # every 53rd of the 42,328 adequate models of up to two worlds and two elements
+    return tuple(itertools.islice(enumerate_models(SIG, 2, 2), 0, None, 53))
+
+
+def _subformulas(f: Formula) -> list[Formula]:
+    match f:
+        case And(l, r):
+            return [f, *_subformulas(l), *_subformulas(r)]
+        case Diamond(b) | Forall(_, b):
+            return [f, *_subformulas(b)]
+    return [f]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_forcing_several_formulas_under_one_setup_gives_each_answer(seed):
+    rng = random.Random(seed)
+    m = rng.choice(_enumerated_models())
+    w = rng.choice(m.worlds)
+    g = Assignment({x: rng.choice(sorted(m.domain[w])) for x in VARIABLES if rng.random() < 0.5},
+                   rng.choice(sorted(m.domain[w])))
+    formulas = []
+    for _ in range(3):
+        f = _any_formula(rng, rng.randint(1, 8))
+        # the wrappers' universals make forces_each keep results, which later
+        # formulas, their subformulas and the repeats then meet
+        formulas += _subformulas(Forall("x", Forall("y", f))) + _subformulas(Forall("z", Diamond(Forall("x", f))))
+    formulas += rng.sample(formulas, 5)
+    rng.shuffle(formulas)
+    assert forces_each(m, w, g, formulas) == [forces(m, w, g, f) for f in formulas]
+
+
+def test_a_later_formula_meets_a_kept_result_of_an_earlier_one():
+    # <>S(c0) is kept at world 0 under the first universal, and the second
+    # formula reads it; the third reads x as the assignment gives it, not as
+    # the second's universal left it, since a universal puts back what it found
+    m = Model((0, 1), frozenset({(0, 1)}), {0: frozenset({0}), 1: frozenset({0, 1})},
+              {0: {"c0": 0}, 1: {"c0": 0}}, {0: {"S": frozenset({(0,)})}, 1: {"S": frozenset({(0,)})}})
+    g = Assignment({"x": 1}, 0)
+    first = Forall("y", Diamond(Pred("S", (Const("c0"),))))
+    second = Forall("x", And(Diamond(Pred("S", (Const("c0"),))), Pred("S", (Var("x"),))))
+    third = Diamond(Pred("S", (Var("x"),)))
+    assert forces_each(m, 0, g, [first, second, third]) == [True, True, False]
+    assert forces_each(m, 1, g, [first, second, third]) == [False, False, False]
+    assert forces_each(m, 0, Assignment({}, 0), [third, first]) == [True, True]
 
 
 class _OverBudget(Exception):

@@ -11,8 +11,8 @@ import qrc1.decider as decider
 import qrc1.termmodel as termmodel
 
 from qrc1.decider import DERIVABLE, UNDECIDED, UNDERIVABLE, decide, entails
-from qrc1.generate import DEFAULT_SIG, random_formula, random_sequent
-from qrc1.semantics import WeighedMemo, check_adequate
+from qrc1.generate import DEFAULT_SIG, enumerate_sequents, random_formula, random_sequent
+from qrc1.semantics import Countermodel, WeighedMemo, check_adequate, default_assignment, forces
 from qrc1.syntax import (
     And,
     Diamond,
@@ -23,6 +23,7 @@ from qrc1.syntax import (
     free_vars,
     parse_formula,
     parse_signature,
+    pretty,
     pretty_sequent,
     signature_str,
     sorted_formulas,
@@ -214,6 +215,40 @@ def test_truth_lemma_check_reports_a_corrupted_model():
 
     report = truth_lemma_check(_corrupted(result, R=frozenset({(0, 1)})), p, SIG)
     assert report == termmodel.TruthLemmaReport(23, ((0, "<>(A x . S(x))", "positive-but-unforced"),))
+
+
+def _violations_one_formula_at_a_time(result, p, sig):
+    """The truth lemma's violations as forced one sorted formula at a time."""
+    out = []
+    m = result.model
+    for i, w in enumerate(result.worlds):
+        g = default_assignment(m, i)
+        for phi in sorted_formulas(closure(p.formulas(), w.constants)):
+            forced = forces(m, i, g, phi)
+            if forced != (phi in w.pos):
+                out.append((i, pretty(phi), "forced-but-negative" if forced else "positive-but-unforced"))
+    return tuple(out)
+
+
+def test_truth_lemma_violations_are_listed_by_world_then_formula():
+    p = pair({"S(c)", "<>(A x . S(x))", "<>(S(c) & <>T)"}, {"<><><>T", "A x . S(x)"})
+    result = build_term_model(p, SIG)
+    assert len(result.worlds) > 2
+    everything = {i: {"S": frozenset((d,) for d in result.model.domain[i])} for i in result.model.worlds}
+    for relJ in ({i: {} for i in result.model.worlds}, everything):
+        doctored = _corrupted(result, relJ=relJ)
+        report = truth_lemma_check(doctored, p, SIG)
+        assert len(report.violations) > 5
+        assert len({i for i, _, _ in report.violations}) > 1
+        assert report.violations == _violations_one_formula_at_a_time(doctored, p, SIG)
+
+
+def test_a_closed_pair_is_not_grounded(monkeypatch):
+    # no name of a closed pair is collected, and the pair itself is returned
+    monkeypatch.setattr(termmodel, "names_of", None)
+    p = pair({"S(c)", "A x . <>S(x)"}, {"<><>S(c)"})
+    assert termmodel._ground_pair(p, SIG) is p
+    assert truth_lemma_check(build_term_model(p, SIG), p, SIG).ok
 
 
 def test_term_model_grounds_a_free_variable_past_the_signatures_constants():
@@ -593,3 +628,36 @@ def test_oracle_asks_about_a_conjunction_with_an_undecided_conjunct(monkeypatch)
     asked.clear()
     assert not oracle(gamma, SIG)(And(a, b))
     assert asked == [a, b]
+
+
+# The paper's completeness construction on every small sequent phi |- psi:
+# per signature and total size, the sequents whose pair <{phi}, {psi}> is
+# refused and those with a term model, and the most worlds a term model has
+TERM_MODEL_CASES = {
+    "S1-R2-size6": ("sig: relations S/1 R/2;", 6, 684, 956, 8),
+    "c-S1-R2-size5": ("sig: constants c; relations S/1 R/2;", 5, 676, 1719, 10),
+}
+
+
+@pytest.mark.parametrize("case", TERM_MODEL_CASES)
+def test_the_term_model_refutes_exactly_the_underivable_small_sequents(case):
+    text, max_size, refused, built, most_worlds = TERM_MODEL_CASES[case]
+    sig = parse_signature(text)
+    counts, worlds = Counter(), 0
+    for s in enumerate_sequents(sig, max_size):
+        p = PairPM(frozenset({s.lhs}), frozenset({s.rhs}), ())
+        try:
+            result = build_term_model(p, sig)
+        except PairError:
+            assert entails(s, sig) is True, pretty_sequent(s)
+            counts["refused"] += 1
+            continue
+        assert entails(s, sig) is False, pretty_sequent(s)
+        report = truth_lemma_check(result, p, sig)
+        assert report.ok, (pretty_sequent(s), report.violations)
+        m = result.model
+        Countermodel(m, 0, default_assignment(m, 0), s).validate()
+        counts["built"] += 1
+        worlds = max(worlds, len(m.worlds))
+    assert counts == {"refused": refused, "built": built}
+    assert worlds == most_worlds

@@ -9,7 +9,8 @@ With --term-model, also run the paper's completeness construction on each
 sequent phi |- psi. build_term_model must refuse the pair <{phi}, {psi}>
 exactly when decide says derivable. Otherwise its term model must pass the
 truth lemma and refute the sequent at world 0. Exits 1 at the first
-disagreement.
+disagreement. The most worlds a term model has is printed beside the most
+that a countermodel of decide has.
 
 Example:
     python scripts/small_statuses.py --sig "sig: constants c; relations S/1 R/2;" --max-size 6
@@ -60,12 +61,14 @@ def main() -> int:
     sig = parse_signature(args.sig)
     t0 = time.perf_counter()
     counts, digest = Counter(), hashlib.sha256()
-    term_models = max_worlds = 0
+    term_models = max_worlds = max_certificate = 0
     for s in enumerate_sequents(sig, args.max_size):
         v = decide(s, sig)
         counts[v.status, v.stats["certificate_model"]] += 1
         digest.update(f"{v.status}\n".encode())
         if args.term_model:
+            if v.countermodel is not None:
+                max_certificate = max(max_certificate, v.stats["certificate_size"])
             worlds, why = term_model_check(s, sig, v.status == DERIVABLE)
             term_models += worlds > 0
             max_worlds = max(max_worlds, worlds)
@@ -78,6 +81,7 @@ def main() -> int:
     print(f"digest {digest.hexdigest()}")
     if args.term_model:
         print(f"term models {term_models}, at most {max_worlds} worlds")
+        print(f"decide's countermodels, at most {max_certificate} worlds")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"done in {time.perf_counter() - t0:.1f}s, peak RSS {peak_mb:.1f} MB", file=sys.stderr)
     return 0

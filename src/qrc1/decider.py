@@ -145,8 +145,8 @@ def decide(s: Sequent, sig: Signature, config=None) -> Verdict:
     """Decide derivability, returning a validated certificate either way.
     Constants of s that sig does not declare join it, so that a countermodel
     interprets them. Between calls decide keeps M_phi^1 per collapsed
-    left-hand side and fact cap, and each Model read off it per constants
-    tuple, as weighed entries of _ONE_ELEMENT; every countermodel read off
+    left-hand side and fact cap, and each Model read off it per collapsed
+    left-hand side and constants, in _ONE_ELEMENT; every countermodel read off
     them is validated here, so the verdict depends on s and sig alone."""
     one = _one_element(s)
     if one is not None:
@@ -202,12 +202,13 @@ def _collapse(f: Formula) -> Formula:
 
 
 # M_phi^1 by (collapsed left-hand side, fact cap), None where its build
-# stops, and each Model read off it by (collapsed left-hand side, fact cap,
-# constants). The collapsed right-hand side holds no constant and no
+# stops, and each Model read off it by (collapsed left-hand side, constants):
+# a Model is read only off a complete M_phi^1, which every cap that lets it
+# finish builds alike. The collapsed right-hand side holds no constant and no
 # universal, so it changes nothing in the build, and it is forced per call.
 # Each entry weighs M_phi^1's facts (1 for None): for a Model, that covers
 # the Model together with its document and adequacy report.
-_ONE_ELEMENT = WeighedMemo()
+_ONE_ELEMENT = WeighedMemo(10_000)
 
 
 def _one_element(s: Sequent) -> Optional[CanonicalModel]:
@@ -215,26 +216,26 @@ def _one_element(s: Sequent) -> Optional[CanonicalModel]:
     and each universal as its body, when it is built in full within the fact
     cap and refutes s. Its size is linear in s, and every one-element
     model of the left-hand side is an image of it."""
-    lhs, cap = _collapse(s.lhs), canonical.CANONICAL_FACT_CAP
-    key = (lhs, cap)
+    lhs = _collapse(s.lhs)
+    key = (lhs, canonical.CANONICAL_FACT_CAP)
     if key in _ONE_ELEMENT:
         canon = _ONE_ELEMENT[key]
     else:
         canon = CanonicalModel(Sequent(lhs, TOP), ())
         canon = canon if canon.complete else None
-        _ONE_ELEMENT.keep(key, canon, 1 if canon is None else canon.facts, cap)
+        _ONE_ELEMENT.keep(key, canon, 1 if canon is None else canon.facts)
     # the forcing is kept per call, so that a kept model does not grow with it
     return canon if canon is not None and not canon.forces(0, _collapse(s.rhs), {}) else None
 
 
 def _refutation(one: CanonicalModel, s: Sequent, sig: Signature) -> Countermodel:
     """The validated countermodel read off M_phi^1, one, whose Model is kept."""
-    constants, cap = _constants(s, sig), canonical.CANONICAL_FACT_CAP
-    key = (_collapse(s.lhs), cap, constants)
+    constants = _constants(s, sig)
+    key = (_collapse(s.lhs), constants)
     model = _ONE_ELEMENT.get(key)
     if model is None:
         model = one.model(constants)
-        _ONE_ELEMENT.keep(key, model, one.facts, cap)
+        _ONE_ELEMENT.keep(key, model, one.facts)
     return _countermodel(one, model, s, [])
 
 

@@ -252,15 +252,17 @@ def model_to_dict(m: Model) -> dict:
 
 
 class WeighedMemo(dict):
-    """A memo that keeps the summed weight of its entries within the cap each
-    keep names: an entry heavier than the cap is not kept, and one that would
-    take the sum past it empties the memo first."""
+    """A memo that keeps the summed weight of its entries within the bound it
+    is built with: an entry heavier than the bound is not kept, and one that
+    would take the sum past it empties the memo first."""
 
-    weight = 0
+    def __init__(self, bound: int):
+        super().__init__()
+        self.bound, self.weight = bound, 0
 
-    def keep(self, key, value, weight: int, cap: int) -> None:
-        if weight <= cap:
-            if self.weight + weight > cap:
+    def keep(self, key, value, weight: int) -> None:
+        if weight <= self.bound:
+            if self.weight + weight > self.bound:
                 self.clear()
             self[key] = value
             self.weight += weight
@@ -270,18 +272,16 @@ class WeighedMemo(dict):
         self.weight = 0
 
 
-# The models model_from_dict has loaded and checked, keyed by their documents'
-# content, each weighing its worlds, domain elements, constant entries,
-# relation tuples and edges, within MODEL_MEMO_WEIGHT.
-MODEL_MEMO_WEIGHT = 10_000
-_MODELS = WeighedMemo()
+# The models model_from_dict has loaded and checked, by content, each weighing
+# its worlds, domain elements, constant entries, relation tuples and edges.
+_MODELS = WeighedMemo(10_000)
 
 
 def model_from_dict(doc: dict) -> Model:
     """Rebuild a model in one pass; a document of the wrong shape raises ModelError.
     An id or a value is an int or a str, never a bool: JSON's true is no integer.
 
-    A well-formed model is kept, within MODEL_MEMO_WEIGHT, keyed by the
+    A well-formed model is kept, within _MODELS' bound, keyed by the
     document's content in the order it is written: per world its id, domain,
     constants and relations, then the edges. A document with the same content
     gets the same Model, whose structure, successors, adequacy and document
@@ -341,7 +341,7 @@ def model_from_dict(doc: dict) -> Model:
         validate_model(m)
         weight = sum(1 + len(elements) + len(constants) + sum(len(ts) for _, ts in relations)
                      for _, elements, constants, relations in content)
-        _MODELS.keep(key, m, weight + len(edges), MODEL_MEMO_WEIGHT)
+        _MODELS.keep(key, m, weight + len(edges))
     return m
 
 

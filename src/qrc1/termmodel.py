@@ -9,9 +9,9 @@ adequacy. This module never consults the model it is building. The oracle
 for one left-hand side is built once (its conjunction and answers) and then
 asked about each formula of a closure. Its queries repeat across oracles,
 and the answers are kept in one process-wide memo, keyed by the query's
-two sides, the signature and the fact cap; the query Sequent is built only
-for entails, on a miss. A term model counts its oracle's answers by source
-in a plain dict of "rule", "memo" and "model".
+two sides and the fact cap; the query Sequent is built only for entails, on
+a miss. A term model counts its oracle's answers by source in a plain dict
+of "rule", "memo" and "model".
 
 The closures the construction saturates over, and the modal and universal
 depth measures, are defined here too; `qrc1 closure` prints them.
@@ -31,7 +31,6 @@ from .canonical import fresh_names
 # termmodel.decide and termmodel.forces; the names stay until the tracer is
 # retargeted (ROADMAP item 2)
 from .decider import decide, entails, ground, names_of  # noqa: F401
-from .generate import transitive_closure
 from .semantics import Model, WeighedMemo, default_assignment, forces, forces_each  # noqa: F401
 from .syntax import (
     And,
@@ -179,12 +178,10 @@ def set_udepth(gamma: Iterable[Formula]) -> int:
     return max((udepth(f) for f in gamma), default=0)
 
 
-# (left-hand side, right-hand side, signature, fact cap) -> True, False, or
-# None for undecided. entails is a pure function of these, so an answer never
-# goes stale. Each answer weighs 1, so the memo is emptied when it would pass
-# _MEMO_MAX.
-_MEMO = WeighedMemo()
-_MEMO_MAX = 100_000
+# (left-hand side, right-hand side, fact cap) -> True, False, or None for
+# undecided. entails' status is a function of these, the signature steering
+# only fresh names, so an answer never goes stale. Each answer weighs 1.
+_MEMO = WeighedMemo(100_000)
 
 
 def oracle(
@@ -208,16 +205,17 @@ def oracle(
     tally = {"rule": 0, "memo": 0, "model": 0} if tally is None else tally
     truths = gamma | {TOP}
     answers: dict[Formula, bool | None] = {}
+    cap = canonical.CANONICAL_FACT_CAP
 
     def ask(f: Formula) -> bool | None:
-        key = (lhs, f, sig, canonical.CANONICAL_FACT_CAP)
+        key = (lhs, f, cap)
         a = _MEMO.get(key, _MEMO)  # the memo itself marks a miss
         if a is not _MEMO:
             tally["memo"] += 1
             return a
         tally["model"] += 1
         a = entails(Sequent(lhs, f), sig)
-        _MEMO.keep(key, a, 1, _MEMO_MAX)
+        _MEMO.keep(key, a, 1)
         return a
 
     def answer(f: Formula) -> bool | None:
@@ -353,23 +351,23 @@ def _ground_pair(p: PairPM, sig: Signature) -> PairPM:
 def build_term_model(p: PairPM, sig: Signature, config=None) -> TermModelResult:
     """The completeness construction: the root saturates p (an inconsistent
     p raises PairError), each world gets one child per positive diamond
-    formula, breadth first, and the frame is the transitive closure of the
-    tree. World i names its witnesses w{i}_c0, w{i}_c1, ..."""
+    formula, breadth first, and each world sees its descendants. World i
+    names its witnesses w{i}_c0, w{i}_c1, ..."""
     p = _ground_pair(p, sig)
     formula_constants = set().union(*(constants_of(f) for f in p.formulas()))
     constants = tuple(dict.fromkeys(p.constants + tuple(sorted(formula_constants))))
     phi_set = sorted_formulas(p.formulas())
     tally = {"rule": 0, "memo": 0, "model": 0}
     worlds = [lindenbaum(PairPM(p.pos, p.neg, constants), phi_set, sig, "w0_c", tally)]
-    edges: list[tuple[int, int]] = []
+    ancestors: list[tuple[int, ...]] = [()]
     for wi, world in enumerate(worlds):  # worlds grows as the loop runs
         for dphi in sorted_formulas([f for f in world.pos if type(f) is Diamond]):
-            edges.append((wi, len(worlds)))
+            ancestors.append(ancestors[wi] + (wi,))
             worlds.append(pair_existence(world, dphi, sig, f"w{len(worlds)}_c", tally))
 
     model = Model(
         worlds=tuple(range(len(worlds))),
-        R=transitive_closure(edges),
+        R=frozenset((a, v) for v, above in enumerate(ancestors) for a in above),
         domain={i: frozenset(w.constants) for i, w in enumerate(worlds)},
         constI={i: {c: c for c in w.constants} for i, w in enumerate(worlds)},
         relJ={i: _atoms_of(w) for i, w in enumerate(worlds)},

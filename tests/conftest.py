@@ -24,10 +24,7 @@ def rng() -> random.Random:
 @pytest.fixture
 def fact_cap(monkeypatch):
     """Sets CANONICAL_FACT_CAP for the test, so that builds of M_phi and of
-    M_phi^1 stop early. The memos of the oracle and of M_phi^1 and its
-    Models key their entries by the cap, so they are left as they are; the
-    M_phi^1 memo is bounded by the cap it reads at each keep, so that under
-    a lower cap its next new entry may empty it first."""
+    M_phi^1 stop early."""
 
     def set_cap(cap: int) -> None:
         monkeypatch.setattr(canonical, "CANONICAL_FACT_CAP", cap)

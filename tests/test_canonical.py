@@ -320,8 +320,8 @@ def test_memos_warmed_under_one_cap_answer_as_empty_ones_under_another(monkeypat
         return [(decide(s, sig).status, _by_the_oracle(s, sig)) for s, sig in corpus]
 
     def empty_memos():
-        monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo())
-        monkeypatch.setattr(termmodel, "_MEMO", semantics.WeighedMemo())
+        monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo(decider._ONE_ELEMENT.bound))
+        monkeypatch.setattr(termmodel, "_MEMO", semantics.WeighedMemo(termmodel._MEMO.bound))
 
     empty_memos()
     fact_cap(10)
@@ -343,7 +343,7 @@ def test_verdict_bytes_do_not_depend_on_the_one_element_memo(monkeypatch):
     one memo, and the corpus decided in reverse print the same bytes; the
     warm pass reads many countermodels off one kept Model."""
     corpus = _seeded_corpus()
-    memo = semantics.WeighedMemo()
+    memo = semantics.WeighedMemo(decider._ONE_ELEMENT.bound)
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
     cold = []
     for item in corpus:
@@ -362,7 +362,7 @@ def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
     """Two left-hand sides that collapse alike share M_phi^1, and each
     signature's countermodels get a Model of their own, with that
     signature's constants, built once and kept as an entry of the memo."""
-    memo = semantics.WeighedMemo()
+    memo = semantics.WeighedMemo(decider._ONE_ELEMENT.bound)
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
     narrow = Signature(constants=("c0",), relations=SIG.relations)
     wide = Signature(constants=("c0", "c1", "d"), relations=SIG.relations)
@@ -389,12 +389,28 @@ def test_one_collapsed_left_hand_side_under_two_signatures(monkeypatch):
     assert models[narrow] is not models[wide]
 
 
+def test_a_model_read_off_the_one_element_model_serves_every_cap_that_completes_it(monkeypatch, fact_cap):
+    """M_phi^1 of 4 facts completes under the default cap and under a cap of
+    5, where M_phi stops. It is built once per cap, but the Model read off it
+    is kept by collapsed left-hand side and constants, so decide returns the
+    default cap's Model under the lower cap too."""
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo(decider._ONE_ELEMENT.bound))
+    s = seq("A x . A y . R(x,y) & <>S(c0) |- S(c0)")
+    kept = decide(s, SIG).countermodel.model
+    fact_cap(5)
+    v = decide(s, SIG)
+    assert v.stats["certificate_model"] == ONE_ELEMENT
+    assert v.countermodel.model is kept
+    ones = [m for m in decider._ONE_ELEMENT.values() if isinstance(m, canonical.CanonicalModel)]
+    assert len(ones) == 2 and len(decider._ONE_ELEMENT) == 3
+
+
 def test_a_kept_model_serializes_and_checks_as_a_fresh_build_does(monkeypatch):
     """A Model keeps its document and its adequacy report. After the CI corpus
     (scripts/gen_corpus.py --count 500 --seed 7) is decided and printed, each
     Model the M_phi^1 memo keeps gives what a copy with no caches gives, and
     the verdicts refuted by one kept Model print a fresh build's bytes."""
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo())
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", semantics.WeighedMemo(decider._ONE_ELEMENT.bound))
     rng = random.Random(7)
     verdicts = [decide(random_sequent(rng, SIG, 2, 1, 4), SIG) for _ in range(500)]
     printed = [json.dumps(verdict_to_dict(v, SIG)) for v in verdicts]
@@ -423,15 +439,14 @@ def _memo_weight(memo):
                for key, v in memo.items())
 
 
-def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch, fact_cap):
+def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch):
     """Distinct left-hand sides, each refuted with a Model kept, are fed
-    past a cap of 60 facts: the facts the memo holds stay within the cap,
-    are the weight the memo keeps, and entries are dropped. A model built
-    when the memo has no room is held after the memo is emptied, and so is
-    a Model read off it."""
-    memo = semantics.WeighedMemo()
+    past a memo bounded at 60 facts: the facts the memo holds stay within
+    the bound, are the weight the memo keeps, and entries are dropped. A
+    model built when the memo has no room is held after the memo is emptied,
+    and so is a Model read off it."""
+    memo = semantics.WeighedMemo(60)
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
-    fact_cap(60)
     held = []
     for depth in range(12):
         s = seq("<>" * depth + "S(c0) |- R(c0,c0)")
@@ -441,11 +456,11 @@ def test_the_one_element_memo_holds_no_more_than_the_cap(monkeypatch, fact_cap):
     # each left-hand side kept an M_phi^1 and a Model
     assert max(held) > 30 and len(memo) < 2 * 12
 
-    # under a cap of 12, a model of 4 facts with its Model, then one of 8
+    # under a bound of 12, a model of 4 facts with its Model, then one of 8
     # facts: the memo is emptied for the second model, which it then holds,
     # and emptied again for that model's Model, which it then holds
-    memo.clear()
-    fact_cap(12)
+    memo = semantics.WeighedMemo(12)
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
     first, second = seq("S(c0) & <>S(c0) |- <><>T"), seq("R(c0,c0) & <>R(c0,c0) & <><>S(c0) |- <><><>T")
     assert decide(first, SIG).stats["certificate_model"] == ONE_ELEMENT
     assert _memo_weight(memo) == memo.weight == 8

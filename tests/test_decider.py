@@ -18,7 +18,7 @@ from qrc1.decider import (
     ground,
     verdict_to_dict,
 )
-from qrc1.generate import DEFAULT_SIG, enumerate_sequents, random_sequent
+from qrc1.generate import DEFAULT_SIG, enumerate_models, enumerate_sequents, random_sequent
 from qrc1.syntax import (
     And, Const, Diamond, Forall, Pred, Sequent, Signature, free_vars, parse_sequent, parse_signature, sort_key,
 )
@@ -262,3 +262,19 @@ def test_every_small_sequent_keeps_its_status(case):
         assert entails(s, sig) is {DERIVABLE: True, UNDERIVABLE: False}[v.status], s
     assert counts == statuses
     assert digest.hexdigest() == pinned
+
+
+def test_every_small_derivable_sequent_is_forced_on_every_small_model():
+    """Soundness over every sequent of c; S/1 up to size 6: each derivable
+    one holds at the root of every adequate model of at most 2 worlds and 2
+    elements, its right-hand side forced wherever its left-hand side is. The
+    sequents are closed, so one assignment per model suffices."""
+    sig = parse_signature("sig: constants c; relations S/1;")
+    derivable = [s for s in enumerate_sequents(sig, 6) if decide(s, sig).status == DERIVABLE]
+    models = list(enumerate_models(sig, 2, 2))
+    assert (len(derivable), len(models)) == (961, 144)
+    sides = list(dict.fromkeys(f for s in derivable for f in (s.lhs, s.rhs)))
+    for m in models:
+        forced = dict(zip(sides, semantics.forces_each(m, 0, semantics.default_assignment(m, 0), sides)))
+        unsound = [s for s in derivable if forced[s.lhs] and not forced[s.rhs]]
+        assert not unsound, (m, unsound[:3])

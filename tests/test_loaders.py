@@ -235,7 +235,7 @@ def test_check_model_refuses_json_booleans(capsys, tmp_path):
 @pytest.fixture
 def memo(monkeypatch):
     """An empty model memo for the test, and a function giving its weight."""
-    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo())
+    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo(semantics._MODELS.bound))
     return lambda: semantics._MODELS.weight
 
 
@@ -267,7 +267,7 @@ def test_documents_that_differ_in_one_field_load_as_different_models(memo, monke
         doc = _replaced(doc, path, value)
     kept = model_from_dict(MODEL_DOC)
     loaded = model_from_dict(doc)
-    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo())
+    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo(semantics._MODELS.bound))
     assert loaded == model_from_dict(doc) != kept
     assert model_from_dict(MODEL_DOC) == kept
 
@@ -295,16 +295,15 @@ def test_a_kept_model_gives_each_document_its_own_first_fault(memo):
 
 def test_the_memo_weight_never_passes_its_bound(memo, monkeypatch):
     weight = _weight(MODEL_DOC)
-    monkeypatch.setattr(semantics, "MODEL_MEMO_WEIGHT", 2 * weight + 1)
+    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo(2 * weight + 1))
     docs = [_replaced(MODEL_DOC, W1 + ("domain",), list(range(3 + k))) for k in range(6)]
     for k, doc in enumerate(docs):
         m = model_from_dict(doc)
         assert semantics._MODELS[next(reversed(semantics._MODELS))] is m
-        assert memo() <= semantics.MODEL_MEMO_WEIGHT
+        assert memo() <= 2 * weight + 1
         assert memo() == sum(map(_weight, docs[k - len(semantics._MODELS) + 1:k + 1]))
     # one model heavier than the bound is checked and not kept
-    monkeypatch.setattr(semantics, "MODEL_MEMO_WEIGHT", weight - 1)
-    semantics._MODELS.clear()
+    monkeypatch.setattr(semantics, "_MODELS", semantics.WeighedMemo(weight - 1))
     first = countermodel_from_dict(COUNTERMODEL_DOC, SIG)
     first.validate()
     assert countermodel_from_dict(COUNTERMODEL_DOC, SIG).model is not first.model

@@ -639,18 +639,18 @@ def test_countermodel_round_trip():
 
 
 def test_a_weighed_memo_keeps_its_weight_within_the_cap():
-    """Under a cap of 10: an entry that fits is added, one that would pass the
-    cap empties the memo first, one heavier than the cap is not kept, and
-    clear resets the weight. After every step the weight is the sum of the
-    held entries' weights."""
-    memo = WeighedMemo()
+    """Under a bound of 10: an entry that fits is added, one that would pass
+    the bound empties the memo first, one heavier than the bound is not kept,
+    and clear resets the weight. After every step the weight is the sum of
+    the held entries' weights."""
+    memo = WeighedMemo(10)
     weights = {}
     steps = [
         ("keep", "a", 4, {"a"}),
         ("keep", "b", 5, {"a", "b"}),
-        ("keep", "c", 2, {"c"}),  # 4 + 5 + 2 passes the cap
-        ("keep", "d", 11, {"c"}),  # heavier than the cap
-        ("keep", "e", 8, {"c", "e"}),  # reaches the cap, and fits
+        ("keep", "c", 2, {"c"}),  # 4 + 5 + 2 passes the bound
+        ("keep", "d", 11, {"c"}),  # heavier than the bound
+        ("keep", "e", 8, {"c", "e"}),  # reaches the bound, and fits
         ("keep", "f", 0, {"c", "e", "f"}),
         ("clear", None, None, set()),
         ("keep", "g", 10, {"g"}),
@@ -660,7 +660,7 @@ def test_a_weighed_memo_keeps_its_weight_within_the_cap():
             memo.clear()
         else:
             weights[key] = weight
-            memo.keep(key, key.upper(), weight, 10)
+            memo.keep(key, key.upper(), weight)
         assert memo == {k: k.upper() for k in held}
         assert memo.weight == sum(weights[k] for k in memo) <= 10
 

@@ -333,7 +333,7 @@ def test_oracle_queries_are_pinned(monkeypatch):
     digest also pins each truth-lemma report and the oracle's answers by
     source."""
     sig, pairs = _demo_pairs(150)
-    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo(termmodel._MEMO.bound))
     queries = hashlib.sha256()
     models = hashlib.sha256()
     calls = 0
@@ -359,10 +359,9 @@ def test_oracle_queries_are_pinned(monkeypatch):
 
 
 def test_oracle_memo_asks_each_query_once(monkeypatch):
-    """A query is answered once across oracles and term-model builds, and again
-    under another signature; build_term_model counts its answers by
-    source."""
-    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
+    """A query is answered once across oracles and term-model builds;
+    build_term_model counts its answers by source."""
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo(termmodel._MEMO.bound))
     asked = []
     original = termmodel.entails
 
@@ -374,9 +373,6 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     gamma, query = [f("<>S(c)")], f("<>T")
     assert oracle(gamma, SIG)(query) and oracle(gamma, SIG)(query)
     assert len(asked) == 1
-    other_sig = Signature(constants=("c", "d"), relations=(("S", 1),))
-    assert oracle(gamma, other_sig)(query)
-    assert [s_sig for _, s_sig in asked[1:]] == [other_sig]
 
     p = pair(["<>S(c)"], ["A x . S(x)"])
     asked.clear()
@@ -392,18 +388,40 @@ def test_oracle_memo_asks_each_query_once(monkeypatch):
     assert second == first
 
 
+def test_a_query_under_another_signature_is_answered_from_the_memo(monkeypatch):
+    """entails' status does not depend on the signature, which steers only
+    fresh names, so the memo keys an answer by the query's two sides and the
+    fact cap: the query asked under a second signature, which parses to the
+    same formula nodes, is answered from the memo."""
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo(termmodel._MEMO.bound))
+    asked = []
+    original = termmodel.entails
+
+    def recording_entails(s, query_sig):
+        asked.append(query_sig)
+        return original(s, query_sig)
+
+    monkeypatch.setattr(termmodel, "entails", recording_entails)
+    other_sig = Signature(constants=("c", "d"), relations=(("S", 1),))
+    gamma, query = [f("<>S(c)")], f("<>T")
+    assert f("<>S(c)", other_sig) is gamma[0] and f("<>T", other_sig) is query
+    assert oracle(gamma, SIG)(query)
+    tally = Counter()
+    assert oracle(gamma, other_sig, tally)(query)
+    assert asked == [SIG] and tally == Counter(memo=1)
+
+
 def test_an_oracle_memo_emptied_under_pressure_builds_the_same_term_models(monkeypatch):
     """The term models of test_oracle_queries_are_pinned, built with an oracle
     memo bounded at 3 answers, which empties it again and again, have the
     worlds and models of those built at the default bound; only the split of
     the oracle's answers between the memo and entails differs."""
     sig, pairs = _demo_pairs(150)
-    default = termmodel._MEMO_MAX
+    default = termmodel._MEMO.bound
 
     def built(bound):
-        memo = WeighedMemo()
+        memo = WeighedMemo(bound)
         monkeypatch.setattr(termmodel, "_MEMO", memo)
-        monkeypatch.setattr(termmodel, "_MEMO_MAX", bound)
         return [build_term_model(p, sig) for p in pairs], memo
 
     pressed, small = built(3)
@@ -431,7 +449,7 @@ def test_entails_agrees_with_decide(monkeypatch, fact_cap):
                 for query_sig in [DEFAULT_SIG] * 1000 + [open_sig] * 300]
     assert any(free_vars(s.lhs) | free_vars(s.rhs) for s, _ in sequents)
     sig, pairs = _demo_pairs(150)
-    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo(termmodel._MEMO.bound))
     asked = []
     original = termmodel.entails
 
@@ -486,7 +504,7 @@ def test_entails_builds_the_canonical_models_decide_builds(monkeypatch, fact_cap
         return original(s, used)
 
     monkeypatch.setattr(decider, "CanonicalModel", recording_canonical_model)
-    memo = WeighedMemo()
+    memo = WeighedMemo(decider._ONE_ELEMENT.bound)
     monkeypatch.setattr(decider, "_ONE_ELEMENT", memo)
 
     def cold(ask, s, query_sig):
@@ -516,7 +534,7 @@ def test_term_models_do_not_depend_on_the_one_element_memo(monkeypatch):
     corpus, and with the pairs built in reverse order. The oracle's own memo
     is emptied before each pair, so each pair asks its queries."""
     sig, pairs = _demo_pairs(150)
-    oracle_memo = WeighedMemo()
+    oracle_memo = WeighedMemo(termmodel._MEMO.bound)
     monkeypatch.setattr(termmodel, "_MEMO", oracle_memo)
 
     def built(order):
@@ -529,7 +547,7 @@ def test_term_models_do_not_depend_on_the_one_element_memo(monkeypatch):
                         report.violations, result.oracle_answers))
         return out
 
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", WeighedMemo())
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", WeighedMemo(decider._ONE_ELEMENT.bound))
     first = built(pairs)
     assert sum(answers["model"] for *_, answers in first) > 0
     rng = random.Random(7)  # scripts/gen_corpus.py --count 500 --seed 7
@@ -578,8 +596,8 @@ def test_a_stuck_query_builds_each_canonical_model_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(decider, "CanonicalModel", counting_canonical_model)
-    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
-    monkeypatch.setattr(decider, "_ONE_ELEMENT", WeighedMemo())
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo(termmodel._MEMO.bound))
+    monkeypatch.setattr(decider, "_ONE_ELEMENT", WeighedMemo(decider._ONE_ELEMENT.bound))
     with pytest.raises(OracleUndecidedError):
         oracle(gamma, sig)(parse_formula("<>S(c1)", sig))
     assert len(builds) == 2
@@ -611,7 +629,7 @@ def test_oracle_asks_about_a_conjunction_with_an_undecided_conjunct(monkeypatch)
         return answer[s.rhs]
 
     monkeypatch.setattr(termmodel, "entails", fake_entails)
-    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo())
+    monkeypatch.setattr(termmodel, "_MEMO", WeighedMemo(termmodel._MEMO.bound))
     gamma = [f("<>T & S(c)")]
     assert oracle(gamma, SIG)(f("T")) and oracle(gamma, SIG)(gamma[0])
     assert asked == []
